@@ -12,6 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .embedding import SignConfig
 from .scenario import Runtime, exit_code, load_config, run_scenario, write_report
 
 _KIND_FOR_COMMAND = {
@@ -54,13 +55,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.bits is not None:
-        from .embedding import SignConfig
-
-        config.sign_config = SignConfig(
-            start_bits=args.bits,
-            max_bits=max(config.sign_config.max_bits, args.bits),
-            escalation_factor=config.sign_config.escalation_factor,
-        )
+        try:
+            config.sign_config = SignConfig(
+                start_bits=args.bits,
+                max_bits=max(config.sign_config.max_bits, args.bits),
+                escalation_factor=config.sign_config.escalation_factor,
+            )
+        except ValueError as exc:
+            print(f"invalid --bits: {exc}", file=sys.stderr)
+            return 2
     rt = Runtime(config)
     kind = _KIND_FOR_COMMAND[args.command]
     selected = []

@@ -20,6 +20,7 @@ positive cone, hence on every ray these operations can produce.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -440,13 +441,15 @@ class Geometry:
         return s
 
     def find_overlap(self, s: ShintaniSet):
-        cells = s.cones
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if cones_fast_disjoint(cells[i], cells[j]):
-                    continue
-                if intersect_cells(cells[i], cells[j], self.trace_form):
-                    return (cells[i], cells[j])
+        return self._first_meeting(itertools.combinations(s.cones, 2))
+
+    def _first_meeting(self, pairs):
+        """The first pair of cells with a nonempty intersection, or None."""
+        for a, b in pairs:
+            if cones_fast_disjoint(a, b):
+                continue
+            if intersect_cells(a, b, self.trace_form):
+                return (a, b)
         return None
 
     def element_of_vec(self, v) -> FieldElement:
@@ -517,14 +520,9 @@ class Geometry:
             return False, w
         return self.subset(s2, s1)
 
-    def overlap(self, s1: ShintaniSet, s2: ShintaniSet) -> bool:
-        for a in s1.cones:
-            for b in s2.cones:
-                if cones_fast_disjoint(a, b):
-                    continue
-                if intersect_cells(a, b, self.trace_form):
-                    return True
-        return False
+    def overlap(self, s1, s2) -> bool:
+        """Whether two Shintani sets (or plain cell lists) meet."""
+        return self._first_meeting(itertools.product(s1, s2)) is not None
 
     # -- perturbed closures and domains ---------------------------------------
 
@@ -548,33 +546,22 @@ class Geometry:
         """C([x1 | x2]) = C(1, x1, x1*x2)."""
         return self.cone(self.spec.one, x1, x1 * x2)
 
-    def colmez_domain(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
+    def _check_unit_pair(self, eps1: FieldElement, eps2: FieldElement):
         d12 = self.emb.delta_bracket(eps1, eps2, self.cfg)
         d21 = self.emb.delta_bracket(eps2, eps1, self.cfg)
         if d12 != 1 or d21 != -1:
             raise SignConditionFailed(
                 f"delta([e1|e2])={d12}, delta([e2|e1])={d21}; need +1, -1"
             )
+
+    def colmez_domain(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
+        self._check_unit_pair(eps1, eps2)
         cells = list(self.perturbed_closure(self.bracket(eps1, eps2)).cones)
         cells += list(self.perturbed_closure(self.bracket(eps2, eps1)).cones)
         return self.shintani_set(cells, check=True)
 
-    def _check_pi_signs(self, eps: FieldElement, pi: FieldElement, label: str):
-        dp = self.emb.delta_bracket(eps, pi, self.cfg)
-        dm = self.emb.delta_bracket(pi, eps, self.cfg)
-        if dp == 0 or dp != -dm:
-            raise SignConditionFailed(
-                f"delta([{label}|pi])={dp}, delta([pi|{label}])={dm}; "
-                "need opposite nonzero signs"
-            )
-
     def explicit_B(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
-        d12 = self.emb.delta_bracket(eps1, eps2, self.cfg)
-        d21 = self.emb.delta_bracket(eps2, eps1, self.cfg)
-        if d12 != 1 or d21 != -1:
-            raise SignConditionFailed(
-                f"delta([e1|e2])={d12}, delta([e2|e1])={d21}; need +1, -1"
-            )
+        self._check_unit_pair(eps1, eps2)
         one = self.spec.one
         e12 = eps1 * eps2
         cells = [
@@ -588,30 +575,30 @@ class Geometry:
         return self.shintani_set(cells, check=True)
 
     def explicit_B1(self, eps2: FieldElement, pi: FieldElement) -> ShintaniSet:
-        self._check_pi_signs(eps2, pi, "e2")
-        one = self.spec.one
-        e2pi = eps2 * pi
-        cells = [
-            self.cone(pi),
-            self.cone(pi, e2pi),
-            self.cone(one, pi),
-            self.cone(one, e2pi),
-            self.cone(one, eps2, e2pi),
-            self.cone(one, pi, e2pi),
-        ]
-        return self.shintani_set(cells, check=True)
+        return self._mixed_domain(eps2, pi, "e2")
 
     def explicit_B2(self, eps1: FieldElement, pi: FieldElement) -> ShintaniSet:
-        self._check_pi_signs(eps1, pi, "e1")
+        return self._mixed_domain(eps1, pi, "e1")
+
+    def _mixed_domain(self, eps: FieldElement, pi: FieldElement, label: str) -> ShintaniSet:
+        """The six cells on 1, eps, pi and eps*pi (B1 for eps = e2, B2 for
+        eps = e1); [eps|pi] and [pi|eps] must have opposite nonzero signs."""
+        dp = self.emb.delta_bracket(eps, pi, self.cfg)
+        dm = self.emb.delta_bracket(pi, eps, self.cfg)
+        if dp == 0 or dp != -dm:
+            raise SignConditionFailed(
+                f"delta([{label}|pi])={dp}, delta([pi|{label}])={dm}; "
+                "need opposite nonzero signs"
+            )
         one = self.spec.one
-        e1pi = eps1 * pi
+        epi = eps * pi
         cells = [
             self.cone(pi),
-            self.cone(pi, e1pi),
+            self.cone(pi, epi),
             self.cone(one, pi),
-            self.cone(one, e1pi),
-            self.cone(one, eps1, e1pi),
-            self.cone(one, pi, e1pi),
+            self.cone(one, epi),
+            self.cone(one, eps, epi),
+            self.cone(one, pi, epi),
         ]
         return self.shintani_set(cells, check=True)
 
@@ -628,23 +615,18 @@ class Geometry:
         return out
 
     def _overlap_support(self, d, x, u1, u2, window):
-        """All k in the window with u1^k1 u2^k2 D meeting x^-1 D."""
+        """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
+        a k on the window boundary raises WindowExceeded."""
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
-        hits = []
-        for k, cells in self._translates(d, u1, u2, window).items():
-            if self._lists_overlap(cells, target):
-                hits.append(k)
+        hits = sorted(
+            k
+            for k, cells in self._translates(d, u1, u2, window).items()
+            if self.overlap(cells, target)
+        )
+        if any(abs(k1) == window or abs(k2) == window for k1, k2 in hits):
+            raise WindowExceeded(f"support touches the window boundary: {hits}")
         return hits
-
-    def _lists_overlap(self, cells1, cells2) -> bool:
-        for a in cells1:
-            for b in cells2:
-                if cones_fast_disjoint(a, b):
-                    continue
-                if intersect_cells(a, b, self.trace_form):
-                    return True
-        return False
 
     def error_support(
         self,
@@ -654,10 +636,7 @@ class Geometry:
         u2: FieldElement,
         window: int = 8,
     ) -> list[tuple[int, int]]:
-        hits = self._overlap_support(d, pi, u1, u2, window)
-        if any(abs(k1) == window or abs(k2) == window for k1, k2 in hits):
-            raise WindowExceeded(f"support touches the window boundary: {sorted(hits)}")
-        return sorted(hits)
+        return self._overlap_support(d, pi, u1, u2, window)
 
     def translation_cover(
         self,
@@ -672,14 +651,12 @@ class Geometry:
         hits = self._overlap_support(d, x, u1, u2, window)
         if not hits:
             raise WindowExceeded("x^-1 D meets no translate inside the window")
-        if any(abs(k1) == window or abs(k2) == window for k1, k2 in hits):
-            raise WindowExceeded(f"support touches the window boundary: {sorted(hits)}")
         k1s = [k1 for k1, _ in hits]
         k2s = [k2 for _, k2 in hits]
         anchor = (min(k1s), min(k2s))
         alpha = (max(k1s) - anchor[0], max(k2s) - anchor[1])
         return CoverBox(
-            alpha=alpha, anchor=anchor, base_units=(u1, u2), support=tuple(sorted(hits))
+            alpha=alpha, anchor=anchor, base_units=(u1, u2), support=tuple(hits)
         )
 
     # -- tiling check ----------------------------------------------------------
@@ -784,54 +761,52 @@ class Geometry:
             raise CaseMismatch("the extra identity only exists in case 2")
 
         b = self.explicit_B(eps1, eps2)
-        e12 = eps1 * eps2
 
         def translate_meet_b(u: FieldElement) -> ShintaniSet:
             part = self.intersect(self.scale(b, u), self.scale(b, pinv))
             return self.scale(part, u.inverse())
 
+        if which == "case2extra":
+            # (e2 B u e1e2 B) n pi^-1 B2  =  e2^-1 ((e2^2 B u e1 e2^2 B) n pi^-1 B)
+            ee = eps2 * eps2
+            rhs = self.scale(
+                self.intersect(
+                    self.union(self.scale(b, ee), self.scale(b, eps1 * ee)),
+                    self.scale(b, pinv),
+                ),
+                eps2.inverse(),
+            )
+            return self.set_equal(self.case2extra_lhs(eps1, eps2, pi), rhs)
+
+        # id1: B1 against the e2-translate, RHS translates e1 e2^k2;
+        # id2: B2 against the e1-translate, RHS translates e1^k1 e2^k2
+        k2s = (1,) if case == "case1" else (1, 2)
         if which == "id1":
-            b1 = self.explicit_B1(eps2, pi)
-            pinv_b1 = self.scale(b1, pinv)
-            lhs = self.union(
-                self.intersect(pinv_b1, b),
-                self.scale(self.intersect(pinv_b1, self.scale(b, eps2)), eps2.inverse()),
-            )
-            kmax = 1 if case == "case1" else 2
-            rhs = ShintaniSet.from_cones([])
-            for k2 in range(kmax + 1):
-                rhs = self.union(rhs, translate_meet_b(eps1 * eps2**k2))
-            return self.set_equal(lhs, rhs)
-
-        if which == "id2":
-            b2 = self.explicit_B2(eps1, pi)
-            pinv_b2 = self.scale(b2, pinv)
-            lhs = self.union(
-                self.intersect(pinv_b2, b),
-                self.scale(self.intersect(pinv_b2, self.scale(b, eps1)), eps1.inverse()),
-            )
-            k2s = (1,) if case == "case1" else (1, 2)
-            rhs = ShintaniSet.from_cones([])
-            for k1 in (0, 1):
-                for k2 in k2s:
-                    rhs = self.union(rhs, translate_meet_b(eps1**k1 * eps2**k2))
-            return self.set_equal(lhs, rhs)
-
-        # extra leftover of the case-2 bookkeeping:
-        # (e2 B u e1e2 B) n pi^-1 B2  =  e2^-1 ((e2^2 B u e1 e2^2 B) n pi^-1 B)
-        b2 = self.explicit_B2(eps1, pi)
-        lhs = self.intersect(
-            self.union(self.scale(b, eps2), self.scale(b, e12)), self.scale(b2, pinv)
+            u, mixed = eps2, self.explicit_B1(eps2, pi)
+            exponents = [(1, k2) for k2 in (0,) + k2s]
+        else:
+            u, mixed = eps1, self.explicit_B2(eps1, pi)
+            exponents = [(k1, k2) for k1 in (0, 1) for k2 in k2s]
+        pinv_mixed = self.scale(mixed, pinv)
+        lhs = self.union(
+            self.intersect(pinv_mixed, b),
+            self.scale(self.intersect(pinv_mixed, self.scale(b, u)), u.inverse()),
         )
-        ee = eps2 * eps2
-        rhs = self.scale(
-            self.intersect(
-                self.union(self.scale(b, ee), self.scale(b, eps1 * ee)),
-                self.scale(b, pinv),
-            ),
-            eps2.inverse(),
-        )
+        rhs = ShintaniSet.from_cones([])
+        for k1, k2 in exponents:
+            rhs = self.union(rhs, translate_meet_b(eps1**k1 * eps2**k2))
         return self.set_equal(lhs, rhs)
+
+    def case2extra_lhs(
+        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement
+    ) -> ShintaniSet:
+        """(e2 B u e1e2 B) n pi^-1 B2: the left side of the extra case-2
+        identity."""
+        b = self.explicit_B(eps1, eps2)
+        return self.intersect(
+            self.union(self.scale(b, eps2), self.scale(b, eps1 * eps2)),
+            self.scale(self.explicit_B2(eps1, pi), pi.inverse()),
+        )
 
     def case2extra_reference(
         self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement

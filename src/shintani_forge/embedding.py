@@ -38,8 +38,10 @@ class SignConfig:
         if self.max_bits < self.start_bits:
             raise ValueError("max_bits must be >= start_bits")
 
-    def ladder(self):
-        bits = self.start_bits
+    def ladder(self, start: int | None = None):
+        """Working precisions from `start` (default `start_bits`), escalated
+        while they stay within `max_bits`."""
+        bits = self.start_bits if start is None else start
         while bits <= self.max_bits:
             yield bits
             bits *= self.escalation_factor
@@ -88,14 +90,8 @@ class RatInterval:
         )
         return RatInterval(min(products), max(products))
 
-    def scale(self, q: Fraction) -> "RatInterval":
-        return RatInterval(self.lo * q, self.hi * q) if q >= 0 else RatInterval(self.hi * q, self.lo * q)
-
     def contains(self, v: Fraction) -> bool:
         return self.lo <= v <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def sign(self):
         """+1, -1, or None when the interval straddles zero."""
@@ -308,12 +304,6 @@ class RealEmbeddings:
         with iv_precision(bits):
             t = (logs[0] + logs[1] + logs[2]) / 3
             return [mpmath.iv.exp(v - t) for v in logs]
-
-
-def isolate_roots(spec: FieldSpec, bits: int) -> list[RatInterval]:
-    """Three disjoint ascending isolating intervals of width <= 2^-bits, each
-    certified by a Sturm count to contain exactly one real root."""
-    return RealEmbeddings(spec).refine_roots(bits)
 
 
 def l_point(i: int, m) -> tuple[Fraction, Fraction, Fraction]:

@@ -17,10 +17,6 @@ class NotTotallyPositive(ShintaniError):
     """Element required to be totally positive is not."""
 
 
-class PrecisionExhausted(ShintaniError):
-    """A certified sign could not be decided within the precision cap."""
-
-
 class DegenerateGeometry(ShintaniError):
     """Cone construction or canonicalization failed."""
 
@@ -55,6 +51,10 @@ class DegenerateBasis(ShintaniError):
 
 class Inconclusive(ShintaniError):
     """An interval check straddles its bound at maximal precision."""
+
+
+class PrecisionExhausted(Inconclusive):
+    """A certified sign could not be decided within the precision cap."""
 
 
 class Exhausted(ShintaniError):

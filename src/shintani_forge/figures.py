@@ -1,8 +1,8 @@
 """Deterministic SVG/CSV emission of plane scenes.
 
-A scene is a list of layers; each layer carries Shintani sets (drawn as the
-phi images of their cells' boundary segments), pre-sampled curves, or point
-markers. Output is byte-stable: fixed sampling counts, fixed decimal
+A scene is a list of layers; each layer carries a Shintani set (drawn as
+the phi images of its cells' boundary segments and ray markers) or
+pre-sampled curves. Output is byte-stable: fixed sampling counts, fixed decimal
 formatting, viewport derived from the data bounding box with fixed padding,
 and element order following the scene and canonical cell order.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cones import ShintaniSet
-from .embedding import RealEmbeddings, iv_mid_err
+from .embedding import RealEmbeddings
 from .field import FieldElement
 from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs
 from fractions import Fraction
@@ -20,11 +20,10 @@ from fractions import Fraction
 
 @dataclass
 class Layer:
-    kind: str  # "set" | "curves" | "points"
+    kind: str  # "set" | "curves"
     payload: object
     color: str = "#1f4e9c"
     width: float = 1.0
-    label: str = ""
 
 
 @dataclass
@@ -36,9 +35,6 @@ class Scene:
 
     def add_curves(self, curves, **kw):
         self.layers.append(Layer(kind="curves", payload=list(curves), **kw))
-
-    def add_points(self, points, **kw):
-        self.layers.append(Layer(kind="points", payload=list(points), **kw))
 
 
 def set_boundary_faces(s: ShintaniSet):
@@ -68,26 +64,14 @@ def sample_face_curve(
     """phi image of the embedded segment between two generator rays."""
     e_from = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[0])), bits)
     e_to = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[1])), bits)
-    pts = []
-    ts = []
-    for j in range(n_points):
-        t = Fraction(j, n_points - 1)
-        ts.append(t)
-        logs = _segment_logs(e_from, e_to, t, bits)
-        a, b = basis.project_logs(logs)
-        ax, ae = iv_mid_err(a)
-        bx, be = iv_mid_err(b)
-        pts.append(PlanePoint(ax, bx, max(ae, be)))
-    return CurveSample(curve_id=(curve_id,), ts=tuple(ts), points=tuple(pts))
+    ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
+    pts = tuple(basis.point(_segment_logs(e_from, e_to, t, bits)) for t in ts)
+    return CurveSample(curve_id=(curve_id,), ts=ts, points=pts)
 
 
 def ray_point(ray, basis: PhiBasis, emb: RealEmbeddings, bits: int) -> PlanePoint:
     x = FieldElement(emb.spec, tuple(Fraction(v) for v in ray))
-    logs = emb.log_embed(x, bits)
-    a, b = basis.project_logs(logs)
-    ax, ae = iv_mid_err(a)
-    bx, be = iv_mid_err(b)
-    return PlanePoint(ax, bx, max(ae, be))
+    return basis.point(emb.log_embed(x, bits))
 
 
 def materialize_scene(
@@ -115,10 +99,7 @@ def materialize_scene(
             for ray in rays:
                 markers.append(ray_point(ray, basis, emb, bits))
         elif layer.kind == "curves":
-            for ci, cs in enumerate(layer.payload):
-                curves.append(cs)
-        elif layer.kind == "points":
-            markers.extend(layer.payload)
+            curves.extend(layer.payload)
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
         out.append((layer, curves, markers))

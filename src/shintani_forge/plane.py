@@ -22,7 +22,7 @@ from .embedding import (
     iv_precision,
     iv_sign,
 )
-from .errors import DegenerateBasis, FixgiViolated, Inconclusive, NotTotallyPositive
+from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
 
 
@@ -96,6 +96,13 @@ class PhiBasis:
             b = (self.l1[0] * lh1 - self.l1[1] * lh0) / self.det
         return a, b
 
+    def point(self, logs) -> PlanePoint:
+        """The plane point of a log 3-vector, with its error radius."""
+        a, b = self.project_logs(logs)
+        ax, ae = iv_mid_err(a)
+        bx, be = iv_mid_err(b)
+        return PlanePoint(ax, bx, max(ae, be))
+
 
 def phi(
     x: FieldElement,
@@ -105,12 +112,7 @@ def phi(
     bits: int = 128,
 ) -> PlanePoint:
     """phi_(g1,g2)(x) with the error radius of the interval evaluation."""
-    basis = PhiBasis(emb, g1, g2, bits)
-    logs = emb.log_embed(x, bits)
-    a, b = basis.project_logs(logs)
-    ax, ae = iv_mid_err(a)
-    bx, be = iv_mid_err(b)
-    return PlanePoint(ax, bx, max(ae, be))
+    return PhiBasis(emb, g1, g2, bits).point(emb.log_embed(x, bits))
 
 
 def _segment_logs(e_from, e_to, t: Fraction, bits: int):
@@ -144,10 +146,7 @@ def curve_sample(
     if l < 1 or n_points < 2:
         raise ValueError("need l >= 1 and at least two sample points")
     basis = PhiBasis(emb, g1, g2, bits)
-    gpow = (g1 if i == 1 else g2) ** l
-    if not emb.is_totally_positive(gpow, SignConfig()):
-        raise NotTotallyPositive("curve endpoint is not totally positive")
-    e_to = emb.embed_positive(gpow, bits)
+    e_to = emb.embed_positive((g1 if i == 1 else g2) ** l, bits)
     e_one = [RatInterval.point(1)] * 3
     dx, dy = float(translate[0]), float(translate[1])
     pts = []
@@ -163,11 +162,8 @@ def curve_sample(
             ey = l if i == 2 else 0
             pts.append(PlanePoint(ex + dx, ey + dy, 0.0))
             continue
-        logs = _segment_logs(e_one, e_to, t, bits)
-        a, b = basis.project_logs(logs)
-        ax, ae = iv_mid_err(a)
-        bx, be = iv_mid_err(b)
-        pts.append(PlanePoint(ax + dx, bx + dy, max(ae, be)))
+        p = basis.point(_segment_logs(e_one, e_to, t, bits))
+        pts.append(PlanePoint(p.x + dx, p.y + dy, p.err))
     return CurveSample(curve_id=(i, l, tuple(translate)), ts=tuple(ts), points=tuple(pts))
 
 
@@ -273,8 +269,7 @@ def limit_derivative(
     if not fixgi_holds(g1, g2, emb, cfg):
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
     expected = _LIMIT_EXPECTED[(i, t)]
-    work = bits
-    while work <= cfg.max_bits:
+    for work in cfg.ladder(bits):
         logs1 = emb.log_embed(g1, work)
         logs2 = emb.log_embed(g2, work)
         with iv_precision(work):
@@ -293,7 +288,6 @@ def limit_derivative(
                 if s is not None:
                     v, e = iv_mid_err(ratio)
                     return LimitValue(value=v, err=e, sign=s, expected_sign=expected)
-        work *= cfg.escalation_factor
     raise Inconclusive("limit derivative sign undecided at max precision")
 
 
@@ -331,8 +325,7 @@ def check_direction_bounds(
         e_one = [RatInterval.point(1)] * 3
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
-            work = bits
-            while True:
+            for work in cfg.ladder(bits):
                 logs = _segment_logs(e_one, e_to, t, work)
                 a, b = basis.project_logs(logs)
                 with iv_precision(work):
@@ -356,11 +349,10 @@ def check_direction_bounds(
                             passed = False
                         bounds[n].append(float(mpmath.mpf(v.a)))
                     break
-                work *= cfg.escalation_factor
-                if work > cfg.max_bits:
-                    raise Inconclusive(
-                        f"direction bound straddles at t={t} with {cfg.max_bits} bits"
-                    )
+            else:
+                raise Inconclusive(
+                    f"direction bound straddles at t={t} with {cfg.max_bits} bits"
+                )
     margins = {n: min(v) for n, v in bounds.items() if v}
     return DirectionReport(
         passed=passed,

@@ -354,32 +354,23 @@ def _run_identities(rt: Runtime, params: dict, outdir, seed):
     window = int(params.get("window", rt.config.window))
     case, box = rt.geo.classify_case(e1, e2, pihat, window=window)
     which = ["id1", "id2"] + (["case2extra"] if case == "case2" else [])
+    results = [
+        (tag, rt.geo.verify_identity(case, tag, e1, e2, pihat, window=window)) for tag in which
+    ]
+    if case == "case2":
+        ref = rt.geo.case2extra_reference(e1, e2, pihat)
+        lhs = rt.geo.case2extra_lhs(e1, e2, pihat)
+        results.append(("case2extra_reference", rt.geo.set_equal(lhs, ref)))
     evidence = [
         {"name": "case", "value": case},
         {"name": "pi_normalized", "value": serialize_element(pihat)},
     ]
-    all_ok = True
-    for tag in which:
-        ok, witness = rt.geo.verify_identity(case, tag, e1, e2, pihat, window=window)
-        entry = {"name": tag, "ok": ok}
+    for name, (ok, witness) in results:
+        entry = {"name": name, "ok": ok}
         if witness is not None:
             entry["witness"] = serialize_element(witness)
         evidence.append(entry)
-        all_ok = all_ok and ok
-    if case == "case2":
-        ref = rt.geo.case2extra_reference(e1, e2, pihat)
-        b = rt.geo.explicit_B(e1, e2)
-        b2 = rt.geo.explicit_B2(e1, pihat)
-        lhs = rt.geo.intersect(
-            rt.geo.union(rt.geo.scale(b, e2), rt.geo.scale(b, e1 * e2)),
-            rt.geo.scale(b2, pihat.inverse()),
-        )
-        ok, witness = rt.geo.set_equal(lhs, ref)
-        entry = {"name": "case2extra_reference", "ok": ok}
-        if witness is not None:
-            entry["witness"] = serialize_element(witness)
-        evidence.append(entry)
-        all_ok = all_ok and ok
+    all_ok = all(result[0] for _, result in results)
     return ("PASS" if all_ok else "FAIL"), evidence, []
 
 
@@ -527,30 +518,23 @@ _RUNNERS = {
 
 
 def run_scenario(rt: Runtime, sid: str, outdir, seed: int | None = None) -> dict:
-    """Execute one scenario and return its deterministic report dict."""
+    """Execute one scenario and return its deterministic report dict.
+
+    A runner's failure ends in the report: an undecided sign as INCONCLUSIVE,
+    a package, lookup, type or value error as ERROR naming its type."""
+    use_seed = rt.config.seed if seed is None else seed
+    kind = "unknown"
     try:
         sc = rt.config.scenario(sid)
+        if sc["kind"] not in _RUNNERS:
+            raise UnknownScenario(f"unknown scenario kind {sc['kind']!r}")
         kind = sc["kind"]
-        if kind not in _RUNNERS:
-            raise UnknownScenario(f"unknown scenario kind {kind!r}")
-    except UnknownScenario as exc:
-        return {
-            "schema": SCHEMA_VERSION,
-            "scenario": sid,
-            "kind": "unknown",
-            "outcome": "ERROR",
-            "seed": rt.config.seed if seed is None else seed,
-            "evidence": [{"name": "error", "value": f"UnknownScenario: {exc}"}],
-            "artifacts": [],
-        }
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    use_seed = rt.config.seed if seed is None else seed
-    try:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
         outcome, evidence, artifacts = _RUNNERS[kind](rt, sc.get("params", {}), outdir, use_seed)
     except Inconclusive as exc:
         outcome, evidence, artifacts = "INCONCLUSIVE", [{"name": "error", "value": str(exc)}], []
-    except (ShintaniError, ValueError, ZeroDivisionError) as exc:
+    except (ShintaniError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         outcome = "ERROR"
         evidence = [{"name": "error", "value": f"{type(exc).__name__}: {exc}"}]
         artifacts = []

@@ -224,8 +224,7 @@ def lattice_points_in_ball(
     for k1 in range(int(a0) - m, int(a0) + m + 1):
         for k2 in range(int(b0) - m, int(b0) + m + 1):
             verdict = None
-            work = bits
-            while verdict is None and work <= cfg.max_bits:
+            for work in cfg.ladder(bits):
                 v1 = _logs_H(u1, emb, work)
                 v2 = _logs_H(u2, emb, work)
                 vo = (
@@ -261,7 +260,8 @@ def lattice_points_in_ball(
                         verdict = "out"
                     elif not pending:
                         verdict = "out"
-                work *= cfg.escalation_factor
+                if verdict is not None:
+                    break
             element = u1**k1 * u2**k2
             if lattice.offset is not None:
                 element = element * lattice.offset
@@ -404,24 +404,20 @@ def build_construction(
     otherwise on (g1, g2) themselves.
     """
     cfg = cfg or SignConfig()
-    for name, u in (("g1", g1), ("g2", g2)):
-        if abs(u.norm()) != 1:
-            raise ValueError(f"{name} is not a unit (|norm| != 1)")
-        if not emb.is_totally_positive(u, cfg):
-            raise NotTotallyPositive(f"{name} is not totally positive")
     if not emb.is_totally_positive(pi, cfg):
         raise NotTotallyPositive("pi is not totally positive")
-    if emb.delta_bracket(g1, g2, cfg) != 1 or emb.delta_bracket(g2, g1, cfg) != -1:
-        raise SignConditionFailed("delta([g1|g2]) = -delta([g2|g1]) = 1 required")
-    c1, c2 = eps_pair if eps_pair is not None else (g1, g2)
+    pairs = [("g1", "g2", g1, g2)]
     if eps_pair is not None:
-        for name, u in (("eps1", c1), ("eps2", c2)):
+        pairs.append(("eps1", "eps2", *eps_pair))
+    for n1, n2, a, b in pairs:
+        for name, u in ((n1, a), (n2, b)):
             if abs(u.norm()) != 1:
                 raise ValueError(f"{name} is not a unit (|norm| != 1)")
             if not emb.is_totally_positive(u, cfg):
                 raise NotTotallyPositive(f"{name} is not totally positive")
-        if emb.delta_bracket(c1, c2, cfg) != 1 or emb.delta_bracket(c2, c1, cfg) != -1:
-            raise SignConditionFailed("override pair fails the bracket signs")
+        if emb.delta_bracket(a, b, cfg) != 1 or emb.delta_bracket(b, a, cfg) != -1:
+            raise SignConditionFailed(f"delta([{n1}|{n2}]) = -delta([{n2}|{n1}]) = 1 required")
+    c1, c2 = eps_pair if eps_pair is not None else (g1, g2)
 
     evidence = {}
     fixgi = check_fixgi(c1, c2, emb, cfg)

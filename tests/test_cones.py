@@ -192,9 +192,13 @@ class TestDomains:
         b2 = geo.explicit_B2(els["eps1"], pihats["case1"])
         assert len(b1) == 6 and len(b2) == 6
 
-    def test_explicit_B1_rejects_unnormalized_pi(self, geo, els):
+    @pytest.mark.parametrize("which", ["B1", "B2"])
+    def test_explicit_B1_rejects_unnormalized_pi(self, geo, els, which):
         with pytest.raises(SignConditionFailed):
-            geo.explicit_B1(els["eps2"], els["pi1"])
+            if which == "B1":
+                geo.explicit_B1(els["eps2"], els["pi1"])
+            else:
+                geo.explicit_B2(els["eps1"], els["eps2"].inverse() * els["pi1"])
 
     def test_sampled_tiling_of_both_B_variants(self, geo, els):
         b = geo.explicit_B(els["eps1"], els["eps2"])

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from shintani_forge.embedding import RealEmbeddings, SignConfig, isolate_roots, l_point
+from shintani_forge.embedding import RealEmbeddings, SignConfig, l_point
 from shintani_forge.errors import NotTotallyReal
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 
@@ -25,11 +25,6 @@ class TestRootIsolation:
     def test_not_totally_real(self):
         with pytest.raises(NotTotallyReal):
             FieldSpec([-2, 0, 0, 1])
-
-    def test_isolate_roots_helper(self, spec):
-        ivs = isolate_roots(spec, 50)
-        assert len(ivs) == 3
-        assert all(iv.width() <= Fraction(1, 2**50) for iv in ivs)
 
     def test_refinement_nests(self, spec):
         emb = RealEmbeddings(spec)
@@ -186,3 +181,5 @@ class TestSignConfig:
     def test_ladder(self):
         cfg = SignConfig(start_bits=64, max_bits=256, escalation_factor=2)
         assert list(cfg.ladder()) == [64, 128, 256]
+        assert list(cfg.ladder(128)) == [128, 256]
+        assert list(cfg.ladder(512)) == []

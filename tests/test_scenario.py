@@ -7,6 +7,7 @@ import pytest
 from shintani_forge.cli import bundled_config_path, main
 from shintani_forge.errors import ParseError, UnknownName, UnknownScenario
 from shintani_forge.scenario import (
+    Runtime,
     exit_code,
     load_config,
     parse_element,
@@ -146,8 +147,49 @@ class TestReports:
         rc = main(["classify", "--config", str(cfgp), "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_missing_param_gives_error_report(self, tmp_path):
+        raw = json.loads(bundled_config_path().read_text())
+        for sc in raw["scenarios"]:
+            if sc["id"] == "case-pi1":
+                del sc["params"]["pi"]
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["classify", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 2
+        report = json.loads((out / "case-pi1.report.json").read_text())
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"] == [{"name": "error", "value": "KeyError: 'pi'"}]
+        later = json.loads((out / "case-pi2.report.json").read_text())
+        assert later["outcome"] == "PASS"
+
+    def test_undecided_sign_at_cap_is_inconclusive(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
+        rt = Runtime(load_config(bundled_config_path()))
+        report = run_scenario(rt, "identities-case2", tmp_path)
+        assert report["outcome"] == "INCONCLUSIVE"
+        assert exit_code([report["outcome"]]) == 3
+
 
 class TestCli:
+    def test_invalid_bits_exits_two(self, tmp_path, capsys):
+        rc = main(
+            [
+                "classify",
+                "--config",
+                str(bundled_config_path()),
+                "--bits",
+                "8",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--bits" in err
+        assert not list(tmp_path.iterdir())
+
     def test_verify_single_scenario(self, tmp_path, capsys):
         rc = main(
             [
