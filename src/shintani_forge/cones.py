@@ -504,15 +504,10 @@ class Geometry:
 
     def subset(self, s1: ShintaniSet, s2: ShintaniSet):
         """(True, None) or (False, witness FieldElement in s1 \\ s2)."""
-        for a in s1.cones:
-            pieces = [a]
-            for b in s2.cones:
-                pieces = [q for p in pieces for q in diff_cell(p, b, self.trace_form)]
-                if not pieces:
-                    break
-            if pieces:
-                return False, self.element_of_vec(pieces[0].witness_vec())
-        return True, None
+        rest = self.difference(s1, s2)
+        if rest.is_empty:
+            return True, None
+        return False, self.sample_point(rest)
 
     def set_equal(self, s1: ShintaniSet, s2: ShintaniSet):
         ok, w = self.subset(s1, s2)
@@ -677,6 +672,8 @@ class Geometry:
         (1, u1, u1*u2); each point's hit set over the whole window is decided
         exactly by integer evaluation of the translates' defining forms.
         """
+        if samples < 1:
+            raise ValueError("fundamental domain check needs samples >= 1")
         translates = self._translates(d, u1, u2, window)
         rng = random.Random(seed)
         one = self.spec.one

@@ -3,7 +3,9 @@
 Roots of the defining polynomial are isolated with Sturm counts and refined
 by dyadic bisection; embeddings are evaluated in exact rational interval
 arithmetic, so every enclosure is sound by construction. Logarithms are the
-only transcendental step and are delegated to mpmath's interval context.
+only transcendental step and are delegated to mpmath interval contexts, one
+per working precision; each interval number computes at its own context's
+precision, so no global mpmath state is set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -15,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
 from .errors import NotTotallyPositive, PrecisionExhausted
 from .field import FieldElement, FieldSpec, count_real_roots, det3, _poly_eval
@@ -33,6 +37,8 @@ class SignConfig:
     escalation_factor: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.escalation_factor, int) or self.escalation_factor < 2:
+            raise ValueError("escalation_factor must be an integer >= 2")
         if self.start_bits < 32:
             raise ValueError("start_bits must be >= 32")
         if self.max_bits < self.start_bits:
@@ -300,10 +306,8 @@ class RealEmbeddings:
 
     def project_H(self, x: FieldElement, bits: int):
         """Enclosures of the embeddings of z_H = (z1 z2 z3)^(-1/3) * z."""
-        logs = self.log_embed(x, bits)
-        with iv_precision(bits):
-            t = (logs[0] + logs[1] + logs[2]) / 3
-            return [mpmath.iv.exp(v - t) for v in logs]
+        logs = trace_zero(self.log_embed(x, bits))
+        return [iv_context(bits).exp(v) for v in logs]
 
 
 def l_point(i: int, m) -> tuple[Fraction, Fraction, Fraction]:
@@ -319,39 +323,47 @@ def l_point(i: int, m) -> tuple[Fraction, Fraction, Fraction]:
 # -- mpmath interval helpers -------------------------------------------------
 
 
-class iv_precision:
-    """Temporarily set the mpmath interval context precision."""
+@lru_cache(maxsize=None)
+def iv_context(bits: int) -> MPIntervalContext:
+    """The mpmath interval context for working precision `bits`, with guard
+    bits; a binary operation runs at its left operand's context."""
+    iv = MPIntervalContext()
+    iv.prec = max(bits, 64) + 16
+    return iv
 
-    def __init__(self, bits: int):
-        self.bits = max(bits, 64) + 16
 
-    def __enter__(self):
-        self._saved = mpmath.iv.prec
-        mpmath.iv.prec = self.bits
-        return mpmath.iv
-
-    def __exit__(self, *exc):
-        mpmath.iv.prec = self._saved
-        return False
+# float read-outs round through this double-precision context rather than
+# the caller's mpmath.mp
+_FLOAT = MPContext()
 
 
 def iv_fraction(lo: Fraction, hi: Fraction, bits: int):
     """mpmath interval enclosing the rational interval [lo, hi]."""
-    with iv_precision(bits):
-        a = mpmath.iv.mpf(lo.numerator) / mpmath.iv.mpf(lo.denominator)
-        b = mpmath.iv.mpf(hi.numerator) / mpmath.iv.mpf(hi.denominator)
-        return mpmath.iv.mpf([a.a, b.b])
+    iv = iv_context(bits)
+    a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
+    b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
+    return iv.mpf([a.a, b.b])
 
 
 def iv_log_fraction(lo: Fraction, hi: Fraction, bits: int):
-    with iv_precision(bits):
-        return mpmath.iv.log(iv_fraction(lo, hi, bits))
+    return iv_context(bits).log(iv_fraction(lo, hi, bits))
+
+
+def trace_zero(logs):
+    """The trace-zero part of a log 3-vector, at its entries' precision."""
+    t = (logs[0] + logs[1] + logs[2]) / 3
+    return [v - t for v in logs]
+
+
+def iv_lower(v) -> float:
+    """Lower endpoint of an mpmath interval, as a float."""
+    return float(_FLOAT.mpf(v.a))
 
 
 def iv_mid_err(v) -> tuple[float, float]:
     """Midpoint and radius of an mpmath interval, as floats."""
-    mid = (mpmath.mpf(v.a) + mpmath.mpf(v.b)) / 2
-    rad = (mpmath.mpf(v.b) - mpmath.mpf(v.a)) / 2
+    mid = (_FLOAT.mpf(v.a) + _FLOAT.mpf(v.b)) / 2
+    rad = (_FLOAT.mpf(v.b) - _FLOAT.mpf(v.a)) / 2
     return float(mid), abs(float(rad))
 
 

@@ -11,16 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .embedding import (
     RatInterval,
     RealEmbeddings,
     SignConfig,
+    iv_context,
     iv_fraction,
+    iv_lower,
     iv_mid_err,
-    iv_precision,
     iv_sign,
+    trace_zero,
 )
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
@@ -75,11 +75,10 @@ class PhiBasis:
         self.emb = emb
         self.g1 = g1
         self.g2 = g2
-        self.bits = bits
+        self.iv = iv_context(bits)
         self.l1 = emb.log_embed(g1, bits)
         self.l2 = emb.log_embed(g2, bits)
-        with iv_precision(bits):
-            self.det = self.l1[0] * self.l2[1] - self.l1[1] * self.l2[0]
+        self.det = self.l1[0] * self.l2[1] - self.l1[1] * self.l2[0]
         if iv_sign(self.det) is None:
             raise DegenerateBasis(
                 "log images of the basis pair are not certified independent"
@@ -87,13 +86,10 @@ class PhiBasis:
 
     def project_logs(self, logs):
         """Coordinates in the (Log g1, Log g2) basis of the trace-zero part
-        of a log 3-vector."""
-        with iv_precision(self.bits):
-            t = (logs[0] + logs[1] + logs[2]) / 3
-            lh0 = logs[0] - t
-            lh1 = logs[1] - t
-            a = (lh0 * self.l2[1] - lh1 * self.l2[0]) / self.det
-            b = (self.l1[0] * lh1 - self.l1[1] * lh0) / self.det
+        of a log 3-vector, computed at the basis precision."""
+        lh0, lh1, _ = trace_zero([self.iv.convert(v) for v in logs])
+        a = (lh0 * self.l2[1] - lh1 * self.l2[0]) / self.det
+        b = (self.l1[0] * lh1 - self.l1[1] * lh0) / self.det
         return a, b
 
     def point(self, logs) -> PlanePoint:
@@ -117,14 +113,14 @@ def phi(
 
 def _segment_logs(e_from, e_to, t: Fraction, bits: int):
     """Interval logs of (1-t)*v + t*w for positive interval 3-vectors."""
+    iv = iv_context(bits)
+    ti = iv_fraction(t, t, bits)
+    one = iv.mpf(1)
     out = []
-    with iv_precision(bits):
-        ti = iv_fraction(t, t, bits)
-        one = mpmath.iv.mpf(1)
-        for a, b in zip(e_from, e_to):
-            av = iv_fraction(a.lo, a.hi, bits)
-            bv = iv_fraction(b.lo, b.hi, bits)
-            out.append(mpmath.iv.log((one - ti) * av + ti * bv))
+    for a, b in zip(e_from, e_to):
+        av = iv_fraction(a.lo, a.hi, bits)
+        bv = iv_fraction(b.lo, b.hi, bits)
+        out.append(iv.log((one - ti) * av + ti * bv))
     return out
 
 
@@ -172,14 +168,13 @@ def _endpoint_ratio(e_g, logs1, logs2, bits: int):
     A = 2 s2 - s1 - s3, B = 2 s1 - s2 - s3 for interval embedding values s."""
     a_rat = RatInterval.point(2) * e_g[1] - e_g[0] - e_g[2]
     b_rat = RatInterval.point(2) * e_g[0] - e_g[1] - e_g[2]
-    with iv_precision(bits):
-        a = iv_fraction(a_rat.lo, a_rat.hi, bits)
-        b = iv_fraction(b_rat.lo, b_rat.hi, bits)
-        num = a * logs1[0] - b * logs1[1]
-        den = a * logs2[0] - b * logs2[1]
-        if iv_sign(den) is None:
-            return None
-        return -num / den
+    a = iv_fraction(a_rat.lo, a_rat.hi, bits)
+    b = iv_fraction(b_rat.lo, b_rat.hi, bits)
+    num = a * logs1[0] - b * logs1[1]
+    den = a * logs2[0] - b * logs2[1]
+    if iv_sign(den) is None:
+        return None
+    return -num / den
 
 
 def endpoint_derivative(
@@ -272,22 +267,21 @@ def limit_derivative(
     for work in cfg.ladder(bits):
         logs1 = emb.log_embed(g1, work)
         logs2 = emb.log_embed(g2, work)
-        with iv_precision(work):
-            if (i, t) == (1, 0):
-                num = 2 * logs1[0] + logs1[1]
-                den = 2 * logs2[0] + logs2[1]
-            elif (i, t) == (2, 1):
-                num = logs1[0] + 2 * logs1[1]
-                den = logs2[0] + 2 * logs2[1]
-            else:
-                num = -logs1[0] + logs1[1]
-                den = -logs2[0] + logs2[1]
-            if iv_sign(den) is not None:
-                ratio = -num / den
-                s = iv_sign(ratio)
-                if s is not None:
-                    v, e = iv_mid_err(ratio)
-                    return LimitValue(value=v, err=e, sign=s, expected_sign=expected)
+        if (i, t) == (1, 0):
+            num = 2 * logs1[0] + logs1[1]
+            den = 2 * logs2[0] + logs2[1]
+        elif (i, t) == (2, 1):
+            num = logs1[0] + 2 * logs1[1]
+            den = logs2[0] + 2 * logs2[1]
+        else:
+            num = -logs1[0] + logs1[1]
+            den = -logs2[0] + logs2[1]
+        if iv_sign(den) is not None:
+            ratio = -num / den
+            s = iv_sign(ratio)
+            if s is not None:
+                v, e = iv_mid_err(ratio)
+                return LimitValue(value=v, err=e, sign=s, expected_sign=expected)
     raise Inconclusive("limit derivative sign undecided at max precision")
 
 
@@ -308,6 +302,8 @@ def check_direction_bounds(
     passed=False; an enclosure straddling a bound escalates and then raises
     Inconclusive.
     """
+    if n_points < 3:
+        raise ValueError("direction check needs n_points >= 3 (one interior sample)")
     cfg = cfg or SignConfig()
     basis = PhiBasis(emb, g1, g2, bits)
     bounds = {
@@ -328,26 +324,26 @@ def check_direction_bounds(
             for work in cfg.ladder(bits):
                 logs = _segment_logs(e_one, e_to, t, work)
                 a, b = basis.project_logs(logs)
-                with iv_precision(work):
-                    lv = mpmath.iv.mpf(l)
-                    if i == 1:
-                        checks = {
-                            "y1 >= 0": b,
-                            "x1 >= 0": a,
-                            "x1 <= l": lv - a,
-                        }
-                    else:
-                        checks = {
-                            "x2 <= 0": -a,
-                            "y2 >= 0": b,
-                            "y2 <= l": lv - b,
-                        }
+                # l - a and l - b at the rung's precision, not the basis's
+                lv = iv_context(work).mpf(l)
+                if i == 1:
+                    checks = {
+                        "y1 >= 0": b,
+                        "x1 >= 0": a,
+                        "x1 <= l": lv - a,
+                    }
+                else:
+                    checks = {
+                        "x2 <= 0": -a,
+                        "y2 >= 0": b,
+                        "y2 <= l": lv - b,
+                    }
                 signs = {n: iv_sign(v) for n, v in checks.items()}
                 if all(s is not None for s in signs.values()):
                     for n, v in checks.items():
                         if signs[n] < 0:
                             passed = False
-                        bounds[n].append(float(mpmath.mpf(v.a)))
+                        bounds[n].append(iv_lower(v))
                     break
             else:
                 raise Inconclusive(

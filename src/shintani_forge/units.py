@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import mpmath
-
 from .cones import Geometry, _int_vec
-from .embedding import RealEmbeddings, SignConfig, iv_mid_err, iv_precision
+from .embedding import RealEmbeddings, SignConfig, iv_context, iv_mid_err, trace_zero
 from .errors import Exhausted, NotTotallyPositive, SignConditionFailed
 from .field import FieldElement
 from .plane import (
@@ -52,13 +50,12 @@ class LogLattice:
 
     def gram_ok(self, emb: RealEmbeddings, bits: int = 128) -> bool:
         """Certify the Gram determinant of the Log basis excludes zero."""
-        l1 = _logs_H(self.basis[0], emb, bits)
-        l2 = _logs_H(self.basis[1], emb, bits)
-        with iv_precision(bits):
-            g11 = sum(a * a for a in l1)
-            g22 = sum(a * a for a in l2)
-            g12 = sum(a * b for a, b in zip(l1, l2))
-            det = g11 * g22 - g12 * g12
+        l1 = trace_zero(emb.log_embed(self.basis[0], bits))
+        l2 = trace_zero(emb.log_embed(self.basis[1], bits))
+        g11 = sum(a * a for a in l1)
+        g22 = sum(a * a for a in l2)
+        g12 = sum(a * b for a, b in zip(l1, l2))
+        det = g11 * g22 - g12 * g12
         return det.a > 0
 
 
@@ -96,13 +93,6 @@ class ConstructionResult:
         return geo.prop4_union(self.eps1, self.eps2).contains_vec(
             _int_vec(pihat.inverse().coords)
         )
-
-
-def _logs_H(x: FieldElement, emb: RealEmbeddings, bits: int):
-    logs = emb.log_embed(x, bits)
-    with iv_precision(bits):
-        t = (logs[0] + logs[1] + logs[2]) / 3
-        return [v - t for v in logs]
 
 
 def check_fixgi(
@@ -161,23 +151,22 @@ def choose_power(
     l_max: int = 8,
     cfg: SignConfig | None = None,
     n_points: int = 64,
-    bits: int = 128,
 ) -> int:
     """Least power for which the direction bounds hold and the endpoint
     derivative signs agree with the limiting signs."""
     cfg = cfg or SignConfig()
     limit_signs = {
-        (i, t): limit_derivative(i, t, g1, g2, emb, cfg, bits).sign
+        (i, t): limit_derivative(i, t, g1, g2, emb, cfg).sign
         for i in (1, 2)
         for t in (0, 1)
     }
     for l in range(1, l_max + 1):
-        rep = check_direction_bounds(l, g1, g2, emb, n_points=n_points, bits=bits, cfg=cfg)
+        rep = check_direction_bounds(l, g1, g2, emb, n_points=n_points, cfg=cfg)
         if not rep.passed:
             continue
         ok = True
         for (i, t), want in limit_signs.items():
-            d = endpoint_derivative(i, l, t, g1, g2, emb, bits)
+            d = endpoint_derivative(i, l, t, g1, g2, emb)
             if d.sign != want:
                 ok = False
                 break
@@ -206,9 +195,9 @@ def lattice_points_in_ball(
     if not lattice.gram_ok(emb, bits):
         raise SignConditionFailed("Log images of the lattice basis are dependent")
 
-    l1 = _logs_H(u1, emb, bits)
-    l2 = _logs_H(u2, emb, bits)
-    off = _logs_H(lattice.offset, emb, bits) if lattice.offset is not None else None
+    l1 = trace_zero(emb.log_embed(u1, bits))
+    l2 = trace_zero(emb.log_embed(u2, bits))
+    off = trace_zero(emb.log_embed(lattice.offset, bits)) if lattice.offset is not None else None
     f1 = [iv_mid_err(v)[0] for v in l1]
     f2 = [iv_mid_err(v)[0] for v in l2]
     fo = [iv_mid_err(v)[0] for v in off] if off else [0.0, 0.0, 0.0]
@@ -225,41 +214,41 @@ def lattice_points_in_ball(
         for k2 in range(int(b0) - m, int(b0) + m + 1):
             verdict = None
             for work in cfg.ladder(bits):
-                v1 = _logs_H(u1, emb, work)
-                v2 = _logs_H(u2, emb, work)
+                iv = iv_context(work)
+                v1 = trace_zero(emb.log_embed(u1, work))
+                v2 = trace_zero(emb.log_embed(u2, work))
                 vo = (
-                    _logs_H(lattice.offset, emb, work)
+                    trace_zero(emb.log_embed(lattice.offset, work))
                     if lattice.offset is not None
                     else None
                 )
-                with iv_precision(work):
-                    ok_all = True
-                    out_any = False
-                    pending = False
-                    for idx in range(3):
-                        comp = k1 * v1[idx] + k2 * v2[idx]
-                        if vo is not None:
-                            comp = comp + vo[idx]
-                        ci = mpmath.iv.mpf(center[idx].numerator) / mpmath.iv.mpf(
-                            center[idx].denominator
-                        )
-                        ri = mpmath.iv.mpf(radius.numerator) / mpmath.iv.mpf(
-                            radius.denominator
-                        )
-                        d = comp - ci
-                        if d.b <= ri.a and d.a >= (-ri).b:
-                            continue
-                        ok_all = False
-                        if d.a > ri.b or d.b < (-ri).a:
-                            out_any = True
-                        else:
-                            pending = True
-                    if ok_all:
-                        verdict = "in"
-                    elif out_any:
-                        verdict = "out"
-                    elif not pending:
-                        verdict = "out"
+                ok_all = True
+                out_any = False
+                pending = False
+                for idx in range(3):
+                    comp = k1 * v1[idx] + k2 * v2[idx]
+                    if vo is not None:
+                        comp = comp + vo[idx]
+                    ci = iv.mpf(center[idx].numerator) / iv.mpf(
+                        center[idx].denominator
+                    )
+                    ri = iv.mpf(radius.numerator) / iv.mpf(
+                        radius.denominator
+                    )
+                    d = comp - ci
+                    if d.b <= ri.a and d.a >= (-ri).b:
+                        continue
+                    ok_all = False
+                    if d.a > ri.b or d.b < (-ri).a:
+                        out_any = True
+                    else:
+                        pending = True
+                if ok_all:
+                    verdict = "in"
+                elif out_any:
+                    verdict = "out"
+                elif not pending:
+                    verdict = "out"
                 if verdict is not None:
                     break
             element = u1**k1 * u2**k2
@@ -281,7 +270,6 @@ def triangle_search(
     unit_basis: tuple[FieldElement, FieldElement] | None = None,
     q_max: float = 64.0,
     cfg: SignConfig | None = None,
-    bits: int = 128,
 ) -> tuple[FieldElement, FieldElement]:
     """Find omega in the unit group with alpha = omega^-1 pi^-1 inside the
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
@@ -313,13 +301,13 @@ def triangle_search(
     if hit is not None:
         return hit
 
-    d1 = limit_derivative(1, 1, eps1, eps2, emb, cfg, bits)
-    d2 = limit_derivative(2, 1, eps1, eps2, emb, cfg, bits)
+    d1 = limit_derivative(1, 1, eps1, eps2, emb, cfg)
+    d2 = limit_derivative(2, 1, eps1, eps2, emb, cfg)
     tan_theta = d2.value / 2
     tan_gamma = -d1.value / 2
-    p = phi(pi.inverse(), eps1, eps2, emb, bits)
-    s1 = phi(u1, eps1, eps2, emb, bits)
-    s2 = phi(u2, eps1, eps2, emb, bits)
+    p = phi(pi.inverse(), eps1, eps2, emb)
+    s1 = phi(u1, eps1, eps2, emb)
+    s2 = phi(u2, eps1, eps2, emb)
     det = s1.x * s2.y - s1.y * s2.x
     if abs(det) < 1e-12:
         raise SignConditionFailed("unit basis does not span the phi plane")
@@ -391,7 +379,6 @@ def build_construction(
     q_max: float = 64.0,
     min_power: int = 1,
     window: int = 8,
-    bits: int = 128,
     eps_pair: tuple[FieldElement, FieldElement] | None = None,
 ) -> ConstructionResult:
     """Run the full pipeline: validate inputs, check the inequality chains,
@@ -425,14 +412,14 @@ def build_construction(
     if not fixgi.passed:
         raise SignConditionFailed(f"fixgi chains fail: {fixgi.margins}")
 
-    l = choose_power(c1, c2, emb, l_max=l_max, cfg=cfg, bits=bits)
+    l = choose_power(c1, c2, emb, l_max=l_max, cfg=cfg)
     l = max(l, min_power)
     evidence["l"] = l
     eps1 = c1**l
     eps2 = c2**l
 
     alpha, omega = triangle_search(
-        eps1, eps2, pi, l, emb, unit_basis=(g1, g2), q_max=q_max, cfg=cfg, bits=bits
+        eps1, eps2, pi, l, emb, unit_basis=(g1, g2), q_max=q_max, cfg=cfg
     )
     evidence["alpha"] = [str(c) for c in alpha.coords]
     evidence["omega"] = [str(c) for c in omega.coords]

@@ -4,9 +4,11 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from shintani_forge.cli import bundled_config_path
 from shintani_forge.embedding import RealEmbeddings, SignConfig, l_point
 from shintani_forge.errors import NotTotallyReal
 from shintani_forge.field import FieldSpec, count_real_roots, det3
+from shintani_forge.scenario import Runtime, load_config, run_scenario
 
 coord = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 coords = st.tuples(coord, coord, coord)
@@ -177,9 +179,25 @@ class TestSignConfig:
             SignConfig(start_bits=8)
         with pytest.raises(ValueError):
             SignConfig(start_bits=64, max_bits=32)
+        for factor in (1, 0, 2.5):
+            with pytest.raises(ValueError):
+                SignConfig(escalation_factor=factor)
 
     def test_ladder(self):
         cfg = SignConfig(start_bits=64, max_bits=256, escalation_factor=2)
         assert list(cfg.ladder()) == [64, 128, 256]
         assert list(cfg.ladder(128)) == [128, 256]
         assert list(cfg.ladder(512)) == []
+
+
+def test_no_shared_mpmath_state(monkeypatch, tmp_path):
+    """Interval logs and their float read-outs use their own mpmath contexts:
+    reports neither need mpmath.iv nor follow the caller's mpmath.mp."""
+    sids = ("direction", "construction")
+    rt = Runtime(load_config(bundled_config_path()))
+    expected = [run_scenario(rt, sid, tmp_path / "a") for sid in sids]
+    monkeypatch.setattr(mpmath, "iv", None)
+    with mpmath.mp.workprec(20):
+        rt = Runtime(load_config(bundled_config_path()))
+        got = [run_scenario(rt, sid, tmp_path / "b") for sid in sids]
+    assert got == expected
