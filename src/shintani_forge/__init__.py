@@ -1,7 +1,7 @@
 """Exact Shintani cone geometry over totally real cubic fields."""
 
 from .cones import Cone, CoverBox, Geometry, ShintaniSet
-from .embedding import RealEmbeddings, SignConfig, l_point
+from .embedding import RealEmbeddings, SignConfig
 from .field import FieldElement, FieldSpec
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "RealEmbeddings",
     "ShintaniSet",
     "SignConfig",
-    "l_point",
 ]
 
 __version__ = "0.1.0"

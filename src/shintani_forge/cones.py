@@ -36,7 +36,7 @@ from .errors import (
     SignConditionFailed,
     WindowExceeded,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _int_vec, det3
 
 Vec = tuple[int, int, int]
 
@@ -55,10 +55,7 @@ def primitive_vector(v) -> Vec:
     fr = [Fraction(x) for x in v]
     if all(x == 0 for x in fr):
         raise DegenerateGeometry("zero vector cannot generate a ray")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
+    ints = _int_vec(fr)
     g = math.gcd(math.gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
     return tuple(x // g for x in ints)  # type: ignore[return-value]
 
@@ -90,13 +87,6 @@ def _adjugate(m):
         [f * g - d * i, a * i - c * g, c * d - a * f],
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
-
-
-def _det_int(m):
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _cross(a: Vec, b: Vec):
@@ -150,7 +140,7 @@ class Cone:
         gens = self.gens
         if len(gens) == 3:
             m = [[gens[j][i] for j in range(3)] for i in range(3)]
-            s = _sign(_det_int(m))
+            s = _sign(det3(m))
             adj = _adjugate(m)
             pos = tuple(primitive_vector([s * v for v in row]) for row in adj)
             eq = ()
@@ -166,7 +156,7 @@ class Cone:
                 ei = tuple(1 if k == i else 0 for k in range(3))
                 ej = tuple(1 if k == j else 0 for k in range(3))
                 m = [[g[r], ei[r], ej[r]] for r in range(3)]
-                d = _det_int(m)
+                d = det3(m)
                 if d != 0:
                     break
             adj = _adjugate(m)
@@ -217,20 +207,14 @@ class Cone:
 def cones_fast_disjoint(a: Cone, b: Cone) -> bool:
     """Cheap certified disjointness: one cone lies strictly on the wrong side
     of a defining form of the other. False means undecided."""
-    for f in a.pos_forms:
-        if all(_dot(f, g) < 0 for g in b.gens):
-            return True
-    for e in a.eq_forms:
-        s = [_sign(_dot(e, g)) for g in b.gens]
-        if all(v > 0 for v in s) or all(v < 0 for v in s):
-            return True
-    for f in b.pos_forms:
-        if all(_dot(f, g) < 0 for g in a.gens):
-            return True
-    for e in b.eq_forms:
-        s = [_sign(_dot(e, g)) for g in a.gens]
-        if all(v > 0 for v in s) or all(v < 0 for v in s):
-            return True
+    for x, y in ((a, b), (b, a)):
+        for f in x.pos_forms:
+            if all(_dot(f, g) < 0 for g in y.gens):
+                return True
+        for e in x.eq_forms:
+            s = [_sign(_dot(e, g)) for g in y.gens]
+            if all(v > 0 for v in s) or all(v < 0 for v in s):
+                return True
     return False
 
 
@@ -348,46 +332,35 @@ def _convex_hull(tagged):
     return [t[1] for t in hull]
 
 
+def _carve(a: Cone, b: Cone, trace_form) -> tuple[list[Cone], list[Cone]]:
+    """Split `a` by the defining forms of `b` into the cells inside `b` and
+    the cells outside it: an equality form keeps its zero part, a positivity
+    form its positive part, and the other two parts go outside."""
+    inside = [a]
+    outside: list[Cone] = []
+    for forms, keep in ((b.eq_forms, 1), (b.pos_forms, 2)):
+        for form in forms:
+            kept: list[Cone] = []
+            for p in inside:
+                for i, part in enumerate(split_cell(p, form, trace_form)):
+                    (kept if i == keep else outside).extend(part)
+            inside = kept
+    return inside, outside
+
+
 def intersect_cells(a: Cone, b: Cone, trace_form) -> list[Cone]:
     """Exact intersection of two open cells as disjoint open cells (carves
     `a` by the defining forms of `b`)."""
     if cones_fast_disjoint(a, b):
         return []
-    pieces = [a]
-    for e in b.eq_forms:
-        pieces = [z for p in pieces for z in split_cell(p, e, trace_form)[1]]
-        if not pieces:
-            return []
-    for f in b.pos_forms:
-        pieces = [q for p in pieces for q in split_cell(p, f, trace_form)[2]]
-        if not pieces:
-            return []
-    return pieces
+    return _carve(a, b, trace_form)[0]
 
 
 def diff_cell(a: Cone, b: Cone, trace_form) -> list[Cone]:
     """Exact difference a \\ b as disjoint open cells."""
     if cones_fast_disjoint(a, b):
         return [a]
-    out: list[Cone] = []
-    pieces = [a]
-    for e in b.eq_forms:
-        nxt: list[Cone] = []
-        for p in pieces:
-            neg, zero, pos = split_cell(p, e, trace_form)
-            out.extend(neg)
-            out.extend(pos)
-            nxt.extend(zero)
-        pieces = nxt
-    for f in b.pos_forms:
-        nxt = []
-        for p in pieces:
-            neg, zero, pos = split_cell(p, f, trace_form)
-            out.extend(neg)
-            out.extend(zero)
-            nxt.extend(pos)
-        pieces = nxt
-    return out
+    return _carve(a, b, trace_form)[1]
 
 
 # -- the geometry engine -------------------------------------------------------
@@ -836,10 +809,3 @@ def _powers(u: FieldElement, window: int) -> dict[int, FieldElement]:
             out[k] = out[k - 1] * u
             out[-k] = out[-(k - 1)] * inv
     return out
-
-
-def _int_vec(coords) -> Vec:
-    den = 1
-    for c in coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return tuple(int(c * den) for c in coords)  # type: ignore[return-value]

@@ -109,10 +109,12 @@ class RatInterval:
 
 
 def interval_det3(m: list[list[RatInterval]]) -> RatInterval:
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = m[1][0] * m[2][2] - m[1][2] * m[2][0]
-    c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    return m[0][0] * c00 - m[0][1] * c01 + m[0][2] * c02
+    return det3(m)
+
+
+# the embedded first standard basis vector e1, which a None column stands for
+# in RealEmbeddings._det_sign
+_E1 = [RatInterval.point(1), RatInterval.point(0), RatInterval.point(0)]
 
 
 class RealEmbeddings:
@@ -227,13 +229,18 @@ class RealEmbeddings:
         coord_m = [[x.coords[i] for x in (x1, x2, x3)] for i in range(3)]
         if det3(coord_m) == 0:
             return 0
+        return self._det_sign((x1, x2, x3), cfg, "determinant sign undecided")
+
+    def _det_sign(self, columns, cfg: SignConfig, undecided: str) -> int:
+        """Certified sign of det of the embedded column matrix, a None column
+        being e1; raises PrecisionExhausted(undecided) when the determinant
+        stays straddling zero up to the precision cap."""
         for bits in cfg.ladder():
-            cols = [self.embed(x, bits) for x in (x1, x2, x3)]
-            m = [[cols[j][i] for j in range(3)] for i in range(3)]
-            s = interval_det3(m).sign()
+            cols = [_E1 if x is None else self.embed(x, bits) for x in columns]
+            s = interval_det3([[c[r] for c in cols] for r in range(3)]).sign()
             if s is not None:
                 return s
-        raise PrecisionExhausted("determinant sign undecided")  # pragma: no cover
+        raise PrecisionExhausted(undecided)
 
     def delta_bracket(self, u1: FieldElement, u2: FieldElement, cfg: SignConfig) -> int:
         """delta([u1 | u2]) = sign det of the embedded (1, u1, u1*u2)."""
@@ -253,36 +260,22 @@ class RealEmbeddings:
         base = self.sign_det(gens[0], gens[1], gens[2], cfg)
         if base == 0:
             raise ValueError("generators are linearly dependent")
-        e1 = [RatInterval.point(1), RatInterval.point(0), RatInterval.point(0)]
-        signs: list[int | None] = [None, None, None]
-        for bits in cfg.ladder():
-            cols = [self.embed(g, bits) for g in gens]
-            for i in range(3):
-                if signs[i] is not None:
-                    continue
-                m = [
-                    [e1[r] if c == i else cols[c][r] for c in range(3)]
-                    for r in range(3)
-                ]
-                s = interval_det3(m).sign()
-                if s is not None:
-                    signs[i] = s * base
-            if all(s is not None for s in signs):
-                return signs  # type: ignore[return-value]
-        raise PrecisionExhausted("e1 is aligned with a face of the cone")
+        return [
+            base * self._det_sign(
+                [None if c == i else g for c, g in enumerate(gens)],
+                cfg,
+                "e1 is aligned with a face of the cone",
+            )
+            for i in range(3)
+        ]
 
     def e1_outside_span(self, gens: list[FieldElement], cfg: SignConfig) -> bool:
         """Certify that e1 is not in the real span of <= 2 embedded generators."""
         if len(gens) == 1:
             # e1 = c*sigma(v) would force two embeddings of v to vanish
             return True
-        e1 = [RatInterval.point(1), RatInterval.point(0), RatInterval.point(0)]
-        for bits in cfg.ladder():
-            cols = [self.embed(g, bits) for g in gens]
-            m = [[e1[r], cols[0][r], cols[1][r]] for r in range(3)]
-            if interval_det3(m).sign() is not None:
-                return True
-        raise PrecisionExhausted("e1 possibly inside the span of a face")
+        self._det_sign((None, *gens), cfg, "e1 possibly inside the span of a face")
+        return True
 
     # -- logarithmic data ---------------------------------------------------
 
@@ -308,16 +301,6 @@ class RealEmbeddings:
         """Enclosures of the embeddings of z_H = (z1 z2 z3)^(-1/3) * z."""
         logs = trace_zero(self.log_embed(x, bits))
         return [iv_context(bits).exp(v) for v in logs]
-
-
-def l_point(i: int, m) -> tuple[Fraction, Fraction, Fraction]:
-    """The trace-zero vector with value M in slot i and -M/2 elsewhere."""
-    if i not in (0, 1, 2):
-        raise ValueError("slot index must be 0, 1, or 2")
-    m = Fraction(m)
-    out = [-m / 2, -m / 2, -m / 2]
-    out[i] = m
-    return tuple(out)
 
 
 # -- mpmath interval helpers -------------------------------------------------

@@ -28,6 +28,14 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+def _int_vec(coords) -> tuple[int, ...]:
+    """Scale rational coordinates by the lcm of their denominators."""
+    den = 1
+    for c in coords:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return tuple(int(c * den) for c in coords)
+
+
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -118,10 +126,7 @@ class FieldSpec:
         coeffs = tuple(_as_fraction(c) for c in poly_coeffs)
         if len(coeffs) != 4 or coeffs[3] == 0:
             raise ValueError("defining polynomial must be cubic (four coefficients, c3 != 0)")
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        int_coeffs = tuple(int(c * den) for c in coeffs)
+        int_coeffs = _int_vec(coeffs)
         if _has_rational_root(int_coeffs):
             raise ValueError("defining polynomial is reducible over Q")
         chain = sturm_chain([Fraction(c) for c in int_coeffs])

@@ -302,8 +302,8 @@ def check_direction_bounds(
     passed=False; an enclosure straddling a bound escalates and then raises
     Inconclusive.
     """
-    if n_points < 3:
-        raise ValueError("direction check needs n_points >= 3 (one interior sample)")
+    if l < 1 or n_points < 3:
+        raise ValueError("direction check needs l >= 1 and n_points >= 3 (one interior sample)")
     cfg = cfg or SignConfig()
     basis = PhiBasis(emb, g1, g2, bits)
     bounds = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,7 +169,6 @@ class ScenarioConfig:
     window: int
     seed: int
     scenarios: list
-    defaults: dict = dc_field(default_factory=dict)
 
     def scenario(self, sid: str) -> dict:
         for s in self.scenarios:
@@ -204,7 +203,6 @@ def load_config(path) -> ScenarioConfig:
         window=int(raw.get("window", 8)),
         seed=int(raw.get("seed", 0)),
         scenarios=list(raw.get("scenarios", [])),
-        defaults=dict(raw.get("defaults", {})),
     )
     _validate(config)
     return config

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shintani_forge.cones import Cone, Geometry, ShintaniSet, primitive_vector
+from shintani_forge.cones import (
+    Cone,
+    Geometry,
+    ShintaniSet,
+    cones_fast_disjoint,
+    diff_cell,
+    intersect_cells,
+    primitive_vector,
+)
 from shintani_forge.errors import (
     DegenerateGeometry,
     EmptySet,
@@ -127,6 +135,23 @@ class TestIntersect:
         eq, _ = geo.set_equal(rebuilt, B)
         assert eq
         assert not geo.overlap(inter, diff)
+
+    def test_cell_carve_partitions_each_cell(self, geo, els, B):
+        # every ordered pair of cells of B and pi1^-1 B
+        cells = list(B.cones) + list(geo.scale(B, els["pi1"].inverse()).cones)
+        for a in cells:
+            for b in cells:
+                inter = intersect_cells(a, b, geo.trace_form)
+                diff = diff_cell(a, b, geo.trace_form)
+                fast = cones_fast_disjoint(a, b)
+                assert fast == cones_fast_disjoint(b, a)
+                if fast:
+                    assert inter == [] and diff == [a]
+                assert not geo.overlap(inter, diff)
+                eq, _ = geo.set_equal(
+                    ShintaniSet.from_cones(inter + diff), ShintaniSet.from_cones([a])
+                )
+                assert eq
 
     def test_refinement_soundness_random_points(self, geo, spec, els, B):
         rng = random.Random(5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shintani_forge.cli import bundled_config_path
-from shintani_forge.embedding import RealEmbeddings, SignConfig, l_point
+from shintani_forge.embedding import RealEmbeddings, SignConfig
 from shintani_forge.errors import NotTotallyReal
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
@@ -166,11 +166,6 @@ class TestLogs:
         zh = emb.project_H(els["pi"], 128)
         prod = zh[0] * zh[1] * zh[2]
         assert prod.a <= 1 <= prod.b
-
-    def test_l_point(self):
-        assert l_point(0, 2) == (2, -1, -1)
-        assert l_point(1, Fraction(3)) == (Fraction(-3, 2), 3, Fraction(-3, 2))
-        assert sum(l_point(2, 7)) == 0
 
 
 class TestSignConfig:

@@ -4,7 +4,6 @@ import pytest
 
 from shintani_forge import units
 from shintani_forge.cones import _int_vec
-from shintani_forge.embedding import l_point
 from shintani_forge.errors import (
     Exhausted,
     InclusionViolated,
@@ -68,14 +67,14 @@ class TestLatticeBall:
 
     def test_ball_at_l1_nonempty(self, emb, els, cfg):
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
-        res = units.lattice_points_in_ball(lat, l_point(1, 40), 30, emb, cfg=cfg)
+        res = units.lattice_points_in_ball(lat, (-20, 40, -20), 30, emb, cfg=cfg)
         assert res.inside
 
     def test_result_independent_of_enumeration_box(self, emb, els, cfg):
         # oracle: enlarge the scan box by re-running with a bigger radius and
         # filtering; the inside set must coincide
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
-        center = l_point(1, 40)
+        center = (-20, 40, -20)
         small = units.lattice_points_in_ball(lat, center, 25, emb, cfg=cfg)
         big = units.lattice_points_in_ball(lat, center, 40, emb, cfg=cfg)
         keys_small = {(k1, k2) for k1, k2, _ in small.inside}

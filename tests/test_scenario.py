@@ -163,21 +163,29 @@ class TestReports:
         later = json.loads((out / "case-pi2.report.json").read_text())
         assert later["outcome"] == "PASS"
 
-    def test_sample_counts_that_check_nothing_are_errors(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sid, param, value, bound",
+        [
+            ("fdcheck-B", "samples", 0, "samples >= 1"),
+            ("direction", "n_points", 2, "n_points >= 3"),
+            ("direction", "l", 0, "l >= 1"),
+            ("direction", "l", -1, "l >= 1"),
+        ],
+        ids=["samples=0", "n_points=2", "l=0", "l=-1"],
+    )
+    def test_sample_counts_that_check_nothing_are_errors(
+        self, tmp_path, sid, param, value, bound
+    ):
         raw = json.loads(bundled_config_path().read_text())
         for sc in raw["scenarios"]:
-            if sc["id"] == "fdcheck-B":
-                sc["params"]["samples"] = 0
-            if sc["id"] == "direction":
-                sc["params"]["n_points"] = 2
+            if sc["id"] == sid:
+                sc["params"][param] = value
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(raw))
-        rt = Runtime(load_config(cfgp))
-        for sid, bound in (("fdcheck-B", "samples >= 1"), ("direction", "n_points >= 3")):
-            report = run_scenario(rt, sid, tmp_path / "out")
-            assert report["outcome"] == "ERROR"
-            assert report["evidence"][0]["value"].startswith("ValueError: ")
-            assert bound in report["evidence"][0]["value"]
+        report = run_scenario(Runtime(load_config(cfgp)), sid, tmp_path / "out")
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"][0]["value"].startswith("ValueError: ")
+        assert bound in report["evidence"][0]["value"]
 
     def test_undecided_sign_at_cap_is_inconclusive(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
