@@ -36,7 +36,7 @@ from .errors import (
     SignConditionFailed,
     WindowExceeded,
 )
-from .field import FieldElement, FieldSpec, _int_vec, det3
+from .field import FieldElement, FieldSpec, _int_vec, adjugate3, det3
 
 Vec = tuple[int, int, int]
 
@@ -76,17 +76,6 @@ def _rank(rows) -> int:
                 m[r] = [m[r][k] - f * m[rank][k] for k in range(3)]
         rank += 1
     return rank
-
-
-def _adjugate(m):
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
 
 
 def _cross(a: Vec, b: Vec):
@@ -141,13 +130,13 @@ class Cone:
         if len(gens) == 3:
             m = [[gens[j][i] for j in range(3)] for i in range(3)]
             s = _sign(det3(m))
-            adj = _adjugate(m)
+            adj = adjugate3(m)
             pos = tuple(primitive_vector([s * v for v in row]) for row in adj)
             eq = ()
         elif len(gens) == 2:
             n = primitive_vector(_cross(gens[0], gens[1]))
             m = [[gens[0][i], gens[1][i], n[i]] for i in range(3)]
-            adj = _adjugate(m)  # det = |cross|^2 > 0
+            adj = adjugate3(m)  # det = |cross|^2 > 0
             pos = tuple(primitive_vector(adj[row]) for row in (0, 1))
             eq = (n,)
         else:
@@ -159,7 +148,7 @@ class Cone:
                 d = det3(m)
                 if d != 0:
                     break
-            adj = _adjugate(m)
+            adj = adjugate3(m)
             s = _sign(d)
             pos = (primitive_vector([s * v for v in adj[0]]),)
             eq = tuple(primitive_vector(adj[row]) for row in (1, 2))
@@ -391,10 +380,10 @@ class Geometry:
     """Exact Shintani set operations bound to one field and one embedding
     labeling."""
 
-    def __init__(self, emb: RealEmbeddings, cfg: SignConfig | None = None):
+    def __init__(self, emb: RealEmbeddings, cfg: SignConfig):
         self.emb = emb
         self.spec: FieldSpec = emb.spec
-        self.cfg = cfg or SignConfig()
+        self.cfg = cfg
         self.trace_form = primitive_vector(self.spec.trace_basis)
 
     # -- constructors -------------------------------------------------------

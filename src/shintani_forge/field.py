@@ -294,18 +294,21 @@ def det3(m) -> Fraction:
     )
 
 
+def adjugate3(m):
+    """The adjugate of a 3x3 matrix: adjugate3(m) * m = det3(m) * I."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    return [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+
+
 def solve3(m, rhs):
-    """Solve a nonsingular exact rational 3x3 system by Gaussian elimination."""
-    a = [list(row) + [r] for row, r in zip(m, rhs)]
-    for c in range(3):
-        piv = next((r for r in range(c, 3) if a[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = Fraction(1) / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for r in range(3):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [a[r][k] - f * a[c][k] for k in range(4)]
-    return [a[r][3] for r in range(3)]
+    """Solve a nonsingular exact rational 3x3 system by Cramer's rule."""
+    d = Fraction(det3(m))
+    if d == 0:
+        raise ZeroDivisionError("singular system")
+    return [(row[0] * rhs[0] + row[1] * rhs[1] + row[2] * rhs[2]) / d for row in adjugate3(m)]

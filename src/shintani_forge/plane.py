@@ -253,12 +253,11 @@ def limit_derivative(
     g1: FieldElement,
     g2: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig | None = None,
+    cfg: SignConfig,
     bits: int = 128,
 ) -> LimitValue:
     """The limiting endpoint derivative as the power grows, with its sign
     certified; requires the fixgi inequality chains."""
-    cfg = cfg or SignConfig()
     if (i, t) not in _LIMIT_EXPECTED:
         raise ValueError("limit is defined for i in {1,2}, t in {0,1}")
     if not fixgi_holds(g1, g2, emb, cfg):
@@ -292,7 +291,8 @@ def check_direction_bounds(
     emb: RealEmbeddings,
     n_points: int = 64,
     bits: int = 128,
-    cfg: SignConfig | None = None,
+    *,
+    cfg: SignConfig,
 ) -> DirectionReport:
     """Certified sampled check of the four curve bounds
     y_1 >= 0, x_2 <= 0, 0 <= x_1 <= l, 0 <= y_2 <= l.
@@ -304,7 +304,6 @@ def check_direction_bounds(
     """
     if l < 1 or n_points < 3:
         raise ValueError("direction check needs l >= 1 and n_points >= 3 (one interior sample)")
-    cfg = cfg or SignConfig()
     basis = PhiBasis(emb, g1, g2, bits)
     bounds = {
         "y1 >= 0": [],

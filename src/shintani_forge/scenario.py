@@ -220,6 +220,13 @@ def _validate(config: ScenarioConfig):
             raise UnknownName(f"declared element {name!r} not defined")
         if not emb.is_totally_positive(config.elements[name], config.sign_config):
             raise ValueError(f"{name!r} is not totally positive")
+    seen = set()
+    for sc in config.scenarios:
+        if not isinstance(sc, dict) or not all(isinstance(sc.get(k), str) for k in ("id", "kind")):
+            raise ValueError(f"each scenario needs a string id and kind: {sc!r}")
+        if sc["id"] in seen:
+            raise ValueError(f"duplicate scenario id {sc['id']!r}")
+        seen.add(sc["id"])
 
 
 class Runtime:
@@ -278,6 +285,15 @@ class Runtime:
 
 
 # -- scenario runners ----------------------------------------------------------
+# Each runner returns (evidence, artifacts); run_scenario derives the verdict.
+
+
+def _box_evidence(box) -> list:
+    return [
+        {"name": "alpha", "value": list(box.alpha)},
+        {"name": "anchor", "value": list(box.anchor)},
+        {"name": "support", "value": [list(k) for k in box.support]},
+    ]
 
 
 def _run_counterexample(rt: Runtime, params: dict, outdir, seed):
@@ -286,15 +302,14 @@ def _run_counterexample(rt: Runtime, params: dict, outdir, seed):
     window = int(params.get("window", rt.config.window))
     d = rt.geo.colmez_domain(u1, u2)
     support = rt.geo.error_support(d, pi, u1, u2, window=window)
-    required = [tuple(p) for p in params.get("required_pairs", [])]
+    required = params.get("required_pairs", [])
     outside = [k for k in support if not (k[0] in (0, 1) and k[1] in (0, 1))]
-    ok = all(tuple(p) in support for p in required) and bool(outside)
     evidence = [
         {"name": "support", "value": [list(k) for k in support]},
         {"name": "required_pairs_present", "ok": all(tuple(p) in support for p in required)},
         {"name": "outside_unit_box", "ok": bool(outside), "value": [list(k) for k in outside]},
     ]
-    return ("PASS" if ok else "FAIL"), evidence, []
+    return evidence, []
 
 
 def _run_construction(rt: Runtime, params: dict, outdir, seed):
@@ -326,24 +341,19 @@ def _run_construction(rt: Runtime, params: dict, outdir, seed):
         {"name": "cover", "value": {"alpha": list(res.evidence["cover_alpha"]),
                                      "anchor": list(res.evidence["cover_anchor"])}},
     ]
-    return "PASS", evidence, []
+    return evidence, []
 
 
 def _run_case(rt: Runtime, params: dict, outdir, seed):
     e1, e2 = rt.el(params["eps1"]), rt.el(params["eps2"])
     pi = rt.el(params["pi"])
     case, box = rt.geo.classify_case(e1, e2, pi, window=int(params.get("window", rt.config.window)))
-    evidence = [
-        {"name": "case", "value": case},
-        {"name": "alpha", "value": list(box.alpha)},
-        {"name": "anchor", "value": list(box.anchor)},
-        {"name": "support", "value": [list(k) for k in box.support]},
-    ]
-    ok = True
+    evidence = [{"name": "case", "value": case}] + _box_evidence(box)
     if "expected" in params:
-        ok = case == params["expected"]
-        evidence.append({"name": "expected", "value": params["expected"], "ok": ok})
-    return ("PASS" if ok else "FAIL"), evidence, []
+        evidence.append(
+            {"name": "expected", "value": params["expected"], "ok": case == params["expected"]}
+        )
+    return evidence, []
 
 
 def _run_identities(rt: Runtime, params: dict, outdir, seed):
@@ -368,8 +378,7 @@ def _run_identities(rt: Runtime, params: dict, outdir, seed):
         if witness is not None:
             entry["witness"] = serialize_element(witness)
         evidence.append(entry)
-    all_ok = all(result[0] for _, result in results)
-    return ("PASS" if all_ok else "FAIL"), evidence, []
+    return evidence, []
 
 
 def _run_fdcheck(rt: Runtime, params: dict, outdir, seed):
@@ -391,7 +400,7 @@ def _run_fdcheck(rt: Runtime, params: dict, outdir, seed):
         ]},
         {"name": "boundary_hits", "value": len(rep.boundary_hits)},
     ]
-    return ("PASS" if rep.passed else "FAIL"), evidence, []
+    return evidence, []
 
 
 def _run_direction(rt: Runtime, params: dict, outdir, seed):
@@ -410,29 +419,22 @@ def _run_direction(rt: Runtime, params: dict, outdir, seed):
         {"name": "min_margin", "value": rep.min_margin},
         {"name": "margins", "value": rep.margins},
     ]
-    return ("PASS" if rep.passed else "FAIL"), evidence, []
+    return evidence, []
 
 
 def _run_cover(rt: Runtime, params: dict, outdir, seed):
     d, u1, u2 = rt.domain(params)
     x = rt.el(params["x"])
     box = rt.geo.translation_cover(d, x, u1, u2, window=int(params.get("window", rt.config.window)))
-    evidence = [
-        {"name": "alpha", "value": list(box.alpha)},
-        {"name": "anchor", "value": list(box.anchor)},
-        {"name": "support", "value": [list(k) for k in box.support]},
-    ]
-    ok = True
+    evidence = _box_evidence(box)
     if "expected_alpha" in params:
         match = list(box.alpha) == list(params["expected_alpha"])
         evidence.append({"name": "expected_alpha", "value": params["expected_alpha"], "ok": match})
-        ok = ok and match
     if "require_within" in params:
         lim = params["require_within"]
         fits = box.alpha[0] <= lim[0] and box.alpha[1] <= lim[1]
         evidence.append({"name": "require_within", "value": lim, "ok": fits})
-        ok = ok and fits
-    return ("PASS" if ok else "FAIL"), evidence, []
+    return evidence, []
 
 
 def _run_figures(rt: Runtime, params: dict, outdir, seed):
@@ -499,7 +501,7 @@ def _run_figures(rt: Runtime, params: dict, outdir, seed):
                 "bbox": [min(xs), min(ys), max(xs), max(ys)] if xs else None,
             }
         )
-    return "PASS", evidence, artifacts
+    return evidence, artifacts
 
 
 _RUNNERS = {
@@ -518,8 +520,10 @@ _RUNNERS = {
 def run_scenario(rt: Runtime, sid: str, outdir, seed: int | None = None) -> dict:
     """Execute one scenario and return its deterministic report dict.
 
-    A runner's failure ends in the report: an undecided sign as INCONCLUSIVE,
-    a package, lookup, type or value error as ERROR naming its type."""
+    The outcome is PASS exactly when every evidence entry that carries an
+    `ok` flag is true, else FAIL. A runner's failure ends in the report: an
+    undecided sign as INCONCLUSIVE, a package, lookup, type or value error as
+    ERROR naming its type."""
     use_seed = rt.config.seed if seed is None else seed
     kind = "unknown"
     try:
@@ -529,10 +533,11 @@ def run_scenario(rt: Runtime, sid: str, outdir, seed: int | None = None) -> dict
         kind = sc["kind"]
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        outcome, evidence, artifacts = _RUNNERS[kind](rt, sc.get("params", {}), outdir, use_seed)
+        evidence, artifacts = _RUNNERS[kind](rt, sc.get("params", {}), outdir, use_seed)
+        outcome = "PASS" if all(e.get("ok", True) for e in evidence) else "FAIL"
     except Inconclusive as exc:
         outcome, evidence, artifacts = "INCONCLUSIVE", [{"name": "error", "value": str(exc)}], []
-    except (ShintaniError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ShintaniError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         outcome = "ERROR"
         evidence = [{"name": "error", "value": f"{type(exc).__name__}: {exc}"}]
         artifacts = []

@@ -10,12 +10,13 @@ heuristics and never part of the verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .cones import Geometry, _int_vec
-from .embedding import RealEmbeddings, SignConfig, iv_context, iv_mid_err, trace_zero
+from .embedding import RealEmbeddings, SignConfig, iv_fraction, iv_mid_err, trace_zero
 from .errors import Exhausted, NotTotallyPositive, SignConditionFailed
 from .field import FieldElement
 from .plane import (
@@ -48,16 +49,6 @@ class LogLattice:
     basis: tuple[FieldElement, FieldElement]
     offset: FieldElement | None = None
 
-    def gram_ok(self, emb: RealEmbeddings, bits: int = 128) -> bool:
-        """Certify the Gram determinant of the Log basis excludes zero."""
-        l1 = trace_zero(emb.log_embed(self.basis[0], bits))
-        l2 = trace_zero(emb.log_embed(self.basis[1], bits))
-        g11 = sum(a * a for a in l1)
-        g22 = sum(a * a for a in l2)
-        g12 = sum(a * b for a, b in zip(l1, l2))
-        det = g11 * g22 - g12 * g12
-        return det.a > 0
-
 
 @dataclass
 class LatticeBallResult:
@@ -75,17 +66,12 @@ class ConstructionResult:
     pi: FieldElement | None = None
     evidence: dict = dc_field(default_factory=dict)
 
-    def reverify(self, emb: RealEmbeddings, cfg: SignConfig | None = None) -> bool:
+    def reverify(self, emb: RealEmbeddings, cfg: SignConfig) -> bool:
         """Re-check the four construction properties directly: the bracket
         signs of the unit pair, the opposite sign pairs against omega*pi,
         and exact cone membership of the normalized inverse."""
-        cfg = cfg or SignConfig()
         if self.pi is None:
             raise ValueError("construction was built without recording pi")
-        if emb.delta_bracket(self.eps1, self.eps2, cfg) != 1:
-            return False
-        if emb.delta_bracket(self.eps2, self.eps1, cfg) != -1:
-            return False
         pihat = self.omega * self.pi
         if not check_sign_suite(self.eps1, self.eps2, pihat, emb, cfg).passed:
             return False
@@ -96,11 +82,10 @@ class ConstructionResult:
 
 
 def check_fixgi(
-    g1: FieldElement, g2: FieldElement, emb: RealEmbeddings, cfg: SignConfig | None = None
+    g1: FieldElement, g2: FieldElement, emb: RealEmbeddings, cfg: SignConfig
 ) -> FixgiReport:
     """Certified evaluation of the two strict inequality chains the curve
     lemmas require of the unit pair."""
-    cfg = cfg or SignConfig()
     margins = fixgi_margins(g1, g2, emb, cfg)
     return FixgiReport(
         passed=all(v is not None and v > 0 for v in margins.values()),
@@ -113,7 +98,7 @@ def check_sign_suite(
     eps2: FieldElement,
     pi_like: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig | None = None,
+    cfg: SignConfig,
 ) -> SignSuiteReport:
     """The six bracket signs backing the domain constructions.
 
@@ -122,7 +107,6 @@ def check_sign_suite(
     signs (which is exactly what makes the two cells of each mixed domain
     disjoint and tiling).
     """
-    cfg = cfg or SignConfig()
     db = emb.delta_bracket
     signs = {
         "[e1|e2]": db(eps1, eps2, cfg),
@@ -149,12 +133,12 @@ def choose_power(
     g2: FieldElement,
     emb: RealEmbeddings,
     l_max: int = 8,
-    cfg: SignConfig | None = None,
+    *,
+    cfg: SignConfig,
     n_points: int = 64,
 ) -> int:
     """Least power for which the direction bounds hold and the endpoint
     derivative signs agree with the limiting signs."""
-    cfg = cfg or SignConfig()
     limit_signs = {
         (i, t): limit_derivative(i, t, g1, g2, emb, cfg).sign
         for i in (1, 2)
@@ -175,89 +159,75 @@ def choose_power(
     raise Exhausted("power scan", l_max)
 
 
+def _exponent_box(p, s1, s2, x_lo, x_hi, y_lo, y_hi):
+    """Exponent pairs (m1, m2), row by row, whose shift p + m1*s1 + m2*s2 of
+    the float plane point p can land in the box [x_lo, x_hi] x [y_lo, y_hi]:
+    the box corners solved for (m1, m2), widened by one on every side."""
+    det = s1[0] * s2[1] - s1[1] * s2[0]
+    corners = []
+    for bx in (x_lo - p[0], x_hi - p[0]):
+        for by in (y_lo - p[1], y_hi - p[1]):
+            corners.append(((bx * s2[1] - by * s2[0]) / det, (s1[0] * by - s1[1] * bx) / det))
+    m1s, m2s = zip(*corners)
+    return itertools.product(
+        range(math.floor(min(m1s)) - 1, math.ceil(max(m1s)) + 2),
+        range(math.floor(min(m2s)) - 1, math.ceil(max(m2s)) + 2),
+    )
+
+
 def lattice_points_in_ball(
     lattice: LogLattice,
     center: tuple,
     radius,
     emb: RealEmbeddings,
     bits: int = 128,
-    cfg: SignConfig | None = None,
+    *,
+    cfg: SignConfig,
 ) -> LatticeBallResult:
     """All integer combinations whose Log enclosure is certified inside the
     closed sup-norm ball; combinations still straddling the boundary at the
     precision cap are reported separately."""
-    cfg = cfg or SignConfig()
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = tuple(Fraction(c) for c in center)
     u1, u2 = lattice.basis
-    if not lattice.gram_ok(emb, bits):
+    offset = lattice.offset if lattice.offset is not None else u1.spec.one
+    rungs = {}
+
+    def rung(work):
+        """Trace-zero logs of (u1, u2, offset), center and radius at `work` bits."""
+        if work not in rungs:
+            rungs[work] = (
+                [trace_zero(emb.log_embed(g, work)) for g in (u1, u2, offset)],
+                [iv_fraction(c, c, work) for c in center],
+                iv_fraction(radius, radius, work),
+            )
+        return rungs[work]
+
+    (l1, l2, lo), _, _ = rung(bits)
+    g11 = sum(a * a for a in l1)
+    g22 = sum(a * a for a in l2)
+    g12 = sum(a * b for a, b in zip(l1, l2))
+    if not (g11 * g22 - g12 * g12).a > 0:
         raise SignConditionFailed("Log images of the lattice basis are dependent")
 
-    l1 = trace_zero(emb.log_embed(u1, bits))
-    l2 = trace_zero(emb.log_embed(u2, bits))
-    off = trace_zero(emb.log_embed(lattice.offset, bits)) if lattice.offset is not None else None
-    f1 = [iv_mid_err(v)[0] for v in l1]
-    f2 = [iv_mid_err(v)[0] for v in l2]
-    fo = [iv_mid_err(v)[0] for v in off] if off else [0.0, 0.0, 0.0]
-    tgt = [float(c) - o for c, o in zip(center, fo)]
-    det = f1[0] * f2[1] - f1[1] * f2[0]
-    a0 = (tgt[0] * f2[1] - tgt[1] * f2[0]) / det
-    b0 = (f1[0] * tgt[1] - f1[1] * tgt[0]) / det
-    inv_norm = (max(abs(f2[1]), abs(f2[0])) + max(abs(f1[0]), abs(f1[1]))) / abs(det)
-    m = int(math.ceil(inv_norm * float(radius))) + 2
-
+    # every point of the ball has its first two log coordinates in this box
+    p, s1, s2 = ([iv_mid_err(v)[0] for v in logs[:2]] for logs in (lo, l1, l2))
+    c0, c1, r = float(center[0]), float(center[1]), float(radius)
     inside = []
     undecided = []
-    for k1 in range(int(a0) - m, int(a0) + m + 1):
-        for k2 in range(int(b0) - m, int(b0) + m + 1):
-            verdict = None
-            for work in cfg.ladder(bits):
-                iv = iv_context(work)
-                v1 = trace_zero(emb.log_embed(u1, work))
-                v2 = trace_zero(emb.log_embed(u2, work))
-                vo = (
-                    trace_zero(emb.log_embed(lattice.offset, work))
-                    if lattice.offset is not None
-                    else None
-                )
-                ok_all = True
-                out_any = False
-                pending = False
-                for idx in range(3):
-                    comp = k1 * v1[idx] + k2 * v2[idx]
-                    if vo is not None:
-                        comp = comp + vo[idx]
-                    ci = iv.mpf(center[idx].numerator) / iv.mpf(
-                        center[idx].denominator
-                    )
-                    ri = iv.mpf(radius.numerator) / iv.mpf(
-                        radius.denominator
-                    )
-                    d = comp - ci
-                    if d.b <= ri.a and d.a >= (-ri).b:
-                        continue
-                    ok_all = False
-                    if d.a > ri.b or d.b < (-ri).a:
-                        out_any = True
-                    else:
-                        pending = True
-                if ok_all:
-                    verdict = "in"
-                elif out_any:
-                    verdict = "out"
-                elif not pending:
-                    verdict = "out"
-                if verdict is not None:
-                    break
-            element = u1**k1 * u2**k2
-            if lattice.offset is not None:
-                element = element * lattice.offset
-            if verdict == "in":
-                inside.append((k1, k2, element))
-            elif verdict is None:
-                undecided.append((k1, k2, element))
+    for k1, k2 in _exponent_box(p, s1, s2, c0 - r, c0 + r, c1 - r, c1 + r):
+        for work in cfg.ladder(bits):
+            (v1, v2, vo), ci, ri = rung(work)
+            ds = [k1 * a + k2 * b + o - c for a, b, o, c in zip(v1, v2, vo, ci)]
+            if all(d.b <= ri.a and d.a >= -ri.a for d in ds):
+                inside.append((k1, k2, u1**k1 * u2**k2 * offset))
+                break
+            if any(d.a > ri.b or d.b < -ri.b for d in ds):
+                break
+        else:
+            undecided.append((k1, k2, u1**k1 * u2**k2 * offset))
     return LatticeBallResult(inside=inside, undecided=undecided)
 
 
@@ -269,7 +239,8 @@ def triangle_search(
     emb: RealEmbeddings,
     unit_basis: tuple[FieldElement, FieldElement] | None = None,
     q_max: float = 64.0,
-    cfg: SignConfig | None = None,
+    *,
+    cfg: SignConfig,
 ) -> tuple[FieldElement, FieldElement]:
     """Find omega in the unit group with alpha = omega^-1 pi^-1 inside the
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
@@ -283,7 +254,6 @@ def triangle_search(
     is asymptotic in the power), a bounded sweep of coset points near the
     domain's phi square runs the same exact verification.
     """
-    cfg = cfg or SignConfig()
     geo = Geometry(emb, cfg)
     union = geo.prop4_union(eps1, eps2)
     u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
@@ -305,11 +275,9 @@ def triangle_search(
     d2 = limit_derivative(2, 1, eps1, eps2, emb, cfg)
     tan_theta = d2.value / 2
     tan_gamma = -d1.value / 2
-    p = phi(pi.inverse(), eps1, eps2, emb)
-    s1 = phi(u1, eps1, eps2, emb)
-    s2 = phi(u2, eps1, eps2, emb)
-    det = s1.x * s2.y - s1.y * s2.x
-    if abs(det) < 1e-12:
+    p, s1, s2 = (phi(w, eps1, eps2, emb) for w in (pi.inverse(), u1, u2))
+    p, s1, s2 = (p.x, p.y), (s1.x, s1.y), (s2.x, s2.y)
+    if abs(s1[0] * s2[1] - s1[1] * s2[0]) < 1e-12:
         raise SignConditionFailed("unit basis does not span the phi plane")
     pad = 1e-9
 
@@ -324,23 +292,12 @@ def triangle_search(
 
     def candidates_in_box(x_lo, x_hi, y_lo, y_hi):
         """Unit exponents whose phi shift lands p inside the given box."""
-        corners = []
-        for bx in (x_lo - p.x, x_hi - p.x):
-            for by in (y_lo - p.y, y_hi - p.y):
-                m1 = (bx * s2.y - by * s2.x) / det
-                m2 = (s1.x * by - s1.y * bx) / det
-                corners.append((m1, m2))
-        m1_lo = int(math.floor(min(c[0] for c in corners))) - 1
-        m1_hi = int(math.ceil(max(c[0] for c in corners))) + 1
-        m2_lo = int(math.floor(min(c[1] for c in corners))) - 1
-        m2_hi = int(math.ceil(max(c[1] for c in corners))) + 1
         out = []
-        for m1 in range(m1_lo, m1_hi + 1):
-            for m2 in range(m2_lo, m2_hi + 1):
-                x = p.x + m1 * s1.x + m2 * s2.x
-                y = p.y + m1 * s1.y + m2 * s2.y
-                if x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad:
-                    out.append((x, y, m1, m2))
+        for m1, m2 in _exponent_box(p, s1, s2, x_lo, x_hi, y_lo, y_hi):
+            x = p[0] + m1 * s1[0] + m2 * s2[0]
+            y = p[1] + m1 * s1[1] + m2 * s2[1]
+            if x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad:
+                out.append((x, y, m1, m2))
         return out
 
     tried = set()
@@ -374,7 +331,7 @@ def build_construction(
     g2: FieldElement,
     pi: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig | None = None,
+    cfg: SignConfig,
     l_max: int = 8,
     q_max: float = 64.0,
     min_power: int = 1,
@@ -390,7 +347,6 @@ def build_construction(
     pair instead (pre-computed units the caller knows satisfy the chains);
     otherwise on (g1, g2) themselves.
     """
-    cfg = cfg or SignConfig()
     if not emb.is_totally_positive(pi, cfg):
         raise NotTotallyPositive("pi is not totally positive")
     pairs = [("g1", "g2", g1, g2)]
@@ -446,7 +402,7 @@ def classify_case(
     eps2: FieldElement,
     pi: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig | None = None,
+    cfg: SignConfig,
     window: int = 8,
 ):
     geo = Geometry(emb, cfg)

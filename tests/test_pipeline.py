@@ -4,6 +4,7 @@ import pytest
 
 from shintani_forge import units
 from shintani_forge.cones import _int_vec
+from shintani_forge.embedding import iv_mid_err, trace_zero
 from shintani_forge.errors import (
     Exhausted,
     InclusionViolated,
@@ -71,22 +72,50 @@ class TestLatticeBall:
         assert res.inside
 
     def test_result_independent_of_enumeration_box(self, emb, els, cfg):
-        # oracle: enlarge the scan box by re-running with a bigger radius and
-        # filtering; the inside set must coincide
+        # oracle: the radius-40 scan covers a larger box; filtered by float
+        # distance from the center it must agree with the radius-25 scan
+        # wherever that distance is clear of 25
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
         center = (-20, 40, -20)
         small = units.lattice_points_in_ball(lat, center, 25, emb, cfg=cfg)
         big = units.lattice_points_in_ball(lat, center, 40, emb, cfg=cfg)
         keys_small = {(k1, k2) for k1, k2, _ in small.inside}
-        # re-certify each big hit against the smaller radius
-        refiltered = set()
+        assert keys_small <= {(k1, k2) for k1, k2, _ in big.inside}
+        near, far = set(), set()
         for k1, k2, el in big.inside:
-            sub = units.lattice_points_in_ball(
-                units.LogLattice(basis=(els["eps1"], els["eps2"])), center, 25, emb, cfg=cfg
-            )
-            refiltered = {(a, b) for a, b, _ in sub.inside}
-            break
-        assert keys_small == refiltered
+            logs = trace_zero(emb.log_embed(el, 128))
+            dist = max(abs(iv_mid_err(v)[0] - c) for v, c in zip(logs, center))
+            if dist < 25 - 1e-6:
+                near.add((k1, k2))
+            elif dist > 25 + 1e-6:
+                far.add((k1, k2))
+        assert near and far
+        assert near <= keys_small
+        assert not far & keys_small
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [((-20, 40, -20), 25), ((-41, 66, -25), 1), ((0, 0, 0), 30), ((10, -20, 10), 12)],
+    )
+    def test_matches_brute_force_scan(self, emb, els, cfg, center, radius):
+        # oracle: float logs of every exponent pair in a wide square; points
+        # clear of the boundary must be classified the same way
+        lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
+        res = units.lattice_points_in_ball(lat, center, radius, emb, cfg=cfg)
+        keys = {(k1, k2) for k1, k2, _ in res.inside}
+        l1, l2 = (
+            [iv_mid_err(v)[0] for v in trace_zero(emb.log_embed(u, 128))]
+            for u in (els["eps1"], els["eps2"])
+        )
+        near = set()
+        for k1 in range(-10, 11):
+            for k2 in range(-10, 11):
+                dist = max(abs(k1 * a + k2 * b - c) for a, b, c in zip(l1, l2, center))
+                if dist < radius - 1e-6:
+                    near.add((k1, k2))
+                elif dist > radius + 1e-6:
+                    assert (k1, k2) not in keys
+        assert near and near <= keys
 
     def test_coset_elements_have_pi_norm(self, emb, els, cfg):
         lat = units.LogLattice(basis=(els["g1"], els["g2"]), offset=els["pi"].inverse())

@@ -139,9 +139,9 @@ class TestDerivatives:
                 lv = plane.limit_derivative(i, t, e1, e2, emb, cfg)
                 assert lv.ok
 
-    def test_limit_matches_large_power_derivative(self, emb, els):
+    def test_limit_matches_large_power_derivative(self, emb, els, cfg):
         e1, e2 = els["eps1"], els["eps2"]
-        lv = plane.limit_derivative(1, 1, e1, e2, emb)
+        lv = plane.limit_derivative(1, 1, e1, e2, emb, cfg)
         d = plane.endpoint_derivative(1, 50, 1, e1, e2, emb, bits=256)
         assert abs(lv.value - d.value) <= 1e-3 * abs(lv.value)
 

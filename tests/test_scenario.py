@@ -16,6 +16,17 @@ from shintani_forge.scenario import (
 )
 
 
+def _run_altered(tmp_path, sid, param, value):
+    """Run scenario `sid` of the bundled config with one param replaced."""
+    raw = json.loads(bundled_config_path().read_text())
+    for sc in raw["scenarios"]:
+        if sc["id"] == sid:
+            sc["params"][param] = value
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    return run_scenario(Runtime(load_config(cfgp)), sid, tmp_path / "out")
+
+
 class TestParser:
     def test_appendix_g1(self, spec):
         el = parse_element("-96*y^2+152*y+113", {}, spec)
@@ -187,6 +198,31 @@ class TestReports:
         assert report["evidence"][0]["value"].startswith("ValueError: ")
         assert bound in report["evidence"][0]["value"]
 
+    def test_index_error_in_runner_is_error_report(self, tmp_path):
+        report = _run_altered(tmp_path, "inclusion-pi2", "require_within", [1])
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"][0]["value"].startswith("IndexError: ")
+
+    @pytest.mark.parametrize(
+        "sid, param, value, entry",
+        [
+            ("cover-pi1", "expected_alpha", [1, 1], "expected_alpha"),
+            ("inclusion-pi2", "require_within", [0, 0], "require_within"),
+            ("counterexample", "required_pairs", [[5, 5]], "required_pairs_present"),
+            ("case-pi1", "expected", "case1", "expected"),
+        ],
+        ids=["cover", "inclusion", "counterexample", "case"],
+    )
+    def test_one_failed_check_fails_the_scenario(self, rt, tmp_path, sid, param, value, entry):
+        base = run_scenario(rt, sid, tmp_path / "base")
+        report = _run_altered(tmp_path, sid, param, value)
+        assert base["outcome"] == "PASS"
+        assert report["outcome"] == "FAIL"
+        assert [e["name"] for e in report["evidence"] if e.get("ok") is False] == [entry]
+        assert len(report["evidence"]) == len(base["evidence"])
+        changed = [e["name"] for e, b in zip(report["evidence"], base["evidence"]) if e != b]
+        assert changed == [entry]
+
     def test_undecided_sign_at_cap_is_inconclusive(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
         rt = Runtime(load_config(bundled_config_path()))
@@ -213,6 +249,24 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert "--bits" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("change", ["no-id", "no-kind", "duplicate-id"])
+    def test_malformed_scenario_list_is_config_error(self, tmp_path, capsys, change):
+        raw = json.loads(bundled_config_path().read_text())
+        first, second = (sc for sc in raw["scenarios"] if sc["kind"] == "case")
+        if change == "no-id":
+            del first["id"]
+        elif change == "no-kind":
+            del first["kind"]
+        else:
+            second["id"] = first["id"]
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["classify", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_verify_single_scenario(self, tmp_path, capsys):
         rc = main(
