@@ -281,7 +281,10 @@ class RealEmbeddings:
 
     def embed_positive(self, x: FieldElement, bits: int) -> list[RatInterval]:
         """Enclosures refined until certified strictly positive (embeddings
-        of a totally positive element always separate from zero)."""
+        of a totally positive element always separate from zero; a nonzero
+        element has no zero embedding, so the refinement always ends)."""
+        if x.is_zero():
+            raise NotTotallyPositive("0 is not totally positive")
         work = bits
         for _ in range(64):
             enc = self.embed(x, work)

@@ -237,55 +237,39 @@ class Runtime:
         self.emb = RealEmbeddings(config.spec, config.embedding_order)
         self.geo = Geometry(self.emb, config.sign_config)
 
-    def el(self, name: str) -> FieldElement:
-        if name not in self.config.elements:
-            raise UnknownName(f"unknown element {name!r}")
-        return self.config.elements[name]
-
-    def domain(self, params: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:
+    def domain(self, p: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:
         """Build the domain a scenario refers to, returning (set, u1, u2)
         where (u1, u2) generate the acting group."""
-        kind = params["domain"]
-        if kind == "colmez":
-            u1, u2 = self.el(params["u1"]), self.el(params["u2"])
-            return self.geo.colmez_domain(u1, u2), u1, u2
-        if kind == "B":
-            e1, e2 = self.el(params["eps1"]), self.el(params["eps2"])
+        if p["domain"] == "colmez":
+            return self.geo.colmez_domain(p["u1"], p["u2"]), p["u1"], p["u2"]
+        e1, e2 = p["eps1"], p["eps2"]
+        if p["domain"] == "B":
             return self.geo.explicit_B(e1, e2), e1, e2
-        if kind in ("B1", "B2"):
-            e1, e2 = self.el(params["eps1"]), self.el(params["eps2"])
-            pihat = self.normalized_pi(params)
-            if kind == "B1":
-                return self.geo.explicit_B1(e2, pihat), e2, pihat
-            return self.geo.explicit_B2(e1, pihat), e1, pihat
-        raise ValueError(f"unknown domain kind {kind!r}")
+        pihat = self.scenario_pi(p)
+        if p["domain"] == "B1":
+            return self.geo.explicit_B1(e2, pihat), e2, pihat
+        return self.geo.explicit_B2(e1, pihat), e1, pihat
 
-    def normalized_pi(self, params: dict) -> FieldElement:
+    def scenario_pi(self, p: dict) -> FieldElement:
         """The scenario's pi, normalized by the unit search when requested."""
-        pi = self.el(params["pi"])
-        if not params.get("normalize", False):
-            return pi
-        e1, e2 = self.el(params["eps1"]), self.el(params["eps2"])
-        basis = (
-            (self.el(params["g1"]), self.el(params["g2"]))
-            if "g1" in params
-            else None
-        )
-        _, omega = unit_ops.triangle_search(
-            e1,
-            e2,
-            pi,
-            int(params.get("l", 1)),
-            self.emb,
-            unit_basis=basis,
-            q_max=float(params.get("q_max", 64)),
-            cfg=self.config.sign_config,
-        )
+        if not p["normalize"]:
+            return p["pi"]
+        basis = (p["g1"], p["g2"]) if "g1" in p else None
+        return self.normalized_pi(p["pi"], p["eps1"], p["eps2"], basis)
+
+    def normalized_pi(
+        self, pi: FieldElement, eps1: FieldElement, eps2: FieldElement, basis=None
+    ) -> FieldElement:
+        """omega*pi for the unit omega the triangle search finds at power 1
+        for the pair (eps1, eps2), over the unit basis when one is given."""
+        cfg = self.config.sign_config
+        _, omega = unit_ops.triangle_search(eps1, eps2, pi, 1, self.emb, basis, cfg=cfg)
         return omega * pi
 
 
 # -- scenario runners ----------------------------------------------------------
-# Each runner returns (evidence, artifacts); run_scenario derives the verdict.
+# Each runner takes its kind's checked params (see _PARAMS) and returns
+# (evidence, artifacts); run_scenario derives the verdict.
 
 
 def _box_evidence(box) -> list:
@@ -296,39 +280,29 @@ def _box_evidence(box) -> list:
     ]
 
 
-def _run_counterexample(rt: Runtime, params: dict, outdir, seed):
-    u1, u2 = rt.el(params["u1"]), rt.el(params["u2"])
-    pi = rt.el(params["pi"])
-    window = int(params.get("window", rt.config.window))
-    d = rt.geo.colmez_domain(u1, u2)
-    support = rt.geo.error_support(d, pi, u1, u2, window=window)
-    required = params.get("required_pairs", [])
+def _run_counterexample(rt: Runtime, p: dict, outdir, seed):
+    d = rt.geo.colmez_domain(p["u1"], p["u2"])
+    support = rt.geo.error_support(d, p["pi"], p["u1"], p["u2"], window=rt.config.window)
+    required = p["required_pairs"]
     outside = [k for k in support if not (k[0] in (0, 1) and k[1] in (0, 1))]
     evidence = [
         {"name": "support", "value": [list(k) for k in support]},
-        {"name": "required_pairs_present", "ok": all(tuple(p) in support for p in required)},
+        {"name": "required_pairs_present", "ok": all(tuple(k) in support for k in required)},
         {"name": "outside_unit_box", "ok": bool(outside), "value": [list(k) for k in outside]},
     ]
     return evidence, []
 
 
-def _run_construction(rt: Runtime, params: dict, outdir, seed):
-    g1, g2 = rt.el(params["g1"]), rt.el(params["g2"])
-    pi = rt.el(params["pi"])
-    eps_pair = None
-    if "eps1" in params:
-        eps_pair = (rt.el(params["eps1"]), rt.el(params["eps2"]))
+def _run_construction(rt: Runtime, p: dict, outdir, seed):
     res = unit_ops.build_construction(
-        g1,
-        g2,
-        pi,
+        p["g1"],
+        p["g2"],
+        p["pi"],
         rt.emb,
         cfg=rt.config.sign_config,
-        l_max=int(params.get("l_max", 8)),
-        q_max=float(params.get("q_max", 64)),
-        min_power=int(params.get("min_power", 1)),
-        window=int(params.get("window", rt.config.window)),
-        eps_pair=eps_pair,
+        l_max=p["l_max"],
+        window=rt.config.window,
+        eps_pair=(p["eps1"], p["eps2"]) if "eps1" in p else None,
     )
     evidence = [
         {"name": "l", "value": res.l},
@@ -344,22 +318,18 @@ def _run_construction(rt: Runtime, params: dict, outdir, seed):
     return evidence, []
 
 
-def _run_case(rt: Runtime, params: dict, outdir, seed):
-    e1, e2 = rt.el(params["eps1"]), rt.el(params["eps2"])
-    pi = rt.el(params["pi"])
-    case, box = rt.geo.classify_case(e1, e2, pi, window=int(params.get("window", rt.config.window)))
+def _run_case(rt: Runtime, p: dict, outdir, seed):
+    case, box = rt.geo.classify_case(p["eps1"], p["eps2"], p["pi"], window=rt.config.window)
     evidence = [{"name": "case", "value": case}] + _box_evidence(box)
-    if "expected" in params:
-        evidence.append(
-            {"name": "expected", "value": params["expected"], "ok": case == params["expected"]}
-        )
+    if "expected" in p:
+        evidence.append({"name": "expected", "value": p["expected"], "ok": case == p["expected"]})
     return evidence, []
 
 
-def _run_identities(rt: Runtime, params: dict, outdir, seed):
-    e1, e2 = rt.el(params["eps1"]), rt.el(params["eps2"])
-    pihat = rt.normalized_pi(params)
-    window = int(params.get("window", rt.config.window))
+def _run_identities(rt: Runtime, p: dict, outdir, seed):
+    e1, e2 = p["eps1"], p["eps2"]
+    pihat = rt.scenario_pi(p)
+    window = rt.config.window
     case, box = rt.geo.classify_case(e1, e2, pihat, window=window)
     which = ["id1", "id2"] + (["case2extra"] if case == "case2" else [])
     results = [
@@ -381,15 +351,10 @@ def _run_identities(rt: Runtime, params: dict, outdir, seed):
     return evidence, []
 
 
-def _run_fdcheck(rt: Runtime, params: dict, outdir, seed):
-    d, u1, u2 = rt.domain(params)
+def _run_fdcheck(rt: Runtime, p: dict, outdir, seed):
+    d, u1, u2 = rt.domain(p)
     rep = rt.geo.fundamental_domain_check(
-        d,
-        u1,
-        u2,
-        samples=int(params.get("samples", 1000)),
-        window=int(params.get("window", rt.config.window)),
-        seed=seed,
+        d, u1, u2, samples=p["samples"], window=rt.config.window, seed=seed
     )
     evidence = [
         {"name": "passed", "ok": rep.passed},
@@ -403,16 +368,9 @@ def _run_fdcheck(rt: Runtime, params: dict, outdir, seed):
     return evidence, []
 
 
-def _run_direction(rt: Runtime, params: dict, outdir, seed):
-    g1, g2 = rt.el(params["g1"]), rt.el(params["g2"])
+def _run_direction(rt: Runtime, p: dict, outdir, seed):
     rep = check_direction_bounds(
-        int(params.get("l", 1)),
-        g1,
-        g2,
-        rt.emb,
-        n_points=int(params.get("n_points", 64)),
-        bits=int(params.get("bits", 128)),
-        cfg=rt.config.sign_config,
+        p["l"], p["g1"], p["g2"], rt.emb, n_points=p["n_points"], cfg=rt.config.sign_config
     )
     evidence = [
         {"name": "passed", "ok": rep.passed},
@@ -422,30 +380,26 @@ def _run_direction(rt: Runtime, params: dict, outdir, seed):
     return evidence, []
 
 
-def _run_cover(rt: Runtime, params: dict, outdir, seed):
-    d, u1, u2 = rt.domain(params)
-    x = rt.el(params["x"])
-    box = rt.geo.translation_cover(d, x, u1, u2, window=int(params.get("window", rt.config.window)))
+def _run_cover(rt: Runtime, p: dict, outdir, seed):
+    d, u1, u2 = rt.domain(p)
+    box = rt.geo.translation_cover(d, p["x"], u1, u2, window=rt.config.window)
     evidence = _box_evidence(box)
-    if "expected_alpha" in params:
-        match = list(box.alpha) == list(params["expected_alpha"])
-        evidence.append({"name": "expected_alpha", "value": params["expected_alpha"], "ok": match})
-    if "require_within" in params:
-        lim = params["require_within"]
+    if "expected_alpha" in p:
+        match = list(box.alpha) == p["expected_alpha"]
+        evidence.append({"name": "expected_alpha", "value": p["expected_alpha"], "ok": match})
+    if "require_within" in p:
+        lim = p["require_within"]
         fits = box.alpha[0] <= lim[0] and box.alpha[1] <= lim[1]
         evidence.append({"name": "require_within", "value": lim, "ok": fits})
     return evidence, []
 
 
-def _run_figures(rt: Runtime, params: dict, outdir, seed):
-    e1, e2 = rt.el(params["eps1"]), rt.el(params["eps2"])
-    g1, g2 = rt.el(params["g1"]), rt.el(params["g2"])
-    n_points = int(params.get("n_points", 512))
-    bits = int(params.get("bits", 96))
-    figures = params.get("figures", ["fig1", "fig2", "fig3", "fig4"])
+def _run_figures(rt: Runtime, p: dict, outdir, seed):
+    e1, e2, g1, g2 = p["eps1"], p["eps2"], p["g1"], p["g2"]
+    n_points, bits = p["n_points"], 96
     artifacts = []
     evidence = []
-    for fig in figures:
+    for fig in ("fig1", "fig2", "fig3", "fig4"):
         scene = Scene()
         if fig == "fig1":
             basis = (e1, e2)
@@ -457,15 +411,7 @@ def _run_figures(rt: Runtime, params: dict, outdir, seed):
             ]
             scene.add_curves(curves, color="#1f4e9c", width=1.2)
         elif fig in ("fig2", "fig3"):
-            which_pi = params["case1_pi"] if fig == "fig2" else params["case2_pi"]
-            pihat = rt.normalized_pi(
-                {
-                    "pi": which_pi,
-                    "normalize": True,
-                    "eps1": params["eps1"],
-                    "eps2": params["eps2"],
-                }
-            )
+            pihat = rt.normalized_pi(p["case1_pi"] if fig == "fig2" else p["case2_pi"], e1, e2)
             basis = (e1, e2)
             b = rt.geo.explicit_B(e1, e2)
             k2max = 1 if fig == "fig2" else 2
@@ -475,15 +421,12 @@ def _run_figures(rt: Runtime, params: dict, outdir, seed):
                         rt.geo.scale(b, e1**k1 * e2**k2), color="#1f4e9c", width=1.0
                     )
             scene.add_set(rt.geo.scale(b, pihat.inverse()), color="#c41111", width=1.2)
-        elif fig == "fig4":
+        else:
             basis = (g1, g2)
             d = rt.geo.colmez_domain(g1, g2)
-            pi = rt.el(params["pi"])
             for u in (rt.config.spec.one, g1, g2, g1 * g2):
                 scene.add_set(rt.geo.scale(d, u), color="#1f4e9c", width=1.0)
-            scene.add_set(rt.geo.scale(d, pi.inverse()), color="#c41111", width=1.2)
-        else:
-            raise ValueError(f"unknown figure {fig!r}")
+            scene.add_set(rt.geo.scale(d, p["pi"].inverse()), color="#c41111", width=1.2)
         mat = materialize_scene(scene, rt.emb, basis, n_points=min(n_points, 129), bits=bits)
         svg = Path(outdir) / f"{fig}.svg"
         csv = Path(outdir) / f"{fig}.csv"
@@ -491,8 +434,8 @@ def _run_figures(rt: Runtime, params: dict, outdir, seed):
         artifacts += [svg.name, csv.name]
         n_curves = sum(len(c) for _, c, _ in mat)
         n_markers = sum(len(m) for _, _, m in mat)
-        xs = [p.x for _, cs, _ in mat for c in cs for p in c.points]
-        ys = [p.y for _, cs, _ in mat for c in cs for p in c.points]
+        xs = [pt.x for _, cs, _ in mat for c in cs for pt in c.points]
+        ys = [pt.y for _, cs, _ in mat for c in cs for pt in c.points]
         evidence.append(
             {
                 "name": fig,
@@ -502,6 +445,86 @@ def _run_figures(rt: Runtime, params: dict, outdir, seed):
             }
         )
     return evidence, artifacts
+
+
+# One param table per kind: name -> (type, default). A _REQUIRED param must
+# be given; an _OPTIONAL one stays absent unless given. Only run_scenario reads
+# raw params: element names become FieldElements, and a missing, mistyped or
+# unknown param is an ERROR report.
+_REQUIRED, _OPTIONAL = object(), object()
+_ELEMENT, _INT, _BOOL = "an element name", "an int", "a bool"
+_PAIR, _PAIRS = "a pair of ints", "a list of pairs of ints"
+_CASE, _DOMAIN = "'case1' or 'case2'", "'colmez', 'B', 'B1' or 'B2'"
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(type(c) is int for c in v)
+
+
+_TYPES = {
+    _ELEMENT: lambda v: isinstance(v, str),
+    _INT: lambda v: type(v) is int,
+    _BOOL: lambda v: type(v) is bool,
+    _PAIR: _is_pair,
+    _PAIRS: lambda v: isinstance(v, list) and all(map(_is_pair, v)),
+    _CASE: lambda v: v in ("case1", "case2"),
+    _DOMAIN: lambda v: v in ("colmez", "B", "B1", "B2"),
+}
+
+
+def _elements(required, optional=()) -> dict:
+    table = {n: (_ELEMENT, _REQUIRED) for n in required}
+    return table | {n: (_ELEMENT, _OPTIONAL) for n in optional}
+
+
+_DOMAIN_PARAMS = _elements((), ("u1", "u2", "eps1", "eps2", "pi", "g1", "g2")) | {
+    "domain": (_DOMAIN, _REQUIRED),
+    "normalize": (_BOOL, False),
+}
+_PARAMS = {
+    "counterexample": _elements(("u1", "u2", "pi")) | {"required_pairs": (_PAIRS, [])},
+    "construction": _elements(("g1", "g2", "pi"), ("eps1", "eps2")) | {"l_max": (_INT, 8)},
+    "case": _elements(("eps1", "eps2", "pi")) | {"expected": (_CASE, _OPTIONAL)},
+    "identities": _elements(("eps1", "eps2", "pi"), ("g1", "g2")) | {"normalize": (_BOOL, False)},
+    "fdcheck": _DOMAIN_PARAMS | {"samples": (_INT, 1000)},
+    "direction": _elements(("g1", "g2")) | {"l": (_INT, 1), "n_points": (_INT, 64)},
+    "cover": _DOMAIN_PARAMS | _elements(("x",)) | {
+        "expected_alpha": (_PAIR, _OPTIONAL),
+        "require_within": (_PAIR, _OPTIONAL),
+    },
+    "figures": _elements(("eps1", "eps2", "g1", "g2", "pi", "case1_pi", "case2_pi")) | {
+        "n_points": (_INT, 512),
+    },
+}
+_PARAMS["inclusion"] = _PARAMS["cover"]
+
+
+def _checked_params(rt: Runtime, kind: str, params) -> dict:
+    """The scenario's params checked against its kind's table, with
+    defaults filled in and element names resolved."""
+    table = _PARAMS[kind]
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
+    unknown = sorted(set(params) - set(table))
+    if unknown:
+        raise ValueError(f"unknown {kind} params {unknown}")
+    out = {}
+    for name, (typ, default) in table.items():
+        if name not in params:
+            if default is _REQUIRED:
+                raise KeyError(name)
+            if default is not _OPTIONAL:
+                out[name] = default
+            continue
+        value = params[name]
+        if not _TYPES[typ](value):
+            raise ValueError(f"param {name!r} must be {typ}, got {value!r}")
+        if typ == _ELEMENT:
+            if value not in rt.config.elements:
+                raise UnknownName(f"unknown element {value!r}")
+            value = rt.config.elements[value]
+        out[name] = value
+    return out
 
 
 _RUNNERS = {
@@ -520,10 +543,12 @@ _RUNNERS = {
 def run_scenario(rt: Runtime, sid: str, outdir, seed: int | None = None) -> dict:
     """Execute one scenario and return its deterministic report dict.
 
-    The outcome is PASS exactly when every evidence entry that carries an
-    `ok` flag is true, else FAIL. A runner's failure ends in the report: an
-    undecided sign as INCONCLUSIVE, a package, lookup, type or value error as
-    ERROR naming its type."""
+    The params are checked against the kind's table before the runner
+    starts; a missing, mistyped or unknown one is an ERROR. The outcome is
+    PASS exactly when every evidence entry that carries an `ok` flag is
+    true, else FAIL. A runner's failure ends in the report: an undecided
+    sign as INCONCLUSIVE, a package, lookup, type or value error as ERROR
+    naming its type."""
     use_seed = rt.config.seed if seed is None else seed
     kind = "unknown"
     try:
@@ -533,7 +558,8 @@ def run_scenario(rt: Runtime, sid: str, outdir, seed: int | None = None) -> dict
         kind = sc["kind"]
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        evidence, artifacts = _RUNNERS[kind](rt, sc.get("params", {}), outdir, use_seed)
+        params = _checked_params(rt, kind, sc.get("params", {}))
+        evidence, artifacts = _RUNNERS[kind](rt, params, outdir, use_seed)
         outcome = "PASS" if all(e.get("ok", True) for e in evidence) else "FAIL"
     except Inconclusive as exc:
         outcome, evidence, artifacts = "INCONCLUSIVE", [{"name": "error", "value": str(exc)}], []

@@ -63,22 +63,7 @@ class ConstructionResult:
     omega: FieldElement
     l: int
     case: str
-    pi: FieldElement | None = None
     evidence: dict = dc_field(default_factory=dict)
-
-    def reverify(self, emb: RealEmbeddings, cfg: SignConfig) -> bool:
-        """Re-check the four construction properties directly: the bracket
-        signs of the unit pair, the opposite sign pairs against omega*pi,
-        and exact cone membership of the normalized inverse."""
-        if self.pi is None:
-            raise ValueError("construction was built without recording pi")
-        pihat = self.omega * self.pi
-        if not check_sign_suite(self.eps1, self.eps2, pihat, emb, cfg).passed:
-            return False
-        geo = Geometry(emb, cfg)
-        return geo.prop4_union(self.eps1, self.eps2).contains_vec(
-            _int_vec(pihat.inverse().coords)
-        )
 
 
 def check_fixgi(
@@ -334,7 +319,6 @@ def build_construction(
     cfg: SignConfig,
     l_max: int = 8,
     q_max: float = 64.0,
-    min_power: int = 1,
     window: int = 8,
     eps_pair: tuple[FieldElement, FieldElement] | None = None,
 ) -> ConstructionResult:
@@ -369,7 +353,6 @@ def build_construction(
         raise SignConditionFailed(f"fixgi chains fail: {fixgi.margins}")
 
     l = choose_power(c1, c2, emb, l_max=l_max, cfg=cfg)
-    l = max(l, min_power)
     evidence["l"] = l
     eps1 = c1**l
     eps2 = c2**l
@@ -392,9 +375,7 @@ def build_construction(
     case, box = geo.classify_case(eps1, eps2, pihat, window=window)
     evidence["cover_alpha"] = box.alpha
     evidence["cover_anchor"] = box.anchor
-    return ConstructionResult(
-        eps1=eps1, eps2=eps2, omega=omega, l=l, case=case, pi=pi, evidence=evidence
-    )
+    return ConstructionResult(eps1=eps1, eps2=eps2, omega=omega, l=l, case=case, evidence=evidence)
 
 
 def classify_case(

@@ -162,7 +162,7 @@ class TestTriangleSearch:
 
 
 class TestBuildConstruction:
-    def test_appendix_scenario(self, emb, els, cfg):
+    def test_appendix_scenario(self, emb, geo, els, cfg):
         res = units.build_construction(
             els["g1"],
             els["g2"],
@@ -176,7 +176,9 @@ class TestBuildConstruction:
         assert res.eps1 == els["eps1"] and res.eps2 == els["eps2"]
         assert res.case in ("case1", "case2")
         assert res.evidence["cover_anchor"] == (0, 0)
-        assert res.reverify(emb, cfg)
+        pihat = res.omega * els["pi"]
+        assert units.check_sign_suite(res.eps1, res.eps2, pihat, emb, cfg).passed
+        assert geo.prop4_union(res.eps1, res.eps2).contains_vec(_int_vec(pihat.inverse().coords))
 
     def test_non_unit_rejected(self, emb, els, cfg, spec):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import shintani_forge
 from shintani_forge.cli import bundled_config_path, main
 from shintani_forge.errors import ParseError, UnknownName, UnknownScenario
 from shintani_forge.scenario import (
@@ -16,12 +22,14 @@ from shintani_forge.scenario import (
 )
 
 
-def _run_altered(tmp_path, sid, param, value):
-    """Run scenario `sid` of the bundled config with one param replaced."""
+def _run_altered(tmp_path, sid, param, value, drop=None):
+    """Run scenario `sid` of the bundled config with one param replaced
+    (and the param `drop` removed)."""
     raw = json.loads(bundled_config_path().read_text())
     for sc in raw["scenarios"]:
         if sc["id"] == sid:
             sc["params"][param] = value
+            sc["params"].pop(drop, None)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(raw))
     return run_scenario(Runtime(load_config(cfgp)), sid, tmp_path / "out")
@@ -198,10 +206,144 @@ class TestReports:
         assert report["evidence"][0]["value"].startswith("ValueError: ")
         assert bound in report["evidence"][0]["value"]
 
+    @pytest.mark.parametrize(
+        "sid, param, value, drop",
+        [
+            ("counterexample", "required_pairs", [[1]], None),
+            ("cover-pi1", "expected_alpha", [1, 2, 3], None),
+            ("case-pi1", "expected", ["case2"], None),
+            ("fdcheck-B", "sample", 20, "samples"),
+            ("direction", "l", 1.7, None),
+            ("direction", "l", True, None),
+            ("direction", "n_points", "64", None),
+            ("counterexample", "window", 8, None),
+        ],
+        ids=[
+            "required_pairs=[[1]]",
+            "expected_alpha=[1,2,3]",
+            "expected=[case2]",
+            "sample=20",
+            "l=1.7",
+            "l=true",
+            "n_points='64'",
+            "window=8",
+        ],
+    )
+    def test_malformed_params_are_errors(self, tmp_path, sid, param, value, drop):
+        report = _run_altered(tmp_path, sid, param, value, drop)
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"][0]["value"].startswith("ValueError: ")
+        assert repr(param) in report["evidence"][0]["value"]
+
+    def test_fuzzed_params_end_in_a_report(self, config, tmp_path):
+        """Any params dict for `case` or `direction` ends in a report, and
+        one the kind's table rejects (unknown key, missing required key,
+        wrong type or undefined element) is an ERROR."""
+        names = st.sampled_from(["eps1", "eps2", "g1", "g2", "pi1", "nope"])
+        junk = st.one_of(
+            st.booleans(),
+            st.floats(-3, 3),
+            st.text(max_size=2),
+            st.lists(st.integers(-2, 2), max_size=3),
+        )
+        fields = {
+            "case": {
+                "eps1": names,
+                "eps2": names,
+                "pi": names,
+                "expected": st.sampled_from(["case1", "case2"]),
+            },
+            "direction": {
+                "g1": names,
+                "g2": names,
+                "l": st.integers(-1, 3),
+                "n_points": st.integers(2, 5),
+            },
+        }
+        required = {"case": {"eps1", "eps2", "pi"}, "direction": {"g1", "g2"}}
+        keys = st.sampled_from(["eps1", "pi", "expected", "g2", "l", "n_points", "sample", "window"])
+
+        def accepted(kind, params):
+            if not required[kind] <= set(params) <= set(fields[kind]):
+                return False
+            for key, v in params.items():
+                if key in ("l", "n_points"):
+                    ok = type(v) is int
+                elif key == "expected":
+                    ok = v in ("case1", "case2")
+                else:
+                    ok = isinstance(v, str) and v in config.elements
+                if not ok:
+                    return False
+            return True
+
+        def mutated(kind, params, edits):
+            # each edit drops a key (None) or sets it to a valid or junk value
+            for key, value in edits:
+                if value is None:
+                    params.pop(key, None)
+                else:
+                    params[key] = value
+            return kind, params
+
+        draws = st.sampled_from(sorted(fields)).flatmap(
+            lambda kind: st.builds(
+                mutated,
+                st.just(kind),
+                st.fixed_dictionaries(
+                    {k: v for k, v in fields[kind].items() if k in required[kind]},
+                    optional={k: v for k, v in fields[kind].items() if k not in required[kind]},
+                ),
+                st.lists(st.tuples(keys, st.one_of(st.none(), names, junk, st.integers(-1, 5)))),
+            )
+        )
+
+        @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(draws)
+        def check(draw):
+            kind, params = draw
+            scenarios = [{"id": "fuzz", "kind": kind, "params": params}]
+            rt = Runtime(dataclasses.replace(config, scenarios=scenarios))
+            report = run_scenario(rt, "fuzz", tmp_path)
+            assert report["outcome"] in ("PASS", "FAIL", "ERROR", "INCONCLUSIVE")
+            if not accepted(kind, params):
+                assert report["outcome"] == "ERROR"
+
+        check()
+
     def test_index_error_in_runner_is_error_report(self, tmp_path):
+        # a one-element require_within is rejected by the param table
+        # before the runner could index it
         report = _run_altered(tmp_path, "inclusion-pi2", "require_within", [1])
         assert report["outcome"] == "ERROR"
-        assert report["evidence"][0]["value"].startswith("IndexError: ")
+        assert report["evidence"] == [
+            {
+                "name": "error",
+                "value": "ValueError: param 'require_within' must be a pair of ints, got [1]",
+            }
+        ]
+
+    def test_zero_element_is_error_report(self, tmp_path):
+        raw = json.loads(bundled_config_path().read_text())
+        raw["elements"]["z"] = "0"
+        raw["scenarios"] = [
+            {"id": "zero", "kind": "direction", "params": {"g1": "z", "g2": "eps2"}}
+        ]
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        src = str(Path(shintani_forge.__file__).resolve().parents[1])
+        argv = ["verify", "--config", str(cfgp), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "shintani_forge.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        report = json.loads((out / "zero.report.json").read_text())
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"][0]["value"].startswith("NotTotallyPositive: ")
 
     @pytest.mark.parametrize(
         "sid, param, value, entry",
