@@ -52,12 +52,26 @@ def _sign(v) -> int:
 def primitive_vector(v) -> Vec:
     """Scale a nonzero rational vector by a positive rational to a primitive
     integer vector (direction preserving)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    a, b, c = v
+    if not (type(a) is int and type(b) is int and type(c) is int):
+        a, b, c = _int_vec([Fraction(a), Fraction(b), Fraction(c)])
+    g = math.gcd(a, b, c)
+    if g == 0:
         raise DegenerateGeometry("zero vector cannot generate a ray")
-    ints = _int_vec(fr)
-    g = math.gcd(math.gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    return tuple(x // g for x in ints)  # type: ignore[return-value]
+    return (a // g, b // g, c // g)
+
+
+def _int_matrix(m):
+    """An integer matrix that is a positive multiple of the rational matrix
+    `m`, so it maps every ray to the same ray as `m`."""
+    flat = [x for row in m for x in row]
+    if not all(type(x) is int for x in flat):
+        flat = _int_vec(flat)
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
+def _matmul(a, b):
+    return tuple(tuple(_dot(r, c) for c in zip(*b)) for r in a)
 
 
 def _rank(rows) -> int:
@@ -183,12 +197,10 @@ class Cone:
 
     def translate(self, matrix) -> "Cone":
         """Image under an invertible rational matrix acting on coordinates."""
+        m = _int_matrix(matrix)
         new = []
         for g in self.gens:
-            img = [
-                matrix[r][0] * g[0] + matrix[r][1] * g[1] + matrix[r][2] * g[2]
-                for r in range(3)
-            ]
+            img = [m[r][0] * g[0] + m[r][1] * g[1] + m[r][2] * g[2] for r in range(3)]
             new.append(primitive_vector(img))
         return Cone(tuple(sorted(new)))
 
@@ -385,6 +397,9 @@ class Geometry:
         self.spec: FieldSpec = emb.spec
         self.cfg = cfg
         self.trace_form = primitive_vector(self.spec.trace_basis)
+        # (cell generators, u1, u2, window) -> the translate table of
+        # _overlap_support; fdcheck tables stay out (large, never shared)
+        self._tables: dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -562,25 +577,25 @@ class Geometry:
     # -- translates, covers, supports -----------------------------------------
 
     def _translates(self, d: ShintaniSet, u1: FieldElement, u2: FieldElement, window: int):
-        p1 = _powers(u1, window)
-        p2 = _powers(u2, window)
+        m1 = _power_matrices(u1, window)
+        m2 = _power_matrices(u2, window)
         out = {}
         for k1 in range(-window, window + 1):
             for k2 in range(-window, window + 1):
-                m = (p1[k1] * p2[k2]).mul_matrix()
+                m = _matmul(m1[k1], m2[k2])
                 out[(k1, k2)] = [c.translate(m) for c in d.cones]
         return out
 
     def _overlap_support(self, d, x, u1, u2, window):
         """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
         a k on the window boundary raises WindowExceeded."""
+        key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords, window)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._translates(d, u1, u2, window)
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
-        hits = sorted(
-            k
-            for k, cells in self._translates(d, u1, u2, window).items()
-            if self.overlap(cells, target)
-        )
+        hits = sorted(k for k, cells in table.items() if self.overlap(cells, target))
         if any(abs(k1) == window or abs(k2) == window for k1, k2 in hits):
             raise WindowExceeded(f"support touches the window boundary: {hits}")
         return hits
@@ -790,11 +805,14 @@ class Geometry:
         )
 
 
-def _powers(u: FieldElement, window: int) -> dict[int, FieldElement]:
-    out = {0: u.spec.one}
+def _power_matrices(u: FieldElement, window: int) -> dict:
+    """k -> an integer matrix that is a positive multiple of the matrix of
+    u^k, for |k| <= window."""
+    out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
     if window:
-        inv = u.inverse()
+        step = _int_matrix(u.mul_matrix())
+        back = _int_matrix(u.inverse().mul_matrix())
         for k in range(1, window + 1):
-            out[k] = out[k - 1] * u
-            out[-k] = out[-(k - 1)] * inv
+            out[k] = _matmul(out[k - 1], step)
+            out[-k] = _matmul(out[-(k - 1)], back)
     return out

@@ -56,13 +56,22 @@ class SignConfig:
 class RatInterval:
     """Closed interval with exact rational endpoints."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "_iv")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError("empty interval")
         self.lo = lo
         self.hi = hi
+        self._iv = {}  # bits -> iv_fraction(lo, hi, bits)
+
+    def iv(self, bits: int):
+        """The mpmath interval enclosing this one at precision `bits`,
+        converted once per precision."""
+        v = self._iv.get(bits)
+        if v is None:
+            v = self._iv[bits] = iv_fraction(self.lo, self.hi, bits)
+        return v
 
     @classmethod
     def point(cls, v) -> "RatInterval":

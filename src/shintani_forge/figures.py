@@ -80,10 +80,16 @@ def materialize_scene(
     basis_pair,
     n_points: int = 33,
     bits: int = 96,
+    sampled: dict | None = None,
 ):
     """Expand set layers into concrete curves/markers; returns a list of
-    (layer, curves, markers)."""
+    (layer, curves, markers).
+
+    `sampled` maps (basis coords, n_points, bits, face) to a sampled face
+    curve; scenes that share it sample each distinct face curve once."""
     basis = PhiBasis(emb, basis_pair[0], basis_pair[1], bits)
+    basis_key = (basis_pair[0].coords, basis_pair[1].coords)
+    sampled = {} if sampled is None else sampled
     out = []
     for li, layer in enumerate(scene.layers):
         curves = []
@@ -91,11 +97,12 @@ def materialize_scene(
         if layer.kind == "set":
             faces, rays = set_boundary_faces(layer.payload)
             for fi, pair in enumerate(faces):
-                curves.append(
-                    sample_face_curve(
-                        pair, basis, emb, n_points, bits, f"layer{li}/face{fi}"
-                    )
-                )
+                curve_id = f"layer{li}/face{fi}"
+                key = (basis_key, n_points, bits, pair)
+                if key not in sampled:
+                    sampled[key] = sample_face_curve(pair, basis, emb, n_points, bits, curve_id)
+                hit = sampled[key]
+                curves.append(CurveSample((curve_id,), hit.ts, hit.points))
             for ray in rays:
                 markers.append(ray_point(ray, basis, emb, bits))
         elif layer.kind == "curves":

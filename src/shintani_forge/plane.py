@@ -118,9 +118,7 @@ def _segment_logs(e_from, e_to, t: Fraction, bits: int):
     one = iv.mpf(1)
     out = []
     for a, b in zip(e_from, e_to):
-        av = iv_fraction(a.lo, a.hi, bits)
-        bv = iv_fraction(b.lo, b.hi, bits)
-        out.append(iv.log((one - ti) * av + ti * bv))
+        out.append(iv.log((one - ti) * a.iv(bits) + ti * b.iv(bits)))
     return out
 
 

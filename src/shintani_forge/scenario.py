@@ -187,12 +187,15 @@ def load_config(path) -> ScenarioConfig:
     for name, expr in raw.get("elements", {}).items():
         elements[name] = parse_element(expr, elements, spec)
     prec = raw.get("precision", {})
-    max_bits = int(os.environ.get("SHINTANI_MAX_BITS", prec.get("max_bits", 4096)))
+    max_bits = int(os.environ.get("SHINTANI_MAX_BITS", _config_int(prec, "max_bits", 4096)))
     cfg = SignConfig(
-        start_bits=prec.get("start_bits", 64),
+        start_bits=_config_int(prec, "start_bits", 64),
         max_bits=max_bits,
-        escalation_factor=prec.get("escalation_factor", 2),
+        escalation_factor=_config_int(prec, "escalation_factor", 2),
     )
+    window = _config_int(raw, "window", 8)
+    if window < 1:
+        raise ValueError(f"config field 'window' must be >= 1, got {window}")
     config = ScenarioConfig(
         spec=spec,
         embedding_order=order,
@@ -200,12 +203,20 @@ def load_config(path) -> ScenarioConfig:
         units=list(raw.get("units", [])),
         totally_positive=list(raw.get("totally_positive", [])),
         sign_config=cfg,
-        window=int(raw.get("window", 8)),
-        seed=int(raw.get("seed", 0)),
+        window=window,
+        seed=_config_int(raw, "seed", 0),
         scenarios=list(raw.get("scenarios", [])),
     )
     _validate(config)
     return config
+
+
+def _config_int(raw: dict, name: str, default: int) -> int:
+    """A config-level int field; a bool, float or string is a config error."""
+    value = raw.get(name, default)
+    if not _TYPES[_INT](value):
+        raise ValueError(f"config field {name!r} must be {_INT}, got {value!r}")
+    return value
 
 
 def _validate(config: ScenarioConfig):
@@ -399,6 +410,7 @@ def _run_figures(rt: Runtime, p: dict, outdir, seed):
     n_points, bits = p["n_points"], 96
     artifacts = []
     evidence = []
+    sampled = {}  # face curves, shared by the four figures (fig3 redraws fig2's B)
     for fig in ("fig1", "fig2", "fig3", "fig4"):
         scene = Scene()
         if fig == "fig1":
@@ -427,7 +439,9 @@ def _run_figures(rt: Runtime, p: dict, outdir, seed):
             for u in (rt.config.spec.one, g1, g2, g1 * g2):
                 scene.add_set(rt.geo.scale(d, u), color="#1f4e9c", width=1.0)
             scene.add_set(rt.geo.scale(d, p["pi"].inverse()), color="#c41111", width=1.2)
-        mat = materialize_scene(scene, rt.emb, basis, n_points=min(n_points, 129), bits=bits)
+        mat = materialize_scene(
+            scene, rt.emb, basis, n_points=min(n_points, 129), bits=bits, sampled=sampled
+        )
         svg = Path(outdir) / f"{fig}.svg"
         csv = Path(outdir) / f"{fig}.csv"
         render_svg_csv(mat, svg, csv)

@@ -294,6 +294,21 @@ class TestCoversAndSupport:
         sup = geo.error_support(D, spec.one, els["g1"], els["g2"], window=2)
         assert sup == [(0, 0)]
 
+    def test_translate_table_matches_rational_translates(self, geo, els, pihats):
+        # pi-hat is no unit: the matrix of its inverse has denominators
+        u1, u2 = els["eps2"], pihats["case1"]
+        b1 = geo.explicit_B1(u1, u2)
+        table = geo._translates(b1, u1, u2, 2)
+        assert len(table) == 25
+        for (k1, k2), cells in table.items():
+            m = (u1**k1 * u2**k2).mul_matrix()
+            images = [
+                sorted(primitive_vector([sum(m[r][j] * g[j] for j in range(3)) for r in range(3)])
+                       for g in c.gens)
+                for c in b1.cones
+            ]
+            assert cells == [Cone(tuple(gens)) for gens in images]
+
 
 class TestSampling:
     def test_sample_point_of_ray(self, geo, spec):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shintani_forge.cli import bundled_config_path
-from shintani_forge.embedding import RealEmbeddings, SignConfig
+from shintani_forge.embedding import RealEmbeddings, SignConfig, iv_fraction
 from shintani_forge.errors import NotTotallyReal
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
@@ -156,6 +156,18 @@ class TestLogs:
         logs = emb.log_embed(els["g1"], 128)
         total = logs[0] + logs[1] + logs[2]
         assert total.a <= 0 <= total.b
+
+    @pytest.mark.parametrize("order", [(96, 256), (256, 96)])
+    def test_interval_converted_once_per_precision(self, emb, els, order):
+        # the direction check escalates, so one interval is asked for at
+        # several precisions, and each must get its own enclosure
+        e = emb.embed(els["g1"], 64)[0]
+        got = {bits: e.iv(bits) for bits in order}
+        for bits, v in got.items():
+            want = iv_fraction(e.lo, e.hi, bits)
+            assert (v.a, v.b) == (want.a, want.b)
+            assert e.iv(bits) is v
+        assert (got[96].a, got[96].b) != (got[256].a, got[256].b)
 
     def test_project_H_of_one(self, emb):
         zh = emb.project_H(emb.spec.one, 96)

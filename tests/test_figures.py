@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from shintani_forge import figures
 from shintani_forge.figures import Scene, materialize_scene, render_svg_csv
 from shintani_forge.scenario import run_scenario
 
@@ -31,15 +32,26 @@ class TestRenderBasics:
 
 @pytest.fixture(scope="module")
 def regenerated(rt, tmp_path_factory):
+    """The figures run's output directory, its report and the (face,
+    basis) of every face curve it sampled."""
     out = tmp_path_factory.mktemp("figs")
-    report = run_scenario(rt, "figures", out)
+    sampled = []
+    original = figures.sample_face_curve
+
+    def counting(pair, basis, *args):
+        sampled.append((pair, basis.g1.coords, basis.g2.coords))
+        return original(pair, basis, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(figures, "sample_face_curve", counting)
+        report = run_scenario(rt, "figures", out)
     assert report["outcome"] == "PASS"
-    return out, report
+    return out, report, sampled
 
 
 class TestGoldenRegression:
     def test_artifacts_byte_identical_to_golden(self, regenerated):
-        out, _ = regenerated
+        out, _, _ = regenerated
         for name in ("fig1", "fig2", "fig3", "fig4"):
             for ext in (".svg", ".csv"):
                 got = (out / f"{name}{ext}").read_bytes()
@@ -47,12 +59,12 @@ class TestGoldenRegression:
                 assert got == want, f"{name}{ext} deviates from golden"
 
     def test_report_matches_golden(self, regenerated):
-        _, report = regenerated
+        _, report, _ = regenerated
         golden = json.loads((GOLDEN / "figures.report.json").read_text())
         assert report == golden
 
     def test_structural_counts(self, regenerated):
-        _, report = regenerated
+        _, report, _ = regenerated
         stats = {e["name"]: e for e in report["evidence"]}
         assert stats["fig1"]["curves"] == 4
         # four B translates (5 faces + 1 ray marker each) plus the red translate
@@ -65,8 +77,15 @@ class TestGoldenRegression:
         assert stats["fig4"]["curves"] == 25
         assert stats["fig4"]["markers"] == 5
 
+    def test_each_distinct_face_curve_sampled_once(self, regenerated):
+        # figs 2-4 draw 85 face curves; fig3 redraws fig2's translates of B
+        _, report, sampled = regenerated
+        drawn = sum(e["curves"] for e in report["evidence"] if e["name"] != "fig1")
+        assert drawn == 85
+        assert len(sampled) == len(set(sampled)) == 54
+
     def test_fig1_endpoints_on_the_unit_lattice(self, regenerated):
-        out, _ = regenerated
+        out, _, _ = regenerated
         rows = (out / "fig1.csv").read_text().splitlines()[1:]
         by_curve = {}
         for row in rows:
@@ -82,7 +101,7 @@ class TestGoldenRegression:
     def test_fig4_red_overflows_blue_block(self, regenerated):
         # the red boundary dips below every blue curve locally, the visual
         # signature of the translate escaping the 2x2 block
-        out, _ = regenerated
+        out, _, _ = regenerated
         rows = (out / "fig4.csv").read_text().splitlines()[1:]
         blue, red = [], []
         for r in rows:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shintani_forge
 from shintani_forge.cli import bundled_config_path, main
+from shintani_forge.cones import Geometry
 from shintani_forge.errors import ParseError, UnknownName, UnknownScenario
 from shintani_forge.scenario import (
     Runtime,
@@ -110,6 +111,32 @@ class TestConfig:
         monkeypatch.setenv("SHINTANI_MAX_BITS", "512")
         cfg = load_config(bundled_config_path())
         assert cfg.sign_config.max_bits == 512
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("window", 8.7),
+            ("window", True),
+            ("window", "8"),
+            ("window", 0),
+            ("seed", 1.9),
+            ("seed", True),
+            ("seed", "1"),
+            ("start_bits", 64.0),
+            ("max_bits", 4096.0),
+            ("max_bits", "4096"),
+            ("escalation_factor", 2.0),
+        ],
+    )
+    def test_config_ints_are_checked(self, tmp_path, capsys, name, value):
+        raw = json.loads(bundled_config_path().read_text())
+        (raw["precision"] if name in raw["precision"] else raw)[name] = value
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=name):
+            load_config(cfgp)
+        assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_unknown_scenario_reports_error(self, rt, tmp_path):
         report = run_scenario(rt, "missing", tmp_path)
@@ -371,6 +398,43 @@ class TestReports:
         report = run_scenario(rt, "identities-case2", tmp_path)
         assert report["outcome"] == "INCONCLUSIVE"
         assert exit_code([report["outcome"]]) == 3
+
+
+class TestRuntimeReuse:
+    """A Runtime builds each overlap-support translate table once; nothing
+    is shared between runtimes, and fdcheck keeps no table."""
+
+    @staticmethod
+    def _count_tables(monkeypatch):
+        built = []
+        original = Geometry._translates
+
+        def counting(geo, *args):
+            built.append(geo)
+            return original(geo, *args)
+
+        monkeypatch.setattr(Geometry, "_translates", counting)
+        return built
+
+    def test_translate_table_of_B_built_once_per_runtime(self, config, tmp_path, monkeypatch):
+        built = self._count_tables(monkeypatch)
+        first = Runtime(config)
+        for sid in ("cover-pi1", "inclusion-pi2", "case-pi1"):
+            assert run_scenario(first, sid, tmp_path)["outcome"] == "PASS"
+        assert built == [first.geo]
+        second = Runtime(config)
+        assert run_scenario(second, "cover-pi1", tmp_path)["outcome"] == "PASS"
+        assert built == [first.geo, second.geo]
+
+    def test_fdcheck_keeps_no_table(self, config, els, monkeypatch):
+        built = self._count_tables(monkeypatch)
+        rt = Runtime(config)
+        e1, e2 = els["eps1"], els["eps2"]
+        b = rt.geo.explicit_B(e1, e2)
+        rep = rt.geo.fundamental_domain_check(b, e1, e2, samples=10, window=config.window)
+        assert rep.passed
+        assert built == [rt.geo]
+        assert rt.geo._tables == {}
 
 
 class TestCli:
