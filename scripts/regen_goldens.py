@@ -8,6 +8,9 @@ import shutil
 import sys
 from pathlib import Path
 
+# run from a checkout without an install: import the package from src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from shintani_forge.cli import bundled_config_path
 from shintani_forge.scenario import Runtime, load_config, run_scenario, write_report
 

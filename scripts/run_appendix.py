@@ -8,6 +8,9 @@ Usage: python scripts/run_appendix.py [outdir]
 import sys
 from pathlib import Path
 
+# run from a checkout without an install: import the package from src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from shintani_forge.cli import bundled_config_path
 from shintani_forge.scenario import Runtime, exit_code, load_config, run_scenario, write_report
 

@@ -81,6 +81,11 @@ def main(argv=None) -> int:
     if not selected:
         print("no matching scenarios", file=sys.stderr)
         return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"invalid --out: {exc}", file=sys.stderr)
+        return 2
     outcomes = []
     for sid in selected:
         report = run_scenario(rt, sid, args.out, seed=args.seed)

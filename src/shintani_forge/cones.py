@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .embedding import RealEmbeddings, SignConfig
 from .errors import (
-    CaseMismatch,
     DegenerateGeometry,
     EmptySet,
     InclusionViolated,
@@ -708,79 +707,57 @@ class Geometry:
         raise InclusionViolated(f"cover box {box.alpha} exceeds the guaranteed (1,2) block")
 
     def verify_identity(
-        self,
-        case: str,
-        which: str,
-        eps1: FieldElement,
-        eps2: FieldElement,
-        pi: FieldElement,
-        window: int = 8,
-    ):
-        """Exact check of one of the displayed Shintani-set equalities.
+        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement, window: int = 8
+    ) -> tuple[str, list]:
+        """Exact check of every displayed Shintani-set equality of the
+        configuration's case.
 
-        `case` is "case1" or "case2"; `which` is "id1", "id2" or
-        "case2extra". Returns (True, None) or (False, witness).
+        Returns (case, [(tag, ok, witness), ...]) with the tags "id1" and
+        "id2", and in case 2 also "case2extra" and "case2extra_reference"
+        (its left side against the four-cell value). A witness lies in the
+        symmetric difference and is None exactly when ok.
         """
-        if case not in ("case1", "case2") or which not in ("id1", "id2", "case2extra"):
-            raise ValueError("unknown case or identity tag")
+        case, _ = self.classify_case(eps1, eps2, pi, window)
         pinv = pi.inverse()
         if not self.prop4_union(eps1, eps2).contains_vec(_int_vec(pinv.coords)):
             raise SignConditionFailed(
                 "pi is not normalized: pi^-1 lies outside C([e1|e2]) u C([e2|e1]) u C(1,e1e2)"
             )
-        actual_case, _ = self.classify_case(eps1, eps2, pi, window)
-        if actual_case != case:
-            raise CaseMismatch(f"configuration classifies as {actual_case}, not {case}")
-        if which == "case2extra" and case != "case2":
-            raise CaseMismatch("the extra identity only exists in case 2")
-
         b = self.explicit_B(eps1, eps2)
+        pinv_b = self.scale(b, pinv)
 
         def translate_meet_b(u: FieldElement) -> ShintaniSet:
-            part = self.intersect(self.scale(b, u), self.scale(b, pinv))
-            return self.scale(part, u.inverse())
-
-        if which == "case2extra":
-            # (e2 B u e1e2 B) n pi^-1 B2  =  e2^-1 ((e2^2 B u e1 e2^2 B) n pi^-1 B)
-            ee = eps2 * eps2
-            rhs = self.scale(
-                self.intersect(
-                    self.union(self.scale(b, ee), self.scale(b, eps1 * ee)),
-                    self.scale(b, pinv),
-                ),
-                eps2.inverse(),
-            )
-            return self.set_equal(self.case2extra_lhs(eps1, eps2, pi), rhs)
+            return self.scale(self.intersect(self.scale(b, u), pinv_b), u.inverse())
 
         # id1: B1 against the e2-translate, RHS translates e1 e2^k2;
         # id2: B2 against the e1-translate, RHS translates e1^k1 e2^k2
         k2s = (1,) if case == "case1" else (1, 2)
-        if which == "id1":
-            u, mixed = eps2, self.explicit_B1(eps2, pi)
-            exponents = [(1, k2) for k2 in (0,) + k2s]
-        else:
-            u, mixed = eps1, self.explicit_B2(eps1, pi)
-            exponents = [(k1, k2) for k1 in (0, 1) for k2 in k2s]
-        pinv_mixed = self.scale(mixed, pinv)
-        lhs = self.union(
-            self.intersect(pinv_mixed, b),
-            self.scale(self.intersect(pinv_mixed, self.scale(b, u)), u.inverse()),
-        )
-        rhs = ShintaniSet.from_cones([])
-        for k1, k2 in exponents:
-            rhs = self.union(rhs, translate_meet_b(eps1**k1 * eps2**k2))
-        return self.set_equal(lhs, rhs)
+        results = []
+        for tag, u, mixed_domain, exponents in (
+            ("id1", eps2, self.explicit_B1, [(1, k2) for k2 in (0,) + k2s]),
+            ("id2", eps1, self.explicit_B2, [(k1, k2) for k1 in (0, 1) for k2 in k2s]),
+        ):
+            pinv_mixed = self.scale(mixed_domain(u, pi), pinv)
+            lhs = self.union(
+                self.intersect(pinv_mixed, b),
+                self.scale(self.intersect(pinv_mixed, self.scale(b, u)), u.inverse()),
+            )
+            rhs = ShintaniSet.from_cones([])
+            for k1, k2 in exponents:
+                rhs = self.union(rhs, translate_meet_b(eps1**k1 * eps2**k2))
+            results.append((tag, *self.set_equal(lhs, rhs)))
+        if case == "case2":
+            # (e2 B u e1e2 B) n pi^-1 B2  =  e2^-1 ((e2^2 B u e1 e2^2 B) n pi^-1 B),
+            # with pinv_mixed = pi^-1 B2 from the id2 pass
+            def b_and_e1_b(u: FieldElement) -> ShintaniSet:
+                return self.union(self.scale(b, u), self.scale(b, eps1 * u))
 
-    def case2extra_lhs(
-        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement
-    ) -> ShintaniSet:
-        """(e2 B u e1e2 B) n pi^-1 B2: the left side of the extra case-2
-        identity."""
-        b = self.explicit_B(eps1, eps2)
-        return self.intersect(
-            self.union(self.scale(b, eps2), self.scale(b, eps1 * eps2)),
-            self.scale(self.explicit_B2(eps1, pi), pi.inverse()),
-        )
+            lhs = self.intersect(b_and_e1_b(eps2), pinv_mixed)
+            rhs = self.scale(self.intersect(b_and_e1_b(eps2 * eps2), pinv_b), eps2.inverse())
+            results.append(("case2extra", *self.set_equal(lhs, rhs)))
+            ref = self.case2extra_reference(eps1, eps2, pi)
+            results.append(("case2extra_reference", *self.set_equal(lhs, ref)))
+        return case, results
 
     def case2extra_reference(
         self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement

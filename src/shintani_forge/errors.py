@@ -37,10 +37,6 @@ class InclusionViolated(ShintaniError):
     """A translate cover exceeds the box the construction guarantees."""
 
 
-class CaseMismatch(ShintaniError):
-    """Identity verification invoked with the wrong case classification."""
-
-
 class FixgiViolated(ShintaniError):
     """Unit pair fails the embedding inequality chains of the construction."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotTotallyReal, ZeroInversion
 
@@ -92,26 +92,32 @@ def count_real_roots(chain, lo: Fraction, hi: Fraction) -> int:
 
 
 def _has_rational_root(int_coeffs: Sequence[int]) -> bool:
-    # rational root theorem on the integer model; a cubic is reducible over Q
-    # exactly when it has a rational root
-    c0, c3 = int_coeffs[0], int_coeffs[3]
-    if c0 == 0:
-        return True
+    """Whether c3*x^3 + c2*x^2 + c1*x + c0 has a rational root; a cubic is
+    reducible over Q exactly when it has one.
 
-    def divisors(n: int) -> Iterable[int]:
-        n = abs(n)
-        for d in range(1, n + 1):
-            if d * d > n:
-                break
-            if n % d == 0:
-                yield d
-                yield n // d
+    x = z/c3 maps the rational roots to the integer roots of the monic
+    g(z) = z^3 + c2*z^2 + c1*c3*z + c0*c3^2, which lie within its root bound.
+    Knots at the bound and around g's critical points, (-c2 -+ sqrt(c2^2 -
+    3*c1*c3))/3, cut that range into pieces on which g is monotone, or which
+    are at most 1 long, so bisection finds the roots in time polynomial in
+    the coefficients' bit length.
+    """
+    c0, c1, c2, c3 = int_coeffs
+    a1, a0 = c1 * c3, c0 * c3 * c3
 
-    for p in divisors(c0):
-        for q in divisors(c3):
-            for s in (1, -1):
-                if _poly_eval([Fraction(c) for c in int_coeffs], Fraction(s * p, q)) == 0:
-                    return True
+    def g(z: int) -> int:
+        return ((z + c2) * z + a1) * z + a0
+
+    bound = 1 + max(abs(c2), abs(a1), abs(a0))
+    s = math.isqrt(max(c2 * c2 - 3 * a1, 0))  # each critical point is in [lo/3, (lo+1)/3]
+    cuts = {lo // 3 + i for lo in (-c2 - s - 1, -c2 + s) for i in (0, 1)}
+    knots = sorted(cuts | {-bound, bound})
+    for a, b in zip(knots, knots[1:]):
+        while b - a > 1 and (g(a) > 0) != (g(b) > 0):
+            m = (a + b) // 2
+            a, b = (m, b) if (g(m) > 0) == (g(a) > 0) else (a, m)
+        if g(a) == 0 or g(b) == 0:
+            return True
     return False
 
 
@@ -127,6 +133,8 @@ class FieldSpec:
         if len(coeffs) != 4 or coeffs[3] == 0:
             raise ValueError("defining polynomial must be cubic (four coefficients, c3 != 0)")
         int_coeffs = _int_vec(coeffs)
+        content = math.gcd(*int_coeffs)
+        int_coeffs = tuple(c // content for c in int_coeffs)
         if _has_rational_root(int_coeffs):
             raise ValueError("defining polynomial is reducible over Q")
         chain = sturm_chain([Fraction(c) for c in int_coeffs])

@@ -181,8 +181,15 @@ def load_config(path) -> ScenarioConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}")
-    spec = FieldSpec([Fraction(c) for c in raw["field"]["poly_coeffs"]])
-    order = tuple(raw.get("embedding_order", (0, 1, 2)))
+    coeffs = raw["field"]["poly_coeffs"]
+    if not _is_list_of(coeffs, lambda c: isinstance(c, str) or _TYPES[_INT](c)):
+        raise ValueError(f"config field 'poly_coeffs' must list strings or ints, got {coeffs!r}")
+    spec = FieldSpec([Fraction(c) for c in coeffs])
+    order = raw.get("embedding_order", [0, 1, 2])
+    if not _is_list_of(order, _TYPES[_INT]) or sorted(order) != [0, 1, 2]:
+        raise ValueError(
+            f"config field 'embedding_order' must be a permutation of [0, 1, 2], got {order!r}"
+        )
     elements: dict[str, FieldElement] = {}
     for name, expr in raw.get("elements", {}).items():
         elements[name] = parse_element(expr, elements, spec)
@@ -198,7 +205,7 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError(f"config field 'window' must be >= 1, got {window}")
     config = ScenarioConfig(
         spec=spec,
-        embedding_order=order,
+        embedding_order=tuple(order),
         elements=elements,
         units=list(raw.get("units", [])),
         totally_positive=list(raw.get("totally_positive", [])),
@@ -209,6 +216,10 @@ def load_config(path) -> ScenarioConfig:
     )
     _validate(config)
     return config
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(map(check, value))
 
 
 def _config_int(raw: dict, name: str, default: int) -> int:
@@ -338,23 +349,13 @@ def _run_case(rt: Runtime, p: dict, outdir, seed):
 
 
 def _run_identities(rt: Runtime, p: dict, outdir, seed):
-    e1, e2 = p["eps1"], p["eps2"]
     pihat = rt.scenario_pi(p)
-    window = rt.config.window
-    case, box = rt.geo.classify_case(e1, e2, pihat, window=window)
-    which = ["id1", "id2"] + (["case2extra"] if case == "case2" else [])
-    results = [
-        (tag, rt.geo.verify_identity(case, tag, e1, e2, pihat, window=window)) for tag in which
-    ]
-    if case == "case2":
-        ref = rt.geo.case2extra_reference(e1, e2, pihat)
-        lhs = rt.geo.case2extra_lhs(e1, e2, pihat)
-        results.append(("case2extra_reference", rt.geo.set_equal(lhs, ref)))
+    case, results = rt.geo.verify_identity(p["eps1"], p["eps2"], pihat, window=rt.config.window)
     evidence = [
         {"name": "case", "value": case},
         {"name": "pi_normalized", "value": serialize_element(pihat)},
     ]
-    for name, (ok, witness) in results:
+    for name, ok, witness in results:
         entry = {"name": name, "ok": ok}
         if witness is not None:
             entry["witness"] = serialize_element(witness)
@@ -480,7 +481,7 @@ _TYPES = {
     _INT: lambda v: type(v) is int,
     _BOOL: lambda v: type(v) is bool,
     _PAIR: _is_pair,
-    _PAIRS: lambda v: isinstance(v, list) and all(map(_is_pair, v)),
+    _PAIRS: lambda v: _is_list_of(v, _is_pair),
     _CASE: lambda v: v in ("case1", "case2"),
     _DOMAIN: lambda v: v in ("colmez", "B", "B1", "B2"),
 }

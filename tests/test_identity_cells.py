@@ -82,8 +82,9 @@ def test_case2_extra_reference_cells(geo, els, pihats):
     pihat = pihats["case2"]
     ref = geo.case2extra_reference(e1, e2, pihat)
     assert sorted(c.dim for c in ref.cones) == [1, 2, 2, 3]
-    ok, _ = geo.verify_identity("case2", "case2extra", e1, e2, pihat)
-    assert ok
+    case, results = geo.verify_identity(e1, e2, pihat)
+    assert case == "case2"
+    assert {tag: ok for tag, ok, _ in results}["case2extra"]
     b = geo.explicit_B(e1, e2)
     rhs = geo.scale(
         geo.intersect(

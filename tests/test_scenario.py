@@ -36,6 +36,25 @@ def _run_altered(tmp_path, sid, param, value, drop=None):
     return run_scenario(Runtime(load_config(cfgp)), sid, tmp_path / "out")
 
 
+def _run_cli(argv, timeout=20):
+    """The CLI in a subprocess, so a hang fails the test instead of the run."""
+    src = str(Path(shintani_forge.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "shintani_forge.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
+def _bundled_with(tmp_path, **fields):
+    """The bundled config with top-level fields replaced, written to a file."""
+    raw = json.loads(bundled_config_path().read_text()) | fields
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    return cfgp
+
+
 class TestParser:
     def test_appendix_g1(self, spec):
         el = parse_element("-96*y^2+152*y+113", {}, spec)
@@ -126,17 +145,52 @@ class TestConfig:
             ("max_bits", 4096.0),
             ("max_bits", "4096"),
             ("escalation_factor", 2.0),
+            ("embedding_order", [True, 2, False]),
+            ("embedding_order", [1, 2, 0.0]),
+            ("embedding_order", [1, 2, 2]),
+            ("embedding_order", [1, 2]),
+            ("embedding_order", "120"),
+            ("poly_coeffs", ["1", "-1", "-4", True]),
+            ("poly_coeffs", ["1", "-1", "-4", 2.0]),
+            ("poly_coeffs", "1 -1 -4 2"),
         ],
     )
     def test_config_ints_are_checked(self, tmp_path, capsys, name, value):
         raw = json.loads(bundled_config_path().read_text())
-        (raw["precision"] if name in raw["precision"] else raw)[name] = value
+        section = next((s for s in (raw["precision"], raw["field"]) if name in s), raw)
+        section[name] = value
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=name):
             load_config(cfgp)
         assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_large_coefficients_load_the_same_field(self, rt, tmp_path):
+        coeffs = json.loads(bundled_config_path().read_text())["field"]["poly_coeffs"]
+        scaled = {"poly_coeffs": [str(int(c) * 10**15) for c in coeffs]}
+        cfgp = _bundled_with(tmp_path, field=scaled)
+        out = tmp_path / "out"
+        argv = ["classify", "--config", str(cfgp), "--scenario", "case-pi2", "--out", str(out)]
+        assert _run_cli(argv).returncode == 0
+        report = json.loads((out / "case-pi2.report.json").read_text())
+        assert report == run_scenario(rt, "case-pi2", tmp_path / "bundled")
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            # (x - 10^12 - 1)(x^2 - 2)
+            ([2 * (10**12 + 1), -2, -(10**12 + 1), 1], "reducible over Q"),
+            (["1", "-1", "-4.000000000000001", "2"], "has |norm| != 1"),
+        ],
+        ids=["reducible", "decimal"],
+    )
+    def test_large_coefficients_are_checked_quickly(self, tmp_path, coeffs, message):
+        cfgp = _bundled_with(tmp_path, field={"poly_coeffs": coeffs})
+        proc = _run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        err = proc.stderr.decode()
+        assert err.startswith("config error: ") and message in err
 
     def test_unknown_scenario_reports_error(self, rt, tmp_path):
         report = run_scenario(rt, "missing", tmp_path)
@@ -359,14 +413,7 @@ class TestReports:
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        src = str(Path(shintani_forge.__file__).resolve().parents[1])
-        argv = ["verify", "--config", str(cfgp), "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "shintani_forge.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            timeout=20,
-        )
+        proc = _run_cli(["verify", "--config", str(cfgp), "--out", str(out)])
         assert proc.returncode == 2
         report = json.loads((out / "zero.report.json").read_text())
         assert report["outcome"] == "ERROR"
@@ -391,6 +438,24 @@ class TestReports:
         assert len(report["evidence"]) == len(base["evidence"])
         changed = [e["name"] for e, b in zip(report["evidence"], base["evidence"]) if e != b]
         assert changed == [entry]
+
+    @pytest.mark.parametrize(
+        "pi, error",
+        [
+            ("pi", "InclusionViolated: cover box (2, 1) exceeds the guaranteed (1,2) block"),
+            (
+                "pi1",
+                "SignConditionFailed: pi is not normalized: "
+                "pi^-1 lies outside C([e1|e2]) u C([e2|e1]) u C(1,e1e2)",
+            ),
+        ],
+        ids=["pi", "pi1"],
+    )
+    def test_unnormalized_identities_are_errors(self, tmp_path, pi, error):
+        # the case is decided first, then whether pi is normalized
+        report = _run_altered(tmp_path, "identities-case2", "pi", pi, drop="normalize")
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"] == [{"name": "error", "value": error}]
 
     def test_undecided_sign_at_cap_is_inconclusive(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
@@ -425,6 +490,23 @@ class TestRuntimeReuse:
         second = Runtime(config)
         assert run_scenario(second, "cover-pi1", tmp_path)["outcome"] == "PASS"
         assert built == [first.geo, second.geo]
+
+    def test_identities_scenario_classifies_once(self, config, tmp_path, monkeypatch):
+        calls = []
+        original = Geometry.classify_case
+
+        def counting(geo, *args, **kwargs):
+            calls.append(args)
+            return original(geo, *args, **kwargs)
+
+        monkeypatch.setattr(Geometry, "classify_case", counting)
+        rt = Runtime(dataclasses.replace(config, window=3))
+        report = run_scenario(rt, "identities-case2", tmp_path)
+        assert report["outcome"] == "PASS"
+        assert [e["name"] for e in report["evidence"]] == [
+            "case", "pi_normalized", "id1", "id2", "case2extra", "case2extra_reference",
+        ]
+        assert len(calls) == 1
 
     def test_fdcheck_keeps_no_table(self, config, els, monkeypatch):
         built = self._count_tables(monkeypatch)
@@ -473,6 +555,36 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_unusable_out_exits_two(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        rc = main(["classify", "--config", str(bundled_config_path()), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("invalid --out: ")
+        assert blocker.read_text() == ""
+
+    def test_scripts_run_without_an_install(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import runpy, sys\n"
+            "for p in sys.argv[1:]:\n"
+            "    assert callable(runpy.run_path(p, run_name='x')['main'])\n"
+        )
+        scripts = [str(root / "scripts" / n) for n in ("run_appendix.py", "regen_goldens.py")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *scripts],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_verify_single_scenario(self, tmp_path, capsys):
         rc = main(
