@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedding import RealEmbeddings, SignConfig
+from .embedding import RealEmbeddings
 from .errors import (
     DegenerateGeometry,
     EmptySet,
@@ -376,6 +376,7 @@ class CoverBox:
     anchor: tuple[int, int]
     base_units: tuple[FieldElement, FieldElement]
     support: tuple[tuple[int, int], ...]
+    domain: ShintaniSet  # the D whose translates cover x^-1 D
 
 
 @dataclass
@@ -391,10 +392,9 @@ class Geometry:
     """Exact Shintani set operations bound to one field and one embedding
     labeling."""
 
-    def __init__(self, emb: RealEmbeddings, cfg: SignConfig):
+    def __init__(self, emb: RealEmbeddings):
         self.emb = emb
         self.spec: FieldSpec = emb.spec
-        self.cfg = cfg
         self.trace_form = primitive_vector(self.spec.trace_basis)
         # (cell generators, u1, u2, window) -> the translate table of
         # _overlap_support; fdcheck tables stay out (large, never shared)
@@ -404,7 +404,7 @@ class Geometry:
 
     def cone(self, *elems: FieldElement) -> Cone:
         for e in elems:
-            if not self.emb.is_totally_positive(e, self.cfg):
+            if not self.emb.is_totally_positive(e):
                 raise NotTotallyPositive(f"cone generator {e!r} is not totally positive")
         return Cone.from_rays([e.coords for e in elems])
 
@@ -454,7 +454,7 @@ class Geometry:
     # -- set algebra ---------------------------------------------------------
 
     def scale(self, s: ShintaniSet, u: FieldElement) -> ShintaniSet:
-        if not self.emb.is_totally_positive(u, self.cfg):
+        if not self.emb.is_totally_positive(u):
             raise NotTotallyPositive("scaling element must be totally positive")
         m = u.mul_matrix()
         return ShintaniSet.from_cones([c.translate(m) for c in s.cones])
@@ -502,10 +502,10 @@ class Geometry:
         perturbation along e1 (the first embedding slot)."""
         gens_e = [self.element_of_vec(g) for g in c.gens]
         if c.dim < 3:
-            if self.emb.e1_outside_span(gens_e, self.cfg):
+            if self.emb.e1_outside_span(gens_e):
                 return ShintaniSet.from_cones([c])
             raise DegenerateGeometry("e1 inside the span of a low-dimensional cone")
-        d = self.emb.e1_coordinate_signs(gens_e, self.cfg)
+        d = self.emb.e1_coordinate_signs(gens_e)
         neg = {i for i in range(3) if d[i] < 0}
         cells = [c]
         for t in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
@@ -518,8 +518,8 @@ class Geometry:
         return self.cone(self.spec.one, x1, x1 * x2)
 
     def _check_unit_pair(self, eps1: FieldElement, eps2: FieldElement):
-        d12 = self.emb.delta_bracket(eps1, eps2, self.cfg)
-        d21 = self.emb.delta_bracket(eps2, eps1, self.cfg)
+        d12 = self.emb.delta_bracket(eps1, eps2)
+        d21 = self.emb.delta_bracket(eps2, eps1)
         if d12 != 1 or d21 != -1:
             raise SignConditionFailed(
                 f"delta([e1|e2])={d12}, delta([e2|e1])={d21}; need +1, -1"
@@ -554,8 +554,8 @@ class Geometry:
     def _mixed_domain(self, eps: FieldElement, pi: FieldElement, label: str) -> ShintaniSet:
         """The six cells on 1, eps, pi and eps*pi (B1 for eps = e2, B2 for
         eps = e1); [eps|pi] and [pi|eps] must have opposite nonzero signs."""
-        dp = self.emb.delta_bracket(eps, pi, self.cfg)
-        dm = self.emb.delta_bracket(pi, eps, self.cfg)
+        dp = self.emb.delta_bracket(eps, pi)
+        dm = self.emb.delta_bracket(pi, eps)
         if dp == 0 or dp != -dm:
             raise SignConditionFailed(
                 f"delta([{label}|pi])={dp}, delta([pi|{label}])={dm}; "
@@ -617,7 +617,7 @@ class Geometry:
         u2: FieldElement,
         window: int = 8,
     ) -> CoverBox:
-        if not self.emb.is_totally_positive(x, self.cfg):
+        if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("cover target must be totally positive")
         hits = self._overlap_support(d, x, u1, u2, window)
         if not hits:
@@ -627,7 +627,7 @@ class Geometry:
         anchor = (min(k1s), min(k2s))
         alpha = (max(k1s) - anchor[0], max(k2s) - anchor[1])
         return CoverBox(
-            alpha=alpha, anchor=anchor, base_units=(u1, u2), support=tuple(hits)
+            alpha=alpha, anchor=anchor, base_units=(u1, u2), support=tuple(hits), domain=d
         )
 
     # -- tiling check ----------------------------------------------------------
@@ -717,13 +717,13 @@ class Geometry:
         (its left side against the four-cell value). A witness lies in the
         symmetric difference and is None exactly when ok.
         """
-        case, _ = self.classify_case(eps1, eps2, pi, window)
+        case, box = self.classify_case(eps1, eps2, pi, window)
         pinv = pi.inverse()
         if not self.prop4_union(eps1, eps2).contains_vec(_int_vec(pinv.coords)):
             raise SignConditionFailed(
                 "pi is not normalized: pi^-1 lies outside C([e1|e2]) u C([e2|e1]) u C(1,e1e2)"
             )
-        b = self.explicit_B(eps1, eps2)
+        b = box.domain
         pinv_b = self.scale(b, pinv)
 
         def translate_meet_b(u: FieldElement) -> ShintaniSet:

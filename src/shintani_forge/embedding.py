@@ -131,14 +131,18 @@ class RealEmbeddings:
 
     `order[i]` gives, for embedding slot i, the index of the root in the
     ascending-root list. The ascending order is the default; an even
-    permutation leaves every determinant sign unchanged.
+    permutation leaves every determinant sign unchanged. `cfg` is the
+    precision policy of every sign decision and enclosure refinement.
     """
 
-    def __init__(self, spec: FieldSpec, order: tuple[int, int, int] = (0, 1, 2)):
+    def __init__(
+        self, spec: FieldSpec, order: tuple[int, int, int] = (0, 1, 2), *, cfg: SignConfig
+    ):
         if sorted(order) != [0, 1, 2]:
             raise ValueError("order must be a permutation of (0, 1, 2)")
         self.spec = spec
         self.order = tuple(order)
+        self.cfg = cfg
         self._initial: list[RatInterval] = self._isolate_initial()
         # bits -> ascending-root interval list; every entry lies on the
         # deterministic bisection chain from the initial isolation, so the
@@ -218,45 +222,38 @@ class RealEmbeddings:
             out.append(acc)
         return out
 
-    def is_totally_positive(self, x: FieldElement, cfg: SignConfig) -> bool:
-        if x.is_zero():
+    def is_totally_positive(self, x: FieldElement) -> bool:
+        try:
+            self.embed_positive(x, self.cfg.start_bits)
+        except NotTotallyPositive:
             return False
-        for bits in cfg.ladder():
-            enc = self.embed(x, bits)
-            signs = [e.sign() for e in enc]
-            if all(s == 1 for s in signs):
-                return True
-            if any(s == -1 for s in signs):
-                return False
-        raise PrecisionExhausted("total positivity undecided")  # pragma: no cover
+        return True
 
-    def sign_det(
-        self, x1: FieldElement, x2: FieldElement, x3: FieldElement, cfg: SignConfig
-    ) -> int:
+    def sign_det(self, x1: FieldElement, x2: FieldElement, x3: FieldElement) -> int:
         """Sign of det of the embedded column matrix; exactly 0 iff the three
         elements are linearly dependent over Q."""
         coord_m = [[x.coords[i] for x in (x1, x2, x3)] for i in range(3)]
         if det3(coord_m) == 0:
             return 0
-        return self._det_sign((x1, x2, x3), cfg, "determinant sign undecided")
+        return self._det_sign((x1, x2, x3), "determinant sign undecided")
 
-    def _det_sign(self, columns, cfg: SignConfig, undecided: str) -> int:
+    def _det_sign(self, columns, undecided: str) -> int:
         """Certified sign of det of the embedded column matrix, a None column
         being e1; raises PrecisionExhausted(undecided) when the determinant
         stays straddling zero up to the precision cap."""
-        for bits in cfg.ladder():
+        for bits in self.cfg.ladder():
             cols = [_E1 if x is None else self.embed(x, bits) for x in columns]
             s = interval_det3([[c[r] for c in cols] for r in range(3)]).sign()
             if s is not None:
                 return s
         raise PrecisionExhausted(undecided)
 
-    def delta_bracket(self, u1: FieldElement, u2: FieldElement, cfg: SignConfig) -> int:
+    def delta_bracket(self, u1: FieldElement, u2: FieldElement) -> int:
         """delta([u1 | u2]) = sign det of the embedded (1, u1, u1*u2)."""
         one = self.spec.one
-        return self.sign_det(one, u1, u1 * u2, cfg)
+        return self.sign_det(one, u1, u1 * u2)
 
-    def e1_coordinate_signs(self, gens: list[FieldElement], cfg: SignConfig) -> list[int]:
+    def e1_coordinate_signs(self, gens: list[FieldElement]) -> list[int]:
         """Signs of the coordinates of e1 (first slot's standard basis vector)
         in the embedded generator basis of a full-dimensional cone.
 
@@ -266,43 +263,42 @@ class RealEmbeddings:
         real-algebraic and refined until nonzero, so exact alignment of e1
         with a face raises PrecisionExhausted.
         """
-        base = self.sign_det(gens[0], gens[1], gens[2], cfg)
+        base = self.sign_det(gens[0], gens[1], gens[2])
         if base == 0:
             raise ValueError("generators are linearly dependent")
         return [
             base * self._det_sign(
                 [None if c == i else g for c, g in enumerate(gens)],
-                cfg,
                 "e1 is aligned with a face of the cone",
             )
             for i in range(3)
         ]
 
-    def e1_outside_span(self, gens: list[FieldElement], cfg: SignConfig) -> bool:
+    def e1_outside_span(self, gens: list[FieldElement]) -> bool:
         """Certify that e1 is not in the real span of <= 2 embedded generators."""
         if len(gens) == 1:
             # e1 = c*sigma(v) would force two embeddings of v to vanish
             return True
-        self._det_sign((None, *gens), cfg, "e1 possibly inside the span of a face")
+        self._det_sign((None, *gens), "e1 possibly inside the span of a face")
         return True
 
     # -- logarithmic data ---------------------------------------------------
 
     def embed_positive(self, x: FieldElement, bits: int) -> list[RatInterval]:
-        """Enclosures refined until certified strictly positive (embeddings
-        of a totally positive element always separate from zero; a nonzero
-        element has no zero embedding, so the refinement always ends)."""
+        """Enclosures refined up the precision ladder from `bits` until
+        certified strictly positive. A certified negative embedding, or
+        x = 0, raises NotTotallyPositive; a nonzero element has no zero
+        embedding, so only the precision cap (or a request above it) leaves
+        the sign open."""
         if x.is_zero():
             raise NotTotallyPositive("0 is not totally positive")
-        work = bits
-        for _ in range(64):
+        for work in self.cfg.ladder(bits):
             enc = self.embed(x, work)
             if all(e.lo > 0 for e in enc):
                 return enc
             if any(e.hi < 0 for e in enc):
                 raise NotTotallyPositive(f"{x!r} has a negative embedding")
-            work *= 2
-        raise PrecisionExhausted("could not separate embeddings from zero")
+        raise PrecisionExhausted(f"embeddings not separated from zero at {self.cfg.max_bits} bits")
 
     def log_embed(self, x: FieldElement, bits: int):
         """Interval enclosures of log sigma_i(x) as mpmath iv numbers."""

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .embedding import (
     RatInterval,
     RealEmbeddings,
-    SignConfig,
     iv_context,
     iv_fraction,
     iv_lower,
@@ -199,9 +198,7 @@ def endpoint_derivative(
     return DerivativeValue(value=v, err=e, sign=iv_sign(ratio))
 
 
-def fixgi_margins(
-    g1: FieldElement, g2: FieldElement, emb: RealEmbeddings, cfg: SignConfig
-):
+def fixgi_margins(g1: FieldElement, g2: FieldElement, emb: RealEmbeddings):
     """Certified margins of the five strict inequalities
     g1(2) > g1(1)^-2 > g1(1)^-1 > 1 and g2(1) < g2(2) < 1.
 
@@ -212,7 +209,7 @@ def fixgi_margins(
     """
     names = ("g1(2)*g1(1)^2 > 1", "g1(1) < 1", "g1(1) > 0", "g2(1) < g2(2)", "g2(2) < 1")
     out: dict[str, Fraction | None] = {n: None for n in names}
-    for bits in cfg.ladder():
+    for bits in emb.cfg.ladder():
         e1v = emb.embed(g1, bits)
         e2v = emb.embed(g2, bits)
         diffs = {
@@ -232,13 +229,11 @@ def fixgi_margins(
             return out
         if len(decided) == len(names):
             return out
-    raise Inconclusive(f"fixgi comparison undecided at {cfg.max_bits} bits")
+    raise Inconclusive(f"fixgi comparison undecided at {emb.cfg.max_bits} bits")
 
 
-def fixgi_holds(
-    g1: FieldElement, g2: FieldElement, emb: RealEmbeddings, cfg: SignConfig
-) -> bool:
-    margins = fixgi_margins(g1, g2, emb, cfg)
+def fixgi_holds(g1: FieldElement, g2: FieldElement, emb: RealEmbeddings) -> bool:
+    margins = fixgi_margins(g1, g2, emb)
     return all(v is not None and v > 0 for v in margins.values())
 
 
@@ -251,17 +246,16 @@ def limit_derivative(
     g1: FieldElement,
     g2: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig,
     bits: int = 128,
 ) -> LimitValue:
     """The limiting endpoint derivative as the power grows, with its sign
     certified; requires the fixgi inequality chains."""
     if (i, t) not in _LIMIT_EXPECTED:
         raise ValueError("limit is defined for i in {1,2}, t in {0,1}")
-    if not fixgi_holds(g1, g2, emb, cfg):
+    if not fixgi_holds(g1, g2, emb):
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
     expected = _LIMIT_EXPECTED[(i, t)]
-    for work in cfg.ladder(bits):
+    for work in emb.cfg.ladder(bits):
         logs1 = emb.log_embed(g1, work)
         logs2 = emb.log_embed(g2, work)
         if (i, t) == (1, 0):
@@ -289,8 +283,6 @@ def check_direction_bounds(
     emb: RealEmbeddings,
     n_points: int = 64,
     bits: int = 128,
-    *,
-    cfg: SignConfig,
 ) -> DirectionReport:
     """Certified sampled check of the four curve bounds
     y_1 >= 0, x_2 <= 0, 0 <= x_1 <= l, 0 <= y_2 <= l.
@@ -318,7 +310,7 @@ def check_direction_bounds(
         e_one = [RatInterval.point(1)] * 3
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
-            for work in cfg.ladder(bits):
+            for work in emb.cfg.ladder(bits):
                 logs = _segment_logs(e_one, e_to, t, work)
                 a, b = basis.project_logs(logs)
                 # l - a and l - b at the rung's precision, not the basis's
@@ -344,7 +336,7 @@ def check_direction_bounds(
                     break
             else:
                 raise Inconclusive(
-                    f"direction bound straddles at t={t} with {cfg.max_bits} bits"
+                    f"direction bound straddles at t={t} with {emb.cfg.max_bits} bits"
                 )
     margins = {n: min(v) for n, v in bounds.items() if v}
     return DirectionReport(

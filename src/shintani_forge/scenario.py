@@ -31,6 +31,11 @@ from .plane import check_direction_bounds, curve_sample
 
 SCHEMA_VERSION = 1
 
+# bound on |k| times the coordinate bit height of the base of an element
+# power base^k: beyond it the power is a parse error, not a hang (the
+# bundled config's largest is g1^-6, 6 * 8 = 48 bits)
+MAX_POWER_BITS = 65536
+
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
 
 
@@ -116,10 +121,16 @@ class _Parser:
 
     def power(self) -> FieldElement:
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            return base ** self.int_exponent()
+            k = self.int_exponent()
+            height = max(n.bit_length() for c in base.coords for n in c.as_integer_ratio())
+            if abs(k) * height > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power {k} of a {height}-bit base exceeds {MAX_POWER_BITS} bits", pos
+                )
+            return base**k
         return base
 
     def int_exponent(self) -> int:
@@ -181,7 +192,7 @@ def load_config(path) -> ScenarioConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}")
-    coeffs = raw["field"]["poly_coeffs"]
+    coeffs = _config_field(raw, "field", _OBJECT, None).get("poly_coeffs")
     if not _is_list_of(coeffs, lambda c: isinstance(c, str) or _TYPES[_INT](c)):
         raise ValueError(f"config field 'poly_coeffs' must list strings or ints, got {coeffs!r}")
     spec = FieldSpec([Fraction(c) for c in coeffs])
@@ -191,28 +202,28 @@ def load_config(path) -> ScenarioConfig:
             f"config field 'embedding_order' must be a permutation of [0, 1, 2], got {order!r}"
         )
     elements: dict[str, FieldElement] = {}
-    for name, expr in raw.get("elements", {}).items():
+    for name, expr in _config_field(raw, "elements", _ELEMENTS, {}).items():
         elements[name] = parse_element(expr, elements, spec)
-    prec = raw.get("precision", {})
-    max_bits = int(os.environ.get("SHINTANI_MAX_BITS", _config_int(prec, "max_bits", 4096)))
+    prec = _config_field(raw, "precision", _OBJECT, {})
+    max_bits = _config_field(prec, "max_bits", _INT, 4096)
     cfg = SignConfig(
-        start_bits=_config_int(prec, "start_bits", 64),
-        max_bits=max_bits,
-        escalation_factor=_config_int(prec, "escalation_factor", 2),
+        start_bits=_config_field(prec, "start_bits", _INT, 64),
+        max_bits=int(os.environ.get("SHINTANI_MAX_BITS", max_bits)),
+        escalation_factor=_config_field(prec, "escalation_factor", _INT, 2),
     )
-    window = _config_int(raw, "window", 8)
+    window = _config_field(raw, "window", _INT, 8)
     if window < 1:
         raise ValueError(f"config field 'window' must be >= 1, got {window}")
     config = ScenarioConfig(
         spec=spec,
         embedding_order=tuple(order),
         elements=elements,
-        units=list(raw.get("units", [])),
-        totally_positive=list(raw.get("totally_positive", [])),
+        units=_config_field(raw, "units", _NAMES, []),
+        totally_positive=_config_field(raw, "totally_positive", _NAMES, []),
         sign_config=cfg,
         window=window,
-        seed=_config_int(raw, "seed", 0),
-        scenarios=list(raw.get("scenarios", [])),
+        seed=_config_field(raw, "seed", _INT, 0),
+        scenarios=_config_field(raw, "scenarios", _LIST, []),
     )
     _validate(config)
     return config
@@ -222,16 +233,17 @@ def _is_list_of(value, check) -> bool:
     return isinstance(value, list) and all(map(check, value))
 
 
-def _config_int(raw: dict, name: str, default: int) -> int:
-    """A config-level int field; a bool, float or string is a config error."""
+def _config_field(raw: dict, name: str, typ: str, default):
+    """A config field, which must have the shape `typ`: an int field given
+    a bool, float or string is a config error, as is a list for an object."""
     value = raw.get(name, default)
-    if not _TYPES[_INT](value):
-        raise ValueError(f"config field {name!r} must be {_INT}, got {value!r}")
+    if not _TYPES[typ](value):
+        raise ValueError(f"config field {name!r} must be {typ}, got {value!r}")
     return value
 
 
 def _validate(config: ScenarioConfig):
-    emb = RealEmbeddings(config.spec, config.embedding_order)
+    emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
     for name in config.units:
         if name not in config.elements:
             raise UnknownName(f"declared unit {name!r} not defined")
@@ -240,7 +252,7 @@ def _validate(config: ScenarioConfig):
     for name in config.totally_positive:
         if name not in config.elements:
             raise UnknownName(f"declared element {name!r} not defined")
-        if not emb.is_totally_positive(config.elements[name], config.sign_config):
+        if not emb.is_totally_positive(config.elements[name]):
             raise ValueError(f"{name!r} is not totally positive")
     seen = set()
     for sc in config.scenarios:
@@ -256,8 +268,8 @@ class Runtime:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.emb = RealEmbeddings(config.spec, config.embedding_order)
-        self.geo = Geometry(self.emb, config.sign_config)
+        self.emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
+        self.geo = Geometry(self.emb)
 
     def domain(self, p: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:
         """Build the domain a scenario refers to, returning (set, u1, u2)
@@ -284,8 +296,7 @@ class Runtime:
     ) -> FieldElement:
         """omega*pi for the unit omega the triangle search finds at power 1
         for the pair (eps1, eps2), over the unit basis when one is given."""
-        cfg = self.config.sign_config
-        _, omega = unit_ops.triangle_search(eps1, eps2, pi, 1, self.emb, basis, cfg=cfg)
+        _, omega = unit_ops.triangle_search(eps1, eps2, pi, 1, self.emb, basis)
         return omega * pi
 
 
@@ -321,7 +332,6 @@ def _run_construction(rt: Runtime, p: dict, outdir, seed):
         p["g2"],
         p["pi"],
         rt.emb,
-        cfg=rt.config.sign_config,
         l_max=p["l_max"],
         window=rt.config.window,
         eps_pair=(p["eps1"], p["eps2"]) if "eps1" in p else None,
@@ -381,9 +391,7 @@ def _run_fdcheck(rt: Runtime, p: dict, outdir, seed):
 
 
 def _run_direction(rt: Runtime, p: dict, outdir, seed):
-    rep = check_direction_bounds(
-        p["l"], p["g1"], p["g2"], rt.emb, n_points=p["n_points"], cfg=rt.config.sign_config
-    )
+    rep = check_direction_bounds(p["l"], p["g1"], p["g2"], rt.emb, n_points=p["n_points"])
     evidence = [
         {"name": "passed", "ok": rep.passed},
         {"name": "min_margin", "value": rep.min_margin},
@@ -470,6 +478,8 @@ _REQUIRED, _OPTIONAL = object(), object()
 _ELEMENT, _INT, _BOOL = "an element name", "an int", "a bool"
 _PAIR, _PAIRS = "a pair of ints", "a list of pairs of ints"
 _CASE, _DOMAIN = "'case1' or 'case2'", "'colmez', 'B', 'B1' or 'B2'"
+_OBJECT, _LIST, _NAMES = "an object", "a list", "a list of strings"
+_ELEMENTS = "an object mapping names to strings"
 
 
 def _is_pair(v) -> bool:
@@ -484,6 +494,10 @@ _TYPES = {
     _PAIRS: lambda v: _is_list_of(v, _is_pair),
     _CASE: lambda v: v in ("case1", "case2"),
     _DOMAIN: lambda v: v in ("colmez", "B", "B1", "B2"),
+    _OBJECT: lambda v: isinstance(v, dict),
+    _LIST: lambda v: isinstance(v, list),
+    _NAMES: lambda v: _is_list_of(v, lambda n: isinstance(n, str)),
+    _ELEMENTS: lambda v: isinstance(v, dict) and all(isinstance(e, str) for e in v.values()),
 }
 
 

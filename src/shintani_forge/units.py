@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .cones import Geometry, _int_vec
-from .embedding import RealEmbeddings, SignConfig, iv_fraction, iv_mid_err, trace_zero
+from .embedding import RealEmbeddings, iv_fraction, iv_mid_err, trace_zero
 from .errors import Exhausted, NotTotallyPositive, SignConditionFailed
 from .field import FieldElement
 from .plane import (
@@ -66,12 +66,10 @@ class ConstructionResult:
     evidence: dict = dc_field(default_factory=dict)
 
 
-def check_fixgi(
-    g1: FieldElement, g2: FieldElement, emb: RealEmbeddings, cfg: SignConfig
-) -> FixgiReport:
+def check_fixgi(g1: FieldElement, g2: FieldElement, emb: RealEmbeddings) -> FixgiReport:
     """Certified evaluation of the two strict inequality chains the curve
     lemmas require of the unit pair."""
-    margins = fixgi_margins(g1, g2, emb, cfg)
+    margins = fixgi_margins(g1, g2, emb)
     return FixgiReport(
         passed=all(v is not None and v > 0 for v in margins.values()),
         margins={k: (float(v) if v is not None else None) for k, v in margins.items()},
@@ -83,7 +81,6 @@ def check_sign_suite(
     eps2: FieldElement,
     pi_like: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig,
 ) -> SignSuiteReport:
     """The six bracket signs backing the domain constructions.
 
@@ -94,12 +91,12 @@ def check_sign_suite(
     """
     db = emb.delta_bracket
     signs = {
-        "[e1|e2]": db(eps1, eps2, cfg),
-        "[e2|e1]": db(eps2, eps1, cfg),
-        "[e1|p]": db(eps1, pi_like, cfg),
-        "[p|e1]": db(pi_like, eps1, cfg),
-        "[e2|p]": db(eps2, pi_like, cfg),
-        "[p|e2]": db(pi_like, eps2, cfg),
+        "[e1|e2]": db(eps1, eps2),
+        "[e2|e1]": db(eps2, eps1),
+        "[e1|p]": db(eps1, pi_like),
+        "[p|e1]": db(pi_like, eps1),
+        "[e2|p]": db(eps2, pi_like),
+        "[p|e2]": db(pi_like, eps2),
     }
     failures = []
     if signs["[e1|e2]"] != 1:
@@ -118,19 +115,17 @@ def choose_power(
     g2: FieldElement,
     emb: RealEmbeddings,
     l_max: int = 8,
-    *,
-    cfg: SignConfig,
     n_points: int = 64,
 ) -> int:
     """Least power for which the direction bounds hold and the endpoint
     derivative signs agree with the limiting signs."""
     limit_signs = {
-        (i, t): limit_derivative(i, t, g1, g2, emb, cfg).sign
+        (i, t): limit_derivative(i, t, g1, g2, emb).sign
         for i in (1, 2)
         for t in (0, 1)
     }
     for l in range(1, l_max + 1):
-        rep = check_direction_bounds(l, g1, g2, emb, n_points=n_points, cfg=cfg)
+        rep = check_direction_bounds(l, g1, g2, emb, n_points=n_points)
         if not rep.passed:
             continue
         ok = True
@@ -166,8 +161,6 @@ def lattice_points_in_ball(
     radius,
     emb: RealEmbeddings,
     bits: int = 128,
-    *,
-    cfg: SignConfig,
 ) -> LatticeBallResult:
     """All integer combinations whose Log enclosure is certified inside the
     closed sup-norm ball; combinations still straddling the boundary at the
@@ -203,7 +196,7 @@ def lattice_points_in_ball(
     inside = []
     undecided = []
     for k1, k2 in _exponent_box(p, s1, s2, c0 - r, c0 + r, c1 - r, c1 + r):
-        for work in cfg.ladder(bits):
+        for work in emb.cfg.ladder(bits):
             (v1, v2, vo), ci, ri = rung(work)
             ds = [k1 * a + k2 * b + o - c for a, b, o, c in zip(v1, v2, vo, ci)]
             if all(d.b <= ri.a and d.a >= -ri.a for d in ds):
@@ -224,8 +217,6 @@ def triangle_search(
     emb: RealEmbeddings,
     unit_basis: tuple[FieldElement, FieldElement] | None = None,
     q_max: float = 64.0,
-    *,
-    cfg: SignConfig,
 ) -> tuple[FieldElement, FieldElement]:
     """Find omega in the unit group with alpha = omega^-1 pi^-1 inside the
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
@@ -239,8 +230,7 @@ def triangle_search(
     is asymptotic in the power), a bounded sweep of coset points near the
     domain's phi square runs the same exact verification.
     """
-    geo = Geometry(emb, cfg)
-    union = geo.prop4_union(eps1, eps2)
+    union = Geometry(emb).prop4_union(eps1, eps2)
     u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
 
     def verified(u: FieldElement):
@@ -248,7 +238,7 @@ def triangle_search(
         if not union.contains_vec(_int_vec(alpha.coords)):
             return None
         omega = u.inverse()
-        if not check_sign_suite(eps1, eps2, omega * pi, emb, cfg).passed:
+        if not check_sign_suite(eps1, eps2, omega * pi, emb).passed:
             return None
         return alpha, omega
 
@@ -256,8 +246,8 @@ def triangle_search(
     if hit is not None:
         return hit
 
-    d1 = limit_derivative(1, 1, eps1, eps2, emb, cfg)
-    d2 = limit_derivative(2, 1, eps1, eps2, emb, cfg)
+    d1 = limit_derivative(1, 1, eps1, eps2, emb)
+    d2 = limit_derivative(2, 1, eps1, eps2, emb)
     tan_theta = d2.value / 2
     tan_gamma = -d1.value / 2
     p, s1, s2 = (phi(w, eps1, eps2, emb) for w in (pi.inverse(), u1, u2))
@@ -316,7 +306,6 @@ def build_construction(
     g2: FieldElement,
     pi: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig,
     l_max: int = 8,
     q_max: float = 64.0,
     window: int = 8,
@@ -331,7 +320,7 @@ def build_construction(
     pair instead (pre-computed units the caller knows satisfy the chains);
     otherwise on (g1, g2) themselves.
     """
-    if not emb.is_totally_positive(pi, cfg):
+    if not emb.is_totally_positive(pi):
         raise NotTotallyPositive("pi is not totally positive")
     pairs = [("g1", "g2", g1, g2)]
     if eps_pair is not None:
@@ -340,36 +329,36 @@ def build_construction(
         for name, u in ((n1, a), (n2, b)):
             if abs(u.norm()) != 1:
                 raise ValueError(f"{name} is not a unit (|norm| != 1)")
-            if not emb.is_totally_positive(u, cfg):
+            if not emb.is_totally_positive(u):
                 raise NotTotallyPositive(f"{name} is not totally positive")
-        if emb.delta_bracket(a, b, cfg) != 1 or emb.delta_bracket(b, a, cfg) != -1:
+        if emb.delta_bracket(a, b) != 1 or emb.delta_bracket(b, a) != -1:
             raise SignConditionFailed(f"delta([{n1}|{n2}]) = -delta([{n2}|{n1}]) = 1 required")
     c1, c2 = eps_pair if eps_pair is not None else (g1, g2)
 
     evidence = {}
-    fixgi = check_fixgi(c1, c2, emb, cfg)
+    fixgi = check_fixgi(c1, c2, emb)
     evidence["fixgi"] = fixgi.margins
     if not fixgi.passed:
         raise SignConditionFailed(f"fixgi chains fail: {fixgi.margins}")
 
-    l = choose_power(c1, c2, emb, l_max=l_max, cfg=cfg)
+    l = choose_power(c1, c2, emb, l_max=l_max)
     evidence["l"] = l
     eps1 = c1**l
     eps2 = c2**l
 
     alpha, omega = triangle_search(
-        eps1, eps2, pi, l, emb, unit_basis=(g1, g2), q_max=q_max, cfg=cfg
+        eps1, eps2, pi, l, emb, unit_basis=(g1, g2), q_max=q_max
     )
     evidence["alpha"] = [str(c) for c in alpha.coords]
     evidence["omega"] = [str(c) for c in omega.coords]
 
     pihat = omega * pi
-    suite = check_sign_suite(eps1, eps2, pihat, emb, cfg)
+    suite = check_sign_suite(eps1, eps2, pihat, emb)
     evidence["sign_suite"] = suite.signs
     if not suite.passed:
         raise SignConditionFailed(f"sign suite fails: {suite.failures}")
 
-    geo = Geometry(emb, cfg)
+    geo = Geometry(emb)
     if not geo.prop4_union(eps1, eps2).contains_vec(_int_vec(pihat.inverse().coords)):
         raise SignConditionFailed("normalized pi^-1 left the bracket-cone union")
     case, box = geo.classify_case(eps1, eps2, pihat, window=window)
@@ -383,8 +372,6 @@ def classify_case(
     eps2: FieldElement,
     pi: FieldElement,
     emb: RealEmbeddings,
-    cfg: SignConfig,
     window: int = 8,
 ):
-    geo = Geometry(emb, cfg)
-    return geo.classify_case(eps1, eps2, pi, window=window)
+    return Geometry(emb).classify_case(eps1, eps2, pi, window=window)

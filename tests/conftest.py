@@ -38,11 +38,6 @@ def geo(rt):
 
 
 @pytest.fixture(scope="session")
-def cfg(config):
-    return config.sign_config
-
-
-@pytest.fixture(scope="session")
 def els(config):
     return dict(config.elements)
 

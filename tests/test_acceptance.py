@@ -34,7 +34,6 @@ def omega_pi(rt, els):
         1,
         rt.emb,
         unit_basis=(els["g1"], els["g2"]),
-        cfg=rt.config.sign_config,
     )
     return omega * els["pi"]
 
@@ -57,15 +56,14 @@ def test_criterion_2_construction_verification(rt, els):
         els["g2"],
         els["pi"],
         rt.emb,
-        cfg=rt.config.sign_config,
         l_max=4,
         eps_pair=(els["eps1"], els["eps2"]),
     )
     assert res.l == 1
-    fixgi = units.check_fixgi(els["eps1"], els["eps2"], rt.emb, rt.config.sign_config)
+    fixgi = units.check_fixgi(els["eps1"], els["eps2"], rt.emb)
     assert fixgi.passed and all(m > 0 for m in fixgi.margins.values())
     suite = units.check_sign_suite(
-        els["eps1"], els["eps2"], res.omega * els["pi"], rt.emb, rt.config.sign_config
+        els["eps1"], els["eps2"], res.omega * els["pi"], rt.emb
     )
     assert suite.passed and len(suite.signs) == 6
     _line(2, f"fixgi + six-sign suite pass, chosen power l={res.l}")
@@ -122,7 +120,7 @@ def test_criterion_5_tiling(geo, els, omega_pi, config):
     _line(5, "D, B, B1, B2 tile with exactly one hit per 1000 seeded samples")
 
 
-def test_criterion_6_numerical_analysis(rt, els, cfg):
+def test_criterion_6_numerical_analysis(rt, els):
     e1, e2 = els["eps1"], els["eps2"]
     emb = rt.emb
     basis = plane.PhiBasis(emb, e1, e2, 256)
@@ -148,8 +146,8 @@ def test_criterion_6_numerical_analysis(rt, els, cfg):
         mpmath.mp.prec = old
     for i in (1, 2):
         for t in (0, 1):
-            assert plane.limit_derivative(i, t, e1, e2, emb, cfg).ok
-    rep = plane.check_direction_bounds(1, e1, e2, emb, n_points=64, cfg=cfg)
+            assert plane.limit_derivative(i, t, e1, e2, emb).ok
+    rep = plane.check_direction_bounds(1, e1, e2, emb, n_points=64)
     assert rep.passed and rep.min_margin > 0
     _line(6, f"derivatives match finite differences at 1e-6; bounds margin {rep.min_margin:.4f}")
 
@@ -176,7 +174,7 @@ def test_criterion_7_phi_properties(rt, els):
     _line(7, "phi additive over 200 products; unit powers land on the lattice")
 
 
-def test_criterion_8_delta_suite(rt, els, cfg, spec):
+def test_criterion_8_delta_suite(rt, els, spec):
     emb = rt.emb
     rng = random.Random(rt.config.seed + 1)
 
@@ -189,13 +187,13 @@ def test_criterion_8_delta_suite(rt, els, cfg, spec):
 
     for _ in range(500):
         x, y, z = rand_el(), rand_el(), rand_el()
-        assert emb.sign_det(x, y, z, cfg) == -emb.sign_det(y, x, z, cfg)
+        assert emb.sign_det(x, y, z) == -emb.sign_det(y, x, z)
     for _ in range(100):
         x, y = rand_el(), rand_el()
         p = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         z = x.scalar_mul(p) + y.scalar_mul(q)
-        assert emb.sign_det(x, y, z, cfg) == 0
+        assert emb.sign_det(x, y, z) == 0
         assert det3([[v.coords[i] for v in (x, y, z)] for i in range(3)]) == 0
     _line(8, "delta antisymmetric on 500 triples, exactly zero on dependent triples")
 

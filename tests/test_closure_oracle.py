@@ -10,7 +10,7 @@ import pytest
 
 from shintani_forge.cones import Cone
 from shintani_forge.errors import PrecisionExhausted
-from shintani_forge.embedding import SignConfig
+from shintani_forge.embedding import RealEmbeddings, SignConfig
 
 
 def _float_roots(emb):
@@ -86,8 +86,9 @@ def test_precision_guard_on_near_degenerate_triple(rt, els, spec):
     x = els["g1"]
     y = els["g2"]
     z = x + y.scalar_mul(tiny)
-    shallow = SignConfig(start_bits=32, max_bits=32)
+    order = rt.config.embedding_order
+    shallow = RealEmbeddings(spec, order, cfg=SignConfig(start_bits=32, max_bits=32))
     with pytest.raises(PrecisionExhausted):
-        rt.emb.sign_det(spec.one, x, z, shallow)
-    deep = SignConfig(start_bits=32, max_bits=4096)
-    assert rt.emb.sign_det(spec.one, x, z, deep) != 0
+        shallow.sign_det(spec.one, x, z)
+    deep = RealEmbeddings(spec, order, cfg=SignConfig(start_bits=32, max_bits=4096))
+    assert deep.sign_det(spec.one, x, z) != 0

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from shintani_forge.cli import bundled_config_path
 from shintani_forge.embedding import RealEmbeddings, SignConfig, iv_fraction
-from shintani_forge.errors import NotTotallyReal
+from shintani_forge.errors import NotTotallyReal, PrecisionExhausted
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
 
@@ -16,7 +16,7 @@ coords = st.tuples(coord, coord, coord)
 
 class TestRootIsolation:
     def test_three_disjoint_ascending_sturm_verified(self, spec):
-        emb = RealEmbeddings(spec)
+        emb = RealEmbeddings(spec, cfg=SignConfig())
         ivs = emb.refine_roots(64)
         assert len(ivs) == 3
         for a, b in zip(ivs, ivs[1:]):
@@ -29,7 +29,7 @@ class TestRootIsolation:
             FieldSpec([-2, 0, 0, 1])
 
     def test_refinement_nests(self, spec):
-        emb = RealEmbeddings(spec)
+        emb = RealEmbeddings(spec, cfg=SignConfig())
         coarse = emb.refine_roots(40)
         fine = emb.refine_roots(80)
         for c, f in zip(coarse, fine):
@@ -37,9 +37,9 @@ class TestRootIsolation:
             assert f.width() <= Fraction(1, 2**80)
 
     def test_history_independent(self, spec):
-        a = RealEmbeddings(spec)
+        a = RealEmbeddings(spec, cfg=SignConfig())
         a.refine_roots(512)
-        b = RealEmbeddings(spec)
+        b = RealEmbeddings(spec, cfg=SignConfig())
         got_a = a.refine_roots(96)
         got_b = b.refine_roots(96)
         assert [(i.lo, i.hi) for i in got_a] == [(i.lo, i.hi) for i in got_b]
@@ -57,17 +57,17 @@ class TestEmbed:
         roots = emb.refine_roots(64)
         assert [(e.lo, e.hi) for e in enc] == [(r.lo, r.hi) for r in roots]
 
-    def test_appendix_generator_totally_positive(self, emb, els, cfg):
+    def test_appendix_generator_totally_positive(self, emb, els):
         enc = emb.embed(els["g1"], 128)
         assert all(e.lo > 0 for e in enc)
-        assert emb.is_totally_positive(els["g1"], cfg)
+        assert emb.is_totally_positive(els["g1"])
 
-    def test_sign_cases(self, emb, cfg, spec):
-        assert emb.is_totally_positive(spec.one, cfg)
-        assert not emb.is_totally_positive(-spec.one, cfg)
+    def test_sign_cases(self, emb, spec):
+        assert emb.is_totally_positive(spec.one)
+        assert not emb.is_totally_positive(-spec.one)
 
-    def test_appendix_pi_totally_positive(self, emb, els, cfg):
-        assert emb.is_totally_positive(els["pi"], cfg)
+    def test_appendix_pi_totally_positive(self, emb, els):
+        assert emb.is_totally_positive(els["pi"])
 
     def test_nesting_of_embedding_enclosures(self, emb, els):
         lo_bits = emb.embed(els["eps1"], 64)
@@ -86,19 +86,19 @@ class TestEmbed:
 
 
 class TestSignDet:
-    def test_repeated_column_is_zero(self, emb, els, cfg, spec):
-        assert emb.sign_det(els["g1"], els["g1"], spec.y, cfg) == 0
+    def test_repeated_column_is_zero(self, emb, els, spec):
+        assert emb.sign_det(els["g1"], els["g1"], spec.y) == 0
 
-    def test_bracket_signs_of_appendix_units(self, emb, els, cfg):
-        assert emb.delta_bracket(els["eps1"], els["eps2"], cfg) == 1
-        assert emb.delta_bracket(els["eps2"], els["eps1"], cfg) == -1
-        assert emb.delta_bracket(els["g1"], els["g2"], cfg) == 1
-        assert emb.delta_bracket(els["g2"], els["g1"], cfg) == -1
+    def test_bracket_signs_of_appendix_units(self, emb, els):
+        assert emb.delta_bracket(els["eps1"], els["eps2"]) == 1
+        assert emb.delta_bracket(els["eps2"], els["eps1"]) == -1
+        assert emb.delta_bracket(els["g1"], els["g2"]) == 1
+        assert emb.delta_bracket(els["g2"], els["g1"]) == -1
 
-    def test_degenerate_bracket(self, emb, spec, cfg):
-        assert emb.delta_bracket(spec.one, spec.one, cfg) == 0
+    def test_degenerate_bracket(self, emb, spec):
+        assert emb.delta_bracket(spec.one, spec.one) == 0
 
-    def test_bracket_against_float_oracle(self, emb, els, cfg, spec):
+    def test_bracket_against_float_oracle(self, emb, els, spec):
         # high-precision floating determinant as an independent oracle
         mp = mpmath.mp
         old = mp.dps
@@ -122,18 +122,18 @@ class TestSignDet:
             oracle = 1 if mpmath.det(m) > 0 else -1
         finally:
             mp.dps = old
-        assert emb.delta_bracket(u1, u2, cfg) == oracle
+        assert emb.delta_bracket(u1, u2) == oracle
 
     @given(a=coords, b=coords, c=coords)
-    def test_antisymmetry(self, emb, cfg, spec, a, b, c):
+    def test_antisymmetry(self, emb, spec, a, b, c):
         x, y, z = spec.element(*a), spec.element(*b), spec.element(*c)
-        assert emb.sign_det(x, y, z, cfg) == -emb.sign_det(y, x, z, cfg)
+        assert emb.sign_det(x, y, z) == -emb.sign_det(y, x, z)
 
     @given(a=coords, b=coords, p=coord, q=coord)
-    def test_zero_iff_rationally_dependent(self, emb, cfg, spec, a, b, p, q):
+    def test_zero_iff_rationally_dependent(self, emb, spec, a, b, p, q):
         x, y = spec.element(*a), spec.element(*b)
         z = x.scalar_mul(p) + y.scalar_mul(q)
-        assert emb.sign_det(x, y, z, cfg) == 0
+        assert emb.sign_det(x, y, z) == 0
         # exact rank oracle agrees by construction
         m = [[v.coords[i] for v in (x, y, z)] for i in range(3)]
         assert det3(m) == 0
@@ -195,6 +195,21 @@ class TestSignConfig:
         assert list(cfg.ladder()) == [64, 128, 256]
         assert list(cfg.ladder(128)) == [128, 256]
         assert list(cfg.ladder(512)) == []
+
+    def test_positivity_ladder_holds_the_cap(self, config, els):
+        # g1^16 has an embedding too close to 0 to separate at 128 bits
+        x = els["g1"] ** 16
+        capped = SignConfig(start_bits=64, max_bits=128)
+        emb = RealEmbeddings(config.spec, config.embedding_order, cfg=capped)
+        with pytest.raises(PrecisionExhausted):
+            emb.embed_positive(x, 64)
+        with pytest.raises(PrecisionExhausted):
+            emb.is_totally_positive(x)
+        with pytest.raises(PrecisionExhausted):
+            emb.embed_positive(els["g1"], 256)
+        emb = RealEmbeddings(config.spec, config.embedding_order, cfg=SignConfig())
+        assert all(e.lo > 0 for e in emb.embed_positive(x, 64))
+        assert emb.is_totally_positive(x)
 
 
 def test_no_shared_mpmath_state(monkeypatch, tmp_path):

@@ -3,8 +3,10 @@ and the command line. Whatever they hold, the run ends with a report for
 every selected scenario, or with one line of config or usage error on
 stderr, and its exit code is 0, 1, 2 or 3; no other exception escapes.
 
-The configs keep to cheap scenario kinds and a window of at most 3, and
-element exponents stay small (a huge `^k` is slow by nature, not a fault).
+The configs keep to cheap scenario kinds and a window of at most 3. An
+exponent token is small or huge: a power whose |k| times the bit height of
+its base exceeds `scenario.MAX_POWER_BITS` is a parse error, and every power
+to the huge token is one.
 """
 
 import functools
@@ -24,7 +26,7 @@ DROP = object()
 
 # element expressions: tokens joined by spaces, so no two digits merge into
 # a large exponent
-TOKENS = ["y", "g1", "eps1", "pi", "nope", "0", "1", "2", "12", "1/2"]
+TOKENS = ["y", "g1", "eps1", "pi", "nope", "0", "1", "2", "12", "3000000", "1/2"]
 TOKENS += ["+", "-", "*", "/", "^", "^ -", "(", ")", "#", "."]
 expressions = st.lists(st.sampled_from(TOKENS), max_size=10).map(" ".join)
 

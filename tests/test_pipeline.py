@@ -14,71 +14,71 @@ from shintani_forge.errors import (
 
 
 class TestFixgi:
-    def test_appendix_pair_passes(self, emb, els, cfg):
-        rep = units.check_fixgi(els["eps1"], els["eps2"], emb, cfg)
+    def test_appendix_pair_passes(self, emb, els):
+        rep = units.check_fixgi(els["eps1"], els["eps2"], emb)
         assert rep.passed
         assert all(m > 0 for m in rep.margins.values())
 
-    def test_same_element_twice_fails(self, emb, els, cfg):
-        rep = units.check_fixgi(els["eps1"], els["eps1"], emb, cfg)
+    def test_same_element_twice_fails(self, emb, els):
+        rep = units.check_fixgi(els["eps1"], els["eps1"], emb)
         assert not rep.passed
 
-    def test_reciprocal_pair_fails(self, emb, els, cfg):
-        rep = units.check_fixgi(els["eps1"].inverse(), els["eps2"], emb, cfg)
+    def test_reciprocal_pair_fails(self, emb, els):
+        rep = units.check_fixgi(els["eps1"].inverse(), els["eps2"], emb)
         assert not rep.passed
 
 
 class TestSignSuite:
-    def test_normalized_appendix_passes(self, emb, els, cfg, pihats):
-        rep = units.check_sign_suite(els["eps1"], els["eps2"], pihats["case2"], emb, cfg)
+    def test_normalized_appendix_passes(self, emb, els, pihats):
+        rep = units.check_sign_suite(els["eps1"], els["eps2"], pihats["case2"], emb)
         assert rep.passed
         assert rep.signs["[e1|e2]"] == 1 and rep.signs["[e2|e1]"] == -1
         assert rep.signs["[e1|p]"] == -rep.signs["[p|e1]"] != 0
         assert rep.signs["[e2|p]"] == -rep.signs["[p|e2]"] != 0
 
-    def test_swapped_pair_fails(self, emb, els, cfg, pihats):
-        rep = units.check_sign_suite(els["eps2"], els["eps1"], pihats["case2"], emb, cfg)
+    def test_swapped_pair_fails(self, emb, els, pihats):
+        rep = units.check_sign_suite(els["eps2"], els["eps1"], pihats["case2"], emb)
         assert not rep.passed
         assert "[e1|e2] != +1" in rep.failures
 
-    def test_degenerate_pi_fails(self, emb, els, cfg):
-        rep = units.check_sign_suite(els["eps1"], els["eps2"], els["eps1"], emb, cfg)
+    def test_degenerate_pi_fails(self, emb, els):
+        rep = units.check_sign_suite(els["eps1"], els["eps2"], els["eps1"], emb)
         assert not rep.passed
 
-    def test_unnormalized_pi_fails(self, emb, els, cfg):
-        rep = units.check_sign_suite(els["eps1"], els["eps2"], els["pi1"], emb, cfg)
+    def test_unnormalized_pi_fails(self, emb, els):
+        rep = units.check_sign_suite(els["eps1"], els["eps2"], els["pi1"], emb)
         assert not rep.passed
 
 
 class TestChoosePower:
-    def test_appendix_units_give_one(self, emb, els, cfg):
-        assert units.choose_power(els["eps1"], els["eps2"], emb, l_max=3, cfg=cfg) == 1
+    def test_appendix_units_give_one(self, emb, els):
+        assert units.choose_power(els["eps1"], els["eps2"], emb, l_max=3) == 1
 
-    def test_exhausted_at_zero_budget(self, emb, els, cfg):
+    def test_exhausted_at_zero_budget(self, emb, els):
         with pytest.raises(Exhausted):
-            units.choose_power(els["eps1"], els["eps2"], emb, l_max=0, cfg=cfg)
+            units.choose_power(els["eps1"], els["eps2"], emb, l_max=0)
 
 
 class TestLatticeBall:
-    def test_tiny_ball_contains_identity_only(self, emb, els, cfg):
+    def test_tiny_ball_contains_identity_only(self, emb, els):
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
-        res = units.lattice_points_in_ball(lat, (0, 0, 0), Fraction(1, 10), emb, cfg=cfg)
+        res = units.lattice_points_in_ball(lat, (0, 0, 0), Fraction(1, 10), emb)
         assert [(k1, k2) for k1, k2, _ in res.inside] == [(0, 0)]
         assert not res.undecided
 
-    def test_ball_at_l1_nonempty(self, emb, els, cfg):
+    def test_ball_at_l1_nonempty(self, emb, els):
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
-        res = units.lattice_points_in_ball(lat, (-20, 40, -20), 30, emb, cfg=cfg)
+        res = units.lattice_points_in_ball(lat, (-20, 40, -20), 30, emb)
         assert res.inside
 
-    def test_result_independent_of_enumeration_box(self, emb, els, cfg):
+    def test_result_independent_of_enumeration_box(self, emb, els):
         # oracle: the radius-40 scan covers a larger box; filtered by float
         # distance from the center it must agree with the radius-25 scan
         # wherever that distance is clear of 25
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
         center = (-20, 40, -20)
-        small = units.lattice_points_in_ball(lat, center, 25, emb, cfg=cfg)
-        big = units.lattice_points_in_ball(lat, center, 40, emb, cfg=cfg)
+        small = units.lattice_points_in_ball(lat, center, 25, emb)
+        big = units.lattice_points_in_ball(lat, center, 40, emb)
         keys_small = {(k1, k2) for k1, k2, _ in small.inside}
         assert keys_small <= {(k1, k2) for k1, k2, _ in big.inside}
         near, far = set(), set()
@@ -97,11 +97,11 @@ class TestLatticeBall:
         "center, radius",
         [((-20, 40, -20), 25), ((-41, 66, -25), 1), ((0, 0, 0), 30), ((10, -20, 10), 12)],
     )
-    def test_matches_brute_force_scan(self, emb, els, cfg, center, radius):
+    def test_matches_brute_force_scan(self, emb, els, center, radius):
         # oracle: float logs of every exponent pair in a wide square; points
         # clear of the boundary must be classified the same way
         lat = units.LogLattice(basis=(els["eps1"], els["eps2"]))
-        res = units.lattice_points_in_ball(lat, center, radius, emb, cfg=cfg)
+        res = units.lattice_points_in_ball(lat, center, radius, emb)
         keys = {(k1, k2) for k1, k2, _ in res.inside}
         l1, l2 = (
             [iv_mid_err(v)[0] for v in trace_zero(emb.log_embed(u, 128))]
@@ -117,28 +117,28 @@ class TestLatticeBall:
                     assert (k1, k2) not in keys
         assert near and near <= keys
 
-    def test_coset_elements_have_pi_norm(self, emb, els, cfg):
+    def test_coset_elements_have_pi_norm(self, emb, els):
         lat = units.LogLattice(basis=(els["g1"], els["g2"]), offset=els["pi"].inverse())
-        res = units.lattice_points_in_ball(lat, (0, 0, 0), 10, emb, cfg=cfg)
+        res = units.lattice_points_in_ball(lat, (0, 0, 0), 10, emb)
         assert res.inside
         for _, _, el in res.inside:
             assert el.norm() == Fraction(1, 113**2)
 
-    def test_dependent_basis_rejected(self, emb, els, cfg):
+    def test_dependent_basis_rejected(self, emb, els):
         lat = units.LogLattice(basis=(els["eps1"], els["eps1"]))
         with pytest.raises(SignConditionFailed):
-            units.lattice_points_in_ball(lat, (0, 0, 0), 1, emb, cfg=cfg)
+            units.lattice_points_in_ball(lat, (0, 0, 0), 1, emb)
 
 
 class TestTriangleSearch:
-    def test_identity_short_circuit(self, emb, els, cfg, pihats, geo, spec):
+    def test_identity_short_circuit(self, emb, els, pihats, geo, spec):
         alpha, omega = units.triangle_search(
-            els["eps1"], els["eps2"], pihats["case1"], 1, emb, cfg=cfg
+            els["eps1"], els["eps2"], pihats["case1"], 1, emb
         )
         assert omega == spec.one
         assert alpha == pihats["case1"].inverse()
 
-    def test_finds_normalization_in_full_unit_group(self, emb, els, cfg, geo):
+    def test_finds_normalization_in_full_unit_group(self, emb, els, geo):
         alpha, omega = units.triangle_search(
             els["eps1"],
             els["eps2"],
@@ -146,29 +146,27 @@ class TestTriangleSearch:
             1,
             emb,
             unit_basis=(els["g1"], els["g2"]),
-            cfg=cfg,
         )
         pihat = omega * els["pi"]
         assert geo.prop4_union(els["eps1"], els["eps2"]).contains_vec(
             _int_vec(pihat.inverse().coords)
         )
-        assert units.check_sign_suite(els["eps1"], els["eps2"], pihat, emb, cfg).passed
+        assert units.check_sign_suite(els["eps1"], els["eps2"], pihat, emb).passed
 
-    def test_exhausted_when_coset_has_no_valid_point(self, emb, els, cfg):
+    def test_exhausted_when_coset_has_no_valid_point(self, emb, els):
         # the plain pi admits no valid normalization inside the index-20
         # subgroup generated by the overridden pair
         with pytest.raises(Exhausted):
-            units.triangle_search(els["eps1"], els["eps2"], els["pi"], 1, emb, cfg=cfg)
+            units.triangle_search(els["eps1"], els["eps2"], els["pi"], 1, emb)
 
 
 class TestBuildConstruction:
-    def test_appendix_scenario(self, emb, geo, els, cfg):
+    def test_appendix_scenario(self, emb, geo, els):
         res = units.build_construction(
             els["g1"],
             els["g2"],
             els["pi"],
             emb,
-            cfg=cfg,
             l_max=4,
             eps_pair=(els["eps1"], els["eps2"]),
         )
@@ -177,16 +175,16 @@ class TestBuildConstruction:
         assert res.case in ("case1", "case2")
         assert res.evidence["cover_anchor"] == (0, 0)
         pihat = res.omega * els["pi"]
-        assert units.check_sign_suite(res.eps1, res.eps2, pihat, emb, cfg).passed
+        assert units.check_sign_suite(res.eps1, res.eps2, pihat, emb).passed
         assert geo.prop4_union(res.eps1, res.eps2).contains_vec(_int_vec(pihat.inverse().coords))
 
-    def test_non_unit_rejected(self, emb, els, cfg, spec):
+    def test_non_unit_rejected(self, emb, els, spec):
         with pytest.raises(ValueError):
-            units.build_construction(spec.element(2), els["g2"], els["pi"], emb, cfg=cfg)
+            units.build_construction(spec.element(2), els["g2"], els["pi"], emb)
 
-    def test_non_positive_pi_rejected(self, emb, els, cfg, spec):
+    def test_non_positive_pi_rejected(self, emb, els, spec):
         with pytest.raises(NotTotallyPositive):
-            units.build_construction(els["g1"], els["g2"], -els["pi"], emb, cfg=cfg)
+            units.build_construction(els["g1"], els["g2"], -els["pi"], emb)
 
 
 class TestClassifyCase:

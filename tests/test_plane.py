@@ -132,39 +132,39 @@ class TestDerivatives:
         for (i, t), want in signs.items():
             assert plane.endpoint_derivative(i, 1, t, e1, e2, emb).sign == want
 
-    def test_limits_match_lemma(self, emb, els, cfg):
+    def test_limits_match_lemma(self, emb, els):
         e1, e2 = els["eps1"], els["eps2"]
         for i in (1, 2):
             for t in (0, 1):
-                lv = plane.limit_derivative(i, t, e1, e2, emb, cfg)
+                lv = plane.limit_derivative(i, t, e1, e2, emb)
                 assert lv.ok
 
-    def test_limit_matches_large_power_derivative(self, emb, els, cfg):
+    def test_limit_matches_large_power_derivative(self, emb, els):
         e1, e2 = els["eps1"], els["eps2"]
-        lv = plane.limit_derivative(1, 1, e1, e2, emb, cfg)
+        lv = plane.limit_derivative(1, 1, e1, e2, emb)
         d = plane.endpoint_derivative(1, 50, 1, e1, e2, emb, bits=256)
         assert abs(lv.value - d.value) <= 1e-3 * abs(lv.value)
 
-    def test_fixgi_violated_for_rational_element(self, emb, spec, cfg):
+    def test_fixgi_violated_for_rational_element(self, emb, spec):
         two = spec.element(2)
         with pytest.raises(FixgiViolated):
-            plane.limit_derivative(1, 0, two, two, emb, cfg)
+            plane.limit_derivative(1, 0, two, two, emb)
 
-    def test_fixgi_holds_only_for_the_good_pair(self, emb, els, cfg):
-        assert plane.fixgi_holds(els["eps1"], els["eps2"], emb, cfg)
-        assert not plane.fixgi_holds(els["g1"], els["g2"], emb, cfg)
+    def test_fixgi_holds_only_for_the_good_pair(self, emb, els):
+        assert plane.fixgi_holds(els["eps1"], els["eps2"], emb)
+        assert not plane.fixgi_holds(els["g1"], els["g2"], emb)
 
 
 class TestDirectionBounds:
-    def test_appendix_pair_passes_at_l1(self, emb, els, cfg):
-        rep = plane.check_direction_bounds(1, els["eps1"], els["eps2"], emb, n_points=32, cfg=cfg)
+    def test_appendix_pair_passes_at_l1(self, emb, els):
+        rep = plane.check_direction_bounds(1, els["eps1"], els["eps2"], emb, n_points=32)
         assert rep.passed
         assert rep.min_margin > 0
 
-    def test_raw_generators_fail(self, emb, els, cfg):
-        rep = plane.check_direction_bounds(1, els["g1"], els["g2"], emb, n_points=32, cfg=cfg)
+    def test_raw_generators_fail(self, emb, els):
+        rep = plane.check_direction_bounds(1, els["g1"], els["g2"], emb, n_points=32)
         assert not rep.passed
 
-    def test_swapped_pair_fails(self, emb, els, cfg):
-        rep = plane.check_direction_bounds(1, els["eps2"], els["eps1"], emb, n_points=32, cfg=cfg)
+    def test_swapped_pair_fails(self, emb, els):
+        rep = plane.check_direction_bounds(1, els["eps2"], els["eps1"], emb, n_points=32)
         assert not rep.passed

@@ -153,11 +153,19 @@ class TestConfig:
             ("poly_coeffs", ["1", "-1", "-4", True]),
             ("poly_coeffs", ["1", "-1", "-4", 2.0]),
             ("poly_coeffs", "1 -1 -4 2"),
+            ("field", 3),
+            ("precision", []),
+            ("elements", []),
+            ("g1", 5),
+            ("units", "g1"),
+            ("totally_positive", 5),
+            ("scenarios", {}),
         ],
     )
     def test_config_ints_are_checked(self, tmp_path, capsys, name, value):
         raw = json.loads(bundled_config_path().read_text())
-        section = next((s for s in (raw["precision"], raw["field"]) if name in s), raw)
+        sections = (raw["precision"], raw["field"], raw["elements"])
+        section = next((s for s in sections if name in s), raw)
         section[name] = value
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(raw))
@@ -165,6 +173,15 @@ class TestConfig:
             load_config(cfgp)
         assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("expr", ["g1^3000000", "(g1^200)^200", "y^-70000"])
+    def test_large_power_is_config_error(self, tmp_path, expr):
+        elements = json.loads(bundled_config_path().read_text())["elements"] | {"z": expr}
+        cfgp = _bundled_with(tmp_path, elements=elements)
+        proc = _run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        err = proc.stderr.decode()
+        assert err.startswith("config error: power ") and "exceeds 65536 bits" in err
 
     def test_large_coefficients_load_the_same_field(self, rt, tmp_path):
         coeffs = json.loads(bundled_config_path().read_text())["field"]["poly_coeffs"]
@@ -457,6 +474,20 @@ class TestReports:
         assert report["outcome"] == "ERROR"
         assert report["evidence"] == [{"name": "error", "value": error}]
 
+    def test_enclosure_above_cap_is_inconclusive(self, monkeypatch, tmp_path):
+        # the basis logs need g1^16 certified positive, past 128 bits
+        monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
+        raw = json.loads(bundled_config_path().read_text())
+        direction = next(sc for sc in raw["scenarios"] if sc["id"] == "direction")
+        direction["params"]["g1"] = "g16"
+        elements = raw["elements"] | {"g16": "g1^16"}
+        cfgp = _bundled_with(tmp_path, elements=elements, scenarios=[direction])
+        report = run_scenario(Runtime(load_config(cfgp)), "direction", tmp_path / "out")
+        assert report["outcome"] == "INCONCLUSIVE"
+        assert report["evidence"] == [
+            {"name": "error", "value": "embeddings not separated from zero at 128 bits"}
+        ]
+
     def test_undecided_sign_at_cap_is_inconclusive(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
         rt = Runtime(load_config(bundled_config_path()))
@@ -507,6 +538,20 @@ class TestRuntimeReuse:
             "case", "pi_normalized", "id1", "id2", "case2extra", "case2extra_reference",
         ]
         assert len(calls) == 1
+
+    def test_identities_scenario_builds_B_once(self, config, tmp_path, monkeypatch):
+        calls = []
+        original = Geometry.explicit_B
+
+        def counting(geo, *args):
+            calls.append(args)
+            return original(geo, *args)
+
+        monkeypatch.setattr(Geometry, "explicit_B", counting)
+        rt = Runtime(dataclasses.replace(config, window=3))
+        for n, sid in enumerate(("identities-case1", "identities-case2"), 1):
+            assert run_scenario(rt, sid, tmp_path)["outcome"] == "PASS"
+            assert len(calls) == n
 
     def test_fdcheck_keeps_no_table(self, config, els, monkeypatch):
         built = self._count_tables(monkeypatch)

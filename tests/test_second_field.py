@@ -18,12 +18,12 @@ def spec2():
 
 @pytest.fixture(scope="module")
 def emb2(spec2):
-    return RealEmbeddings(spec2)
+    return RealEmbeddings(spec2, cfg=SignConfig())
 
 
 @pytest.fixture(scope="module")
 def geo2(emb2):
-    return Geometry(emb2, SignConfig())
+    return Geometry(emb2)
 
 
 def test_roots_ascending(emb2):
@@ -38,18 +38,16 @@ def test_y_is_a_unit(spec2):
 
 
 def test_totally_positive_unit_square(spec2, emb2):
-    cfg = SignConfig()
     u = spec2.y * spec2.y
-    assert emb2.is_totally_positive(u, cfg)
+    assert emb2.is_totally_positive(u)
     assert u.norm() == 1
 
 
 def test_cone_partition_roundtrip(geo2, spec2, emb2):
-    cfg = SignConfig()
     one = spec2.one
     a = spec2.y**2
     b = (spec2.one + spec2.y) ** 2
-    assert emb2.is_totally_positive(b, cfg)
+    assert emb2.is_totally_positive(b)
     big = ShintaniSet.from_cones([geo2.cone(one, a, b)])
     small = ShintaniSet.from_cones([geo2.cone(one, a + b)])
     inter = geo2.intersect(big, small)
@@ -61,12 +59,11 @@ def test_cone_partition_roundtrip(geo2, spec2, emb2):
 
 
 def test_delta_antisymmetry_transfers(spec2, emb2):
-    cfg = SignConfig()
     x = spec2.element(1, 2, 0)
     y = spec2.element(0, 1, 1)
     z = spec2.element(3, 0, 1)
-    assert emb2.sign_det(x, y, z, cfg) == -emb2.sign_det(x, z, y, cfg)
-    assert emb2.sign_det(x, y, x.scalar_mul(2) + y.scalar_mul(3), cfg) == 0
+    assert emb2.sign_det(x, y, z) == -emb2.sign_det(x, z, y)
+    assert emb2.sign_det(x, y, x.scalar_mul(2) + y.scalar_mul(3)) == 0
 
 
 def test_perturbed_closure_on_second_field(geo2, spec2):
