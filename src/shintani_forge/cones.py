@@ -645,33 +645,52 @@ class Geometry:
         random totally positive point exactly once.
 
         Points are positive rational combinations of the spanning triple
-        (1, u1, u1*u2); each point's hit set over the whole window is decided
-        exactly by integer evaluation of the translates' defining forms.
+        (1, u1, u1*u2), so every point lies in the open cone S the triple
+        spans. A translate cell that misses S holds no point, so each point
+        is tested only against the cells that meet S, found once by exact
+        intersection; its hit set over the whole window is still exact.
+
+        A PASS is evidence about S only. Each bundled domain has S as one of
+        its cells, so a PASS there shows that no other window translate
+        meets that cell; a domain with another cell deleted, or with a
+        translate of another cell added, can still pass.
         """
         if samples < 1:
             raise ValueError("fundamental domain check needs samples >= 1")
-        translates = self._translates(d, u1, u2, window)
+        triple = (self.spec.one, u1, u1 * u2)
+        flat = _int_vec([c for v in triple for c in v.coords])
+        w = (flat[0:3], flat[3:6], flat[6:9])
+        s_cells = decompose_rays(w, self.trace_form)
+        candidates = {}
+        for k, cells in self._translates(d, u1, u2, window).items():
+            kept = [
+                c for c in cells if any(intersect_cells(s, c, self.trace_form) for s in s_cells)
+            ]
+            if kept:
+                candidates[k] = kept
         rng = random.Random(seed)
-        one = self.spec.one
-        triple = (one, u1, u1 * u2)
         bad = []
         boundary = []
         for _ in range(samples):
-            coeffs = [Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(3)]
-            x = self.spec.zero
-            for q, v in zip(coeffs, triple):
-                x = x + v.scalar_mul(q)
-            xv = _int_vec(x.coords)
+            coeffs = [(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(3)]
+            (a0, b0), (a1, b1), (a2, b2) = coeffs
+            # b0 b1 b2 times the point, scaled as the triple is to w: its ray
+            c0, c1, c2 = a0 * b1 * b2, a1 * b0 * b2, a2 * b0 * b1
+            xv = tuple(c0 * w[0][i] + c1 * w[1][i] + c2 * w[2][i] for i in range(3))
             hits = [
                 k
-                for k, cells in translates.items()
+                for k, cells in candidates.items()
                 if any(c.contains_vec(xv) for c in cells)
             ]
+            edge = [k for k in hits if abs(k[0]) == window or abs(k[1]) == window]
+            if len(hits) == 1 and not edge:
+                continue
+            x = self.spec.zero
+            for (a, b), v in zip(coeffs, triple):
+                x = x + v.scalar_mul(Fraction(a, b))
             if len(hits) != 1:
                 bad.append((x.coords, sorted(hits)))
-            for k1, k2 in hits:
-                if abs(k1) == window or abs(k2) == window:
-                    boundary.append(((k1, k2), x.coords))
+            boundary += [(k, x.coords) for k in edge]
         return FDReport(
             passed=not bad and not boundary,
             samples=samples,

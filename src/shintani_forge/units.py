@@ -216,7 +216,7 @@ def triangle_search(
     l: int,
     emb: RealEmbeddings,
     unit_basis: tuple[FieldElement, FieldElement] | None = None,
-    q_max: float = 64.0,
+    q_max: int = 64,
 ) -> tuple[FieldElement, FieldElement]:
     """Find omega in the unit group with alpha = omega^-1 pi^-1 inside the
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
@@ -307,7 +307,7 @@ def build_construction(
     pi: FieldElement,
     emb: RealEmbeddings,
     l_max: int = 8,
-    q_max: float = 64.0,
+    q_max: int = 64,
     window: int = 8,
     eps_pair: tuple[FieldElement, FieldElement] | None = None,
 ) -> ConstructionResult:

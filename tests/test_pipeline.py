@@ -155,8 +155,8 @@ class TestTriangleSearch:
 
     def test_exhausted_when_coset_has_no_valid_point(self, emb, els):
         # the plain pi admits no valid normalization inside the index-20
-        # subgroup generated by the overridden pair
-        with pytest.raises(Exhausted):
+        # subgroup generated by the overridden pair; the budget prints as an int
+        with pytest.raises(Exhausted, match=r"^triangle search exhausted at 64$"):
             units.triangle_search(els["eps1"], els["eps2"], els["pi"], 1, emb)
 
 
