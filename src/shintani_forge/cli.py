@@ -8,11 +8,11 @@ Exit codes: 0 all PASS, 1 any FAIL, 2 any ERROR, 3 any INCONCLUSIVE.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
 
-from .embedding import SignConfig
 from .scenario import Runtime, exit_code, load_config, run_scenario, write_report
 
 _KIND_FOR_COMMAND = {
@@ -56,11 +56,8 @@ def main(argv=None) -> int:
         return 2
     if args.bits is not None:
         try:
-            config.sign_config = SignConfig(
-                start_bits=args.bits,
-                max_bits=max(config.sign_config.max_bits, args.bits),
-                escalation_factor=config.sign_config.escalation_factor,
-            )
+            # the cap stays the config's: --bits above it is invalid
+            config.sign_config = dataclasses.replace(config.sign_config, start_bits=args.bits)
         except ValueError as exc:
             print(f"invalid --bits: {exc}", file=sys.stderr)
             return 2

@@ -408,12 +408,12 @@ class Geometry:
                 raise NotTotallyPositive(f"cone generator {e!r} is not totally positive")
         return Cone.from_rays([e.coords for e in elems])
 
-    def shintani_set(self, cones, check: bool = True) -> ShintaniSet:
+    def shintani_set(self, cones) -> ShintaniSet:
+        """The set of the given cells; DegenerateGeometry when two meet."""
         s = ShintaniSet.from_cones(cones)
-        if check:
-            bad = self.find_overlap(s)
-            if bad is not None:
-                raise DegenerateGeometry(f"cells overlap: {bad[0]!r} and {bad[1]!r}")
+        bad = self.find_overlap(s)
+        if bad is not None:
+            raise DegenerateGeometry(f"cells overlap: {bad[0]!r} and {bad[1]!r}")
         return s
 
     def find_overlap(self, s: ShintaniSet):
@@ -502,9 +502,8 @@ class Geometry:
         perturbation along e1 (the first embedding slot)."""
         gens_e = [self.element_of_vec(g) for g in c.gens]
         if c.dim < 3:
-            if self.emb.e1_outside_span(gens_e):
-                return ShintaniSet.from_cones([c])
-            raise DegenerateGeometry("e1 inside the span of a low-dimensional cone")
+            self.emb.e1_outside_span(gens_e)
+            return ShintaniSet.from_cones([c])
         d = self.emb.e1_coordinate_signs(gens_e)
         neg = {i for i in range(3) if d[i] < 0}
         cells = [c]
@@ -529,7 +528,7 @@ class Geometry:
         self._check_unit_pair(eps1, eps2)
         cells = list(self.perturbed_closure(self.bracket(eps1, eps2)).cones)
         cells += list(self.perturbed_closure(self.bracket(eps2, eps1)).cones)
-        return self.shintani_set(cells, check=True)
+        return self.shintani_set(cells)
 
     def explicit_B(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
         self._check_unit_pair(eps1, eps2)
@@ -543,7 +542,7 @@ class Geometry:
             self.cone(one, eps1, e12),
             self.cone(one, eps2, e12),
         ]
-        return self.shintani_set(cells, check=True)
+        return self.shintani_set(cells)
 
     def explicit_B1(self, eps2: FieldElement, pi: FieldElement) -> ShintaniSet:
         return self._mixed_domain(eps2, pi, "e2")
@@ -571,7 +570,7 @@ class Geometry:
             self.cone(one, eps, epi),
             self.cone(one, pi, epi),
         ]
-        return self.shintani_set(cells, check=True)
+        return self.shintani_set(cells)
 
     # -- translates, covers, supports -----------------------------------------
 
@@ -588,6 +587,8 @@ class Geometry:
     def _overlap_support(self, d, x, u1, u2, window):
         """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
         a k on the window boundary raises WindowExceeded."""
+        if not self.emb.is_totally_positive(x):
+            raise NotTotallyPositive("translate target must be totally positive")
         key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords, window)
         table = self._tables.get(key)
         if table is None:
@@ -617,8 +618,6 @@ class Geometry:
         u2: FieldElement,
         window: int = 8,
     ) -> CoverBox:
-        if not self.emb.is_totally_positive(x):
-            raise NotTotallyPositive("cover target must be totally positive")
         hits = self._overlap_support(d, x, u1, u2, window)
         if not hits:
             raise WindowExceeded("x^-1 D meets no translate inside the window")

@@ -17,6 +17,9 @@ from .field import FieldElement
 from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs
 from fractions import Fraction
 
+# working precision of every figure curve and marker
+FIGURE_BITS = 96
+
 
 @dataclass
 class Layer:
@@ -53,25 +56,21 @@ def set_boundary_faces(s: ShintaniSet):
     return sorted(faces), sorted(rays)
 
 
-def sample_face_curve(
-    pair,
-    basis: PhiBasis,
-    emb: RealEmbeddings,
-    n_points: int,
-    bits: int,
-    curve_id: str,
-) -> CurveSample:
-    """phi image of the embedded segment between two generator rays."""
+def sample_face_curve(pair, basis: PhiBasis, n_points: int) -> CurveSample:
+    """phi image of the embedded segment between two generator rays, at the
+    basis precision; the curve id is the face."""
+    emb, bits = basis.emb, basis.bits
     e_from = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[0])), bits)
     e_to = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[1])), bits)
     ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
     pts = tuple(basis.point(_segment_logs(e_from, e_to, t, bits)) for t in ts)
-    return CurveSample(curve_id=(curve_id,), ts=ts, points=pts)
+    return CurveSample(curve_id=pair, ts=ts, points=pts)
 
 
-def ray_point(ray, basis: PhiBasis, emb: RealEmbeddings, bits: int) -> PlanePoint:
+def ray_point(ray, basis: PhiBasis) -> PlanePoint:
+    emb = basis.emb
     x = FieldElement(emb.spec, tuple(Fraction(v) for v in ray))
-    return basis.point(emb.log_embed(x, bits))
+    return basis.point(emb.log_embed(x, basis.bits))
 
 
 def materialize_scene(
@@ -79,15 +78,14 @@ def materialize_scene(
     emb: RealEmbeddings,
     basis_pair,
     n_points: int = 33,
-    bits: int = 96,
     sampled: dict | None = None,
 ):
-    """Expand set layers into concrete curves/markers; returns a list of
-    (layer, curves, markers).
+    """Expand set layers into concrete curves/markers at FIGURE_BITS;
+    returns a list of (layer, curves, markers).
 
-    `sampled` maps (basis coords, n_points, bits, face) to a sampled face
-    curve; scenes that share it sample each distinct face curve once."""
-    basis = PhiBasis(emb, basis_pair[0], basis_pair[1], bits)
+    `sampled` maps (basis coords, n_points, face) to a sampled face curve;
+    scenes that share it sample each distinct face curve once."""
+    basis = PhiBasis(emb, basis_pair[0], basis_pair[1], FIGURE_BITS)
     basis_key = (basis_pair[0].coords, basis_pair[1].coords)
     sampled = {} if sampled is None else sampled
     out = []
@@ -97,14 +95,13 @@ def materialize_scene(
         if layer.kind == "set":
             faces, rays = set_boundary_faces(layer.payload)
             for fi, pair in enumerate(faces):
-                curve_id = f"layer{li}/face{fi}"
-                key = (basis_key, n_points, bits, pair)
+                key = (basis_key, n_points, pair)
                 if key not in sampled:
-                    sampled[key] = sample_face_curve(pair, basis, emb, n_points, bits, curve_id)
+                    sampled[key] = sample_face_curve(pair, basis, n_points)
                 hit = sampled[key]
-                curves.append(CurveSample((curve_id,), hit.ts, hit.points))
+                curves.append(CurveSample((f"layer{li}/face{fi}",), hit.ts, hit.points))
             for ray in rays:
-                markers.append(ray_point(ray, basis, emb, bits))
+                markers.append(ray_point(ray, basis))
         elif layer.kind == "curves":
             curves.extend(layer.payload)
         else:
@@ -113,8 +110,10 @@ def materialize_scene(
     return out
 
 
-def render_svg_csv(materialized, svg_path, csv_path, size: int = 640, pad: float = 0.05):
-    """Write the SVG document and the CSV table of all sampled points."""
+def render_svg_csv(materialized, svg_path, csv_path):
+    """Write the SVG document and the CSV table of all sampled points, on a
+    640-pixel square with 5% padding around the data."""
+    size, pad = 640, 0.05
     xs = []
     ys = []
     for _, curves, markers in materialized:

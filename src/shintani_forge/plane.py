@@ -24,6 +24,9 @@ from .embedding import (
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
 
+# working precision of phi, the direction checks and the limit derivatives
+PLANE_BITS = 128
+
 
 @dataclass(frozen=True)
 class PlanePoint:
@@ -74,6 +77,7 @@ class PhiBasis:
         self.emb = emb
         self.g1 = g1
         self.g2 = g2
+        self.bits = bits
         self.iv = iv_context(bits)
         self.l1 = emb.log_embed(g1, bits)
         self.l2 = emb.log_embed(g2, bits)
@@ -104,10 +108,9 @@ def phi(
     g1: FieldElement,
     g2: FieldElement,
     emb: RealEmbeddings,
-    bits: int = 128,
 ) -> PlanePoint:
     """phi_(g1,g2)(x) with the error radius of the interval evaluation."""
-    return PhiBasis(emb, g1, g2, bits).point(emb.log_embed(x, bits))
+    return PhiBasis(emb, g1, g2, PLANE_BITS).point(emb.log_embed(x, PLANE_BITS))
 
 
 def _segment_logs(e_from, e_to, t: Fraction, bits: int):
@@ -128,7 +131,7 @@ def curve_sample(
     g2: FieldElement,
     emb: RealEmbeddings,
     n_points: int = 512,
-    bits: int = 128,
+    bits: int = PLANE_BITS,
     translate: tuple = (0, 0),
 ) -> CurveSample:
     """phi image of the segment from (1,1,1) to the embeddings of g_i^l,
@@ -181,7 +184,7 @@ def endpoint_derivative(
     g1: FieldElement,
     g2: FieldElement,
     emb: RealEmbeddings,
-    bits: int = 128,
+    bits: int = PLANE_BITS,
 ) -> DerivativeValue:
     """Closed form of dy/dx of curve (i, l) at t = 0 or t = 1."""
     if t not in (0, 1):
@@ -246,7 +249,6 @@ def limit_derivative(
     g1: FieldElement,
     g2: FieldElement,
     emb: RealEmbeddings,
-    bits: int = 128,
 ) -> LimitValue:
     """The limiting endpoint derivative as the power grows, with its sign
     certified; requires the fixgi inequality chains."""
@@ -255,7 +257,7 @@ def limit_derivative(
     if not fixgi_holds(g1, g2, emb):
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
     expected = _LIMIT_EXPECTED[(i, t)]
-    for work in emb.cfg.ladder(bits):
+    for work in emb.cfg.ladder(PLANE_BITS):
         logs1 = emb.log_embed(g1, work)
         logs2 = emb.log_embed(g2, work)
         if (i, t) == (1, 0):
@@ -282,7 +284,6 @@ def check_direction_bounds(
     g2: FieldElement,
     emb: RealEmbeddings,
     n_points: int = 64,
-    bits: int = 128,
 ) -> DirectionReport:
     """Certified sampled check of the four curve bounds
     y_1 >= 0, x_2 <= 0, 0 <= x_1 <= l, 0 <= y_2 <= l.
@@ -294,7 +295,7 @@ def check_direction_bounds(
     """
     if l < 1 or n_points < 3:
         raise ValueError("direction check needs l >= 1 and n_points >= 3 (one interior sample)")
-    basis = PhiBasis(emb, g1, g2, bits)
+    basis = PhiBasis(emb, g1, g2, PLANE_BITS)
     bounds = {
         "y1 >= 0": [],
         "x1 >= 0": [],
@@ -306,11 +307,11 @@ def check_direction_bounds(
     passed = True
     for i in (1, 2):
         gpow = (g1 if i == 1 else g2) ** l
-        e_to = emb.embed_positive(gpow, bits)
+        e_to = emb.embed_positive(gpow, PLANE_BITS)
         e_one = [RatInterval.point(1)] * 3
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
-            for work in emb.cfg.ladder(bits):
+            for work in emb.cfg.ladder(PLANE_BITS):
                 logs = _segment_logs(e_one, e_to, t, work)
                 a, b = basis.project_logs(logs)
                 # l - a and l - b at the rung's precision, not the basis's

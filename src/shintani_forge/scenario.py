@@ -26,7 +26,7 @@ from .errors import (
     UnknownScenario,
 )
 from .field import FieldElement, FieldSpec
-from .figures import Scene, materialize_scene, render_svg_csv
+from .figures import FIGURE_BITS, Scene, materialize_scene, render_svg_csv
 from .plane import check_direction_bounds, curve_sample
 
 SCHEMA_VERSION = 1
@@ -416,7 +416,7 @@ def _run_cover(rt: Runtime, p: dict, outdir, seed):
 
 def _run_figures(rt: Runtime, p: dict, outdir, seed):
     e1, e2, g1, g2 = p["eps1"], p["eps2"], p["g1"], p["g2"]
-    n_points, bits = p["n_points"], 96
+    n_points, bits = p["n_points"], FIGURE_BITS
     artifacts = []
     evidence = []
     sampled = {}  # face curves, shared by the four figures (fig3 redraws fig2's B)
@@ -448,9 +448,7 @@ def _run_figures(rt: Runtime, p: dict, outdir, seed):
             for u in (rt.config.spec.one, g1, g2, g1 * g2):
                 scene.add_set(rt.geo.scale(d, u), color="#1f4e9c", width=1.0)
             scene.add_set(rt.geo.scale(d, p["pi"].inverse()), color="#c41111", width=1.2)
-        mat = materialize_scene(
-            scene, rt.emb, basis, n_points=min(n_points, 129), bits=bits, sampled=sampled
-        )
+        mat = materialize_scene(scene, rt.emb, basis, n_points=min(n_points, 129), sampled=sampled)
         svg = Path(outdir) / f"{fig}.svg"
         csv = Path(outdir) / f"{fig}.csv"
         render_svg_csv(mat, svg, csv)

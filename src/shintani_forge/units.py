@@ -20,6 +20,7 @@ from .embedding import RealEmbeddings, iv_fraction, iv_mid_err, trace_zero
 from .errors import Exhausted, NotTotallyPositive, SignConditionFailed
 from .field import FieldElement
 from .plane import (
+    PLANE_BITS,
     check_direction_bounds,
     endpoint_derivative,
     fixgi_margins,
@@ -115,7 +116,6 @@ def choose_power(
     g2: FieldElement,
     emb: RealEmbeddings,
     l_max: int = 8,
-    n_points: int = 64,
 ) -> int:
     """Least power for which the direction bounds hold and the endpoint
     derivative signs agree with the limiting signs."""
@@ -125,7 +125,7 @@ def choose_power(
         for t in (0, 1)
     }
     for l in range(1, l_max + 1):
-        rep = check_direction_bounds(l, g1, g2, emb, n_points=n_points)
+        rep = check_direction_bounds(l, g1, g2, emb)
         if not rep.passed:
             continue
         ok = True
@@ -160,7 +160,6 @@ def lattice_points_in_ball(
     center: tuple,
     radius,
     emb: RealEmbeddings,
-    bits: int = 128,
 ) -> LatticeBallResult:
     """All integer combinations whose Log enclosure is certified inside the
     closed sup-norm ball; combinations still straddling the boundary at the
@@ -183,7 +182,7 @@ def lattice_points_in_ball(
             )
         return rungs[work]
 
-    (l1, l2, lo), _, _ = rung(bits)
+    (l1, l2, lo), _, _ = rung(PLANE_BITS)
     g11 = sum(a * a for a in l1)
     g22 = sum(a * a for a in l2)
     g12 = sum(a * b for a, b in zip(l1, l2))
@@ -196,7 +195,7 @@ def lattice_points_in_ball(
     inside = []
     undecided = []
     for k1, k2 in _exponent_box(p, s1, s2, c0 - r, c0 + r, c1 - r, c1 + r):
-        for work in emb.cfg.ladder(bits):
+        for work in emb.cfg.ladder(PLANE_BITS):
             (v1, v2, vo), ci, ri = rung(work)
             ds = [k1 * a + k2 * b + o - c for a, b, o, c in zip(v1, v2, vo, ci)]
             if all(d.b <= ri.a and d.a >= -ri.a for d in ds):
@@ -216,7 +215,6 @@ def triangle_search(
     l: int,
     emb: RealEmbeddings,
     unit_basis: tuple[FieldElement, FieldElement] | None = None,
-    q_max: int = 64,
 ) -> tuple[FieldElement, FieldElement]:
     """Find omega in the unit group with alpha = omega^-1 pi^-1 inside the
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
@@ -224,7 +222,7 @@ def triangle_search(
     omega ranges over the group generated by `unit_basis` (the full unit
     group; defaults to (eps1, eps2)). Candidates are enumerated by phi image
     inside the corner wedge T(theta, Q, (l,l)) n T(gamma, (l,l)) with Q
-    growing geometrically; every candidate is verified by exact cone
+    doubling up to 64; every candidate is verified by exact cone
     membership plus the certified sign suite, which are the binding
     contracts. If the wedge never captures a valid point (the wedge argument
     is asymptotic in the power), a bounded sweep of coset points near the
@@ -275,6 +273,7 @@ def triangle_search(
                 out.append((x, y, m1, m2))
         return out
 
+    q_max = 64
     tried = set()
     q = 1.0
     while q <= q_max:
@@ -307,7 +306,6 @@ def build_construction(
     pi: FieldElement,
     emb: RealEmbeddings,
     l_max: int = 8,
-    q_max: int = 64,
     window: int = 8,
     eps_pair: tuple[FieldElement, FieldElement] | None = None,
 ) -> ConstructionResult:
@@ -346,9 +344,7 @@ def build_construction(
     eps1 = c1**l
     eps2 = c2**l
 
-    alpha, omega = triangle_search(
-        eps1, eps2, pi, l, emb, unit_basis=(g1, g2), q_max=q_max
-    )
+    alpha, omega = triangle_search(eps1, eps2, pi, l, emb, unit_basis=(g1, g2))
     evidence["alpha"] = [str(c) for c in alpha.coords]
     evidence["omega"] = [str(c) for c in omega.coords]
 

@@ -212,6 +212,12 @@ class TestDomains:
     def test_explicit_B_is_six_disjoint_cells(self, B):
         assert len(B) == 6
 
+    def test_overlapping_cells_rejected(self, geo, els, B):
+        # the ray through an interior point of C(1, eps1, eps1*eps2) meets that cell
+        one, e1, e12 = els["eps1"].spec.one, els["eps1"], els["eps1"] * els["eps2"]
+        with pytest.raises(DegenerateGeometry, match="cells overlap"):
+            geo.shintani_set(list(B.cones) + [geo.cone(one + e1 + e12)])
+
     def test_explicit_B1_B2_valid_for_normalized_pi(self, geo, els, pihats):
         b1 = geo.explicit_B1(els["eps2"], pihats["case1"])
         b2 = geo.explicit_B2(els["eps1"], pihats["case1"])

@@ -437,6 +437,29 @@ class TestReports:
         assert report["evidence"][0]["value"].startswith("NotTotallyPositive: ")
 
     @pytest.mark.parametrize(
+        "sid, param, value",
+        [
+            ("counterexample", "pi", "-pi"),
+            ("counterexample", "pi", "y-1"),
+            ("cover-pi1", "x", "-pi1"),
+        ],
+        ids=["counterexample-neg", "counterexample-y-1", "cover-neg"],
+    )
+    def test_non_positive_translate_target_is_error(self, tmp_path, sid, param, value):
+        # counterexample and cover check their target in one place, so
+        # neither reports a support for a non-totally-positive one
+        raw = json.loads(bundled_config_path().read_text())
+        raw["elements"]["bad"] = value
+        (sc,) = (sc for sc in raw["scenarios"] if sc["id"] == sid)
+        sc["params"][param] = "bad"
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        report = run_scenario(Runtime(load_config(cfgp)), sid, tmp_path / "out")
+        assert report["outcome"] == "ERROR"
+        message = "NotTotallyPositive: translate target must be totally positive"
+        assert report["evidence"] == [{"name": "error", "value": message}]
+
+    @pytest.mark.parametrize(
         "sid, param, value, entry",
         [
             ("cover-pi1", "expected_alpha", [1, 1], "expected_alpha"),
@@ -581,6 +604,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "--bits" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_bits_above_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        # --bits sets the start precision only; it never raises the cap
+        monkeypatch.setenv("SHINTANI_MAX_BITS", "128")
+        rc = main(
+            [
+                "classify",
+                "--config",
+                str(bundled_config_path()),
+                "--bits",
+                "256",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid --bits: ")
+        assert len(err.strip().splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("change", ["no-id", "no-kind", "duplicate-id"])
