@@ -39,6 +39,9 @@ from .field import FieldElement, FieldSpec, _int_vec, adjugate3, det3
 
 Vec = tuple[int, int, int]
 
+# translate searches run over u1^k1 u2^k2 with |k1|, |k2| <= the window
+DEFAULT_WINDOW = 8
+
 
 def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -374,7 +377,6 @@ class CoverBox:
 
     alpha: tuple[int, int]
     anchor: tuple[int, int]
-    base_units: tuple[FieldElement, FieldElement]
     support: tuple[tuple[int, int], ...]
     domain: ShintaniSet  # the D whose translates cover x^-1 D
 
@@ -390,13 +392,14 @@ class FDReport:
 
 class Geometry:
     """Exact Shintani set operations bound to one field and one embedding
-    labeling."""
+    labeling; every translate search runs over the same window."""
 
-    def __init__(self, emb: RealEmbeddings):
+    def __init__(self, emb: RealEmbeddings, window: int = DEFAULT_WINDOW):
         self.emb = emb
         self.spec: FieldSpec = emb.spec
+        self.window = window
         self.trace_form = primitive_vector(self.spec.trace_basis)
-        # (cell generators, u1, u2, window) -> the translate table of
+        # (cell generators, u1, u2) -> the translate table of
         # _overlap_support; fdcheck tables stay out (large, never shared)
         self._tables: dict = {}
 
@@ -438,9 +441,7 @@ class Geometry:
             raise ValueError("membership is defined for nonzero elements")
         return target.contains_vec(_int_vec(x.coords))
 
-    def sample_point(self, s) -> FieldElement:
-        if isinstance(s, Cone):
-            return self.element_of_vec(s.witness_vec())
+    def sample_point(self, s: ShintaniSet) -> FieldElement:
         if s.is_empty:
             raise EmptySet("no cells to sample")
         return self.element_of_vec(s.cones[0].witness_vec())
@@ -532,17 +533,7 @@ class Geometry:
 
     def explicit_B(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
         self._check_unit_pair(eps1, eps2)
-        one = self.spec.one
-        e12 = eps1 * eps2
-        cells = [
-            self.cone(one),
-            self.cone(one, eps1),
-            self.cone(one, eps2),
-            self.cone(one, e12),
-            self.cone(one, eps1, e12),
-            self.cone(one, eps2, e12),
-        ]
-        return self.shintani_set(cells)
+        return self._six_cells(eps1, eps2, self.spec.one)
 
     def explicit_B1(self, eps2: FieldElement, pi: FieldElement) -> ShintaniSet:
         return self._mixed_domain(eps2, pi, "e2")
@@ -560,74 +551,81 @@ class Geometry:
                 f"delta([{label}|pi])={dp}, delta([pi|{label}])={dm}; "
                 "need opposite nonzero signs"
             )
+        return self._six_cells(eps, pi, pi)
+
+    def _six_cells(self, a: FieldElement, b: FieldElement, r: FieldElement) -> ShintaniSet:
+        """C(r), C(r, a*r), C(1, b), C(1, a*b), C(1, a, a*b), C(1, b, a*b):
+        B for (a, b, r) = (e1, e2, 1), B1 and B2 for (eps, pi, pi)."""
         one = self.spec.one
-        epi = eps * pi
+        ab = a * b
         cells = [
-            self.cone(pi),
-            self.cone(pi, epi),
-            self.cone(one, pi),
-            self.cone(one, epi),
-            self.cone(one, eps, epi),
-            self.cone(one, pi, epi),
+            self.cone(r),
+            self.cone(r, a * r),
+            self.cone(one, b),
+            self.cone(one, ab),
+            self.cone(one, a, ab),
+            self.cone(one, b, ab),
         ]
         return self.shintani_set(cells)
 
     # -- translates, covers, supports -----------------------------------------
 
-    def _translates(self, d: ShintaniSet, u1: FieldElement, u2: FieldElement, window: int):
-        m1 = _power_matrices(u1, window)
-        m2 = _power_matrices(u2, window)
+    def _on_boundary(self, k) -> bool:
+        return abs(k[0]) == self.window or abs(k[1]) == self.window
+
+    def _power_matrices(self, u: FieldElement) -> dict:
+        """k -> an integer matrix that is a positive multiple of the matrix
+        of u^k, for |k| <= window."""
+        out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+        step = _int_matrix(u.mul_matrix())
+        back = _int_matrix(u.inverse().mul_matrix())
+        for k in range(1, self.window + 1):
+            out[k] = _matmul(out[k - 1], step)
+            out[-k] = _matmul(out[-(k - 1)], back)
+        return out
+
+    def _translates(self, d: ShintaniSet, u1: FieldElement, u2: FieldElement):
+        m1 = self._power_matrices(u1)
+        m2 = self._power_matrices(u2)
         out = {}
-        for k1 in range(-window, window + 1):
-            for k2 in range(-window, window + 1):
+        for k1 in range(-self.window, self.window + 1):
+            for k2 in range(-self.window, self.window + 1):
                 m = _matmul(m1[k1], m2[k2])
                 out[(k1, k2)] = [c.translate(m) for c in d.cones]
         return out
 
-    def _overlap_support(self, d, x, u1, u2, window):
+    def _overlap_support(self, d, x, u1, u2):
         """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
         a k on the window boundary raises WindowExceeded."""
         if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("translate target must be totally positive")
-        key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords, window)
+        key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = self._translates(d, u1, u2, window)
+            table = self._tables[key] = self._translates(d, u1, u2)
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
         hits = sorted(k for k, cells in table.items() if self.overlap(cells, target))
-        if any(abs(k1) == window or abs(k2) == window for k1, k2 in hits):
+        if any(map(self._on_boundary, hits)):
             raise WindowExceeded(f"support touches the window boundary: {hits}")
         return hits
 
     def error_support(
-        self,
-        d: ShintaniSet,
-        pi: FieldElement,
-        u1: FieldElement,
-        u2: FieldElement,
-        window: int = 8,
+        self, d: ShintaniSet, pi: FieldElement, u1: FieldElement, u2: FieldElement
     ) -> list[tuple[int, int]]:
-        return self._overlap_support(d, pi, u1, u2, window)
+        return self._overlap_support(d, pi, u1, u2)
 
     def translation_cover(
-        self,
-        d: ShintaniSet,
-        x: FieldElement,
-        u1: FieldElement,
-        u2: FieldElement,
-        window: int = 8,
+        self, d: ShintaniSet, x: FieldElement, u1: FieldElement, u2: FieldElement
     ) -> CoverBox:
-        hits = self._overlap_support(d, x, u1, u2, window)
+        hits = self._overlap_support(d, x, u1, u2)
         if not hits:
             raise WindowExceeded("x^-1 D meets no translate inside the window")
         k1s = [k1 for k1, _ in hits]
         k2s = [k2 for _, k2 in hits]
         anchor = (min(k1s), min(k2s))
         alpha = (max(k1s) - anchor[0], max(k2s) - anchor[1])
-        return CoverBox(
-            alpha=alpha, anchor=anchor, base_units=(u1, u2), support=tuple(hits), domain=d
-        )
+        return CoverBox(alpha=alpha, anchor=anchor, support=tuple(hits), domain=d)
 
     # -- tiling check ----------------------------------------------------------
 
@@ -637,7 +635,6 @@ class Geometry:
         u1: FieldElement,
         u2: FieldElement,
         samples: int = 1000,
-        window: int = 8,
         seed: int = 0,
     ) -> FDReport:
         """Seeded sampling check that the window translates of D hit each
@@ -661,7 +658,7 @@ class Geometry:
         w = (flat[0:3], flat[3:6], flat[6:9])
         s_cells = decompose_rays(w, self.trace_form)
         candidates = {}
-        for k, cells in self._translates(d, u1, u2, window).items():
+        for k, cells in self._translates(d, u1, u2).items():
             kept = [
                 c for c in cells if any(intersect_cells(s, c, self.trace_form) for s in s_cells)
             ]
@@ -681,7 +678,7 @@ class Geometry:
                 for k, cells in candidates.items()
                 if any(c.contains_vec(xv) for c in cells)
             ]
-            edge = [k for k in hits if abs(k[0]) == window or abs(k[1]) == window]
+            edge = [k for k in hits if self._on_boundary(k)]
             if len(hits) == 1 and not edge:
                 continue
             x = self.spec.zero
@@ -713,10 +710,10 @@ class Geometry:
         )
 
     def classify_case(
-        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement, window: int = 8
+        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement
     ) -> tuple[str, CoverBox]:
         b = self.explicit_B(eps1, eps2)
-        box = self.translation_cover(b, pi, eps1, eps2, window)
+        box = self.translation_cover(b, pi, eps1, eps2)
         a1, a2 = box.alpha
         if a1 <= 1 and a2 <= 1:
             return "case1", box
@@ -725,7 +722,7 @@ class Geometry:
         raise InclusionViolated(f"cover box {box.alpha} exceeds the guaranteed (1,2) block")
 
     def verify_identity(
-        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement, window: int = 8
+        self, eps1: FieldElement, eps2: FieldElement, pi: FieldElement
     ) -> tuple[str, list]:
         """Exact check of every displayed Shintani-set equality of the
         configuration's case.
@@ -735,7 +732,7 @@ class Geometry:
         (its left side against the four-cell value). A witness lies in the
         symmetric difference and is None exactly when ok.
         """
-        case, box = self.classify_case(eps1, eps2, pi, window)
+        case, box = self.classify_case(eps1, eps2, pi)
         pinv = pi.inverse()
         if not self.prop4_union(eps1, eps2).contains_vec(_int_vec(pinv.coords)):
             raise SignConditionFailed(
@@ -799,15 +796,3 @@ class Geometry:
             ]
         )
 
-
-def _power_matrices(u: FieldElement, window: int) -> dict:
-    """k -> an integer matrix that is a positive multiple of the matrix of
-    u^k, for |k| <= window."""
-    out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-    if window:
-        step = _int_matrix(u.mul_matrix())
-        back = _int_matrix(u.inverse().mul_matrix())
-        for k in range(1, window + 1):
-            out[k] = _matmul(out[k - 1], step)
-            out[-k] = _matmul(out[-(k - 1)], back)
-    return out

@@ -274,13 +274,13 @@ class RealEmbeddings:
             for i in range(3)
         ]
 
-    def e1_outside_span(self, gens: list[FieldElement]) -> bool:
-        """Certify that e1 is not in the real span of <= 2 embedded generators."""
+    def e1_outside_span(self, gens: list[FieldElement]) -> None:
+        """Certify that e1 is not in the real span of <= 2 embedded
+        generators; PrecisionExhausted when the sign stays undecided."""
         if len(gens) == 1:
             # e1 = c*sigma(v) would force two embeddings of v to vanish
-            return True
+            return
         self._det_sign((None, *gens), "e1 possibly inside the span of a face")
-        return True
 
     # -- logarithmic data ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import units as unit_ops
-from .cones import Geometry, ShintaniSet
+from .cones import DEFAULT_WINDOW, Geometry, ShintaniSet
 from .embedding import RealEmbeddings, SignConfig
 from .errors import (
     Inconclusive,
@@ -211,7 +211,7 @@ def load_config(path) -> ScenarioConfig:
         max_bits=int(os.environ.get("SHINTANI_MAX_BITS", max_bits)),
         escalation_factor=_config_field(prec, "escalation_factor", _INT, 2),
     )
-    window = _config_field(raw, "window", _INT, 8)
+    window = _config_field(raw, "window", _INT, DEFAULT_WINDOW)
     if window < 1:
         raise ValueError(f"config field 'window' must be >= 1, got {window}")
     config = ScenarioConfig(
@@ -269,7 +269,7 @@ class Runtime:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
-        self.geo = Geometry(self.emb)
+        self.geo = Geometry(self.emb, config.window)
 
     def domain(self, p: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:
         """Build the domain a scenario refers to, returning (set, u1, u2)
@@ -315,7 +315,7 @@ def _box_evidence(box) -> list:
 
 def _run_counterexample(rt: Runtime, p: dict, outdir, seed):
     d = rt.geo.colmez_domain(p["u1"], p["u2"])
-    support = rt.geo.error_support(d, p["pi"], p["u1"], p["u2"], window=rt.config.window)
+    support = rt.geo.error_support(d, p["pi"], p["u1"], p["u2"])
     required = p["required_pairs"]
     outside = [k for k in support if not (k[0] in (0, 1) and k[1] in (0, 1))]
     evidence = [
@@ -331,9 +331,8 @@ def _run_construction(rt: Runtime, p: dict, outdir, seed):
         p["g1"],
         p["g2"],
         p["pi"],
-        rt.emb,
+        rt.geo,
         l_max=p["l_max"],
-        window=rt.config.window,
         eps_pair=(p["eps1"], p["eps2"]) if "eps1" in p else None,
     )
     evidence = [
@@ -351,7 +350,7 @@ def _run_construction(rt: Runtime, p: dict, outdir, seed):
 
 
 def _run_case(rt: Runtime, p: dict, outdir, seed):
-    case, box = rt.geo.classify_case(p["eps1"], p["eps2"], p["pi"], window=rt.config.window)
+    case, box = rt.geo.classify_case(p["eps1"], p["eps2"], p["pi"])
     evidence = [{"name": "case", "value": case}] + _box_evidence(box)
     if "expected" in p:
         evidence.append({"name": "expected", "value": p["expected"], "ok": case == p["expected"]})
@@ -360,7 +359,7 @@ def _run_case(rt: Runtime, p: dict, outdir, seed):
 
 def _run_identities(rt: Runtime, p: dict, outdir, seed):
     pihat = rt.scenario_pi(p)
-    case, results = rt.geo.verify_identity(p["eps1"], p["eps2"], pihat, window=rt.config.window)
+    case, results = rt.geo.verify_identity(p["eps1"], p["eps2"], pihat)
     evidence = [
         {"name": "case", "value": case},
         {"name": "pi_normalized", "value": serialize_element(pihat)},
@@ -375,9 +374,7 @@ def _run_identities(rt: Runtime, p: dict, outdir, seed):
 
 def _run_fdcheck(rt: Runtime, p: dict, outdir, seed):
     d, u1, u2 = rt.domain(p)
-    rep = rt.geo.fundamental_domain_check(
-        d, u1, u2, samples=p["samples"], window=rt.config.window, seed=seed
-    )
+    rep = rt.geo.fundamental_domain_check(d, u1, u2, samples=p["samples"], seed=seed)
     evidence = [
         {"name": "passed", "ok": rep.passed},
         {"name": "samples", "value": rep.samples},
@@ -402,7 +399,7 @@ def _run_direction(rt: Runtime, p: dict, outdir, seed):
 
 def _run_cover(rt: Runtime, p: dict, outdir, seed):
     d, u1, u2 = rt.domain(p)
-    box = rt.geo.translation_cover(d, p["x"], u1, u2, window=rt.config.window)
+    box = rt.geo.translation_cover(d, p["x"], u1, u2)
     evidence = _box_evidence(box)
     if "expected_alpha" in p:
         match = list(box.alpha) == p["expected_alpha"]

@@ -304,20 +304,20 @@ def build_construction(
     g1: FieldElement,
     g2: FieldElement,
     pi: FieldElement,
-    emb: RealEmbeddings,
+    geo: Geometry,
     l_max: int = 8,
-    window: int = 8,
     eps_pair: tuple[FieldElement, FieldElement] | None = None,
 ) -> ConstructionResult:
     """Run the full pipeline: validate inputs, check the inequality chains,
     pick the power, normalize pi by the triangle search, re-verify the sign
-    suite and classify the case.
+    suite and classify the case over the window of `geo`.
 
     g1, g2 generate the unit group the normalization ranges over. With
     `eps_pair` the inequality chains and the power scan run on the supplied
     pair instead (pre-computed units the caller knows satisfy the chains);
     otherwise on (g1, g2) themselves.
     """
+    emb = geo.emb
     if not emb.is_totally_positive(pi):
         raise NotTotallyPositive("pi is not totally positive")
     pairs = [("g1", "g2", g1, g2)]
@@ -354,10 +354,9 @@ def build_construction(
     if not suite.passed:
         raise SignConditionFailed(f"sign suite fails: {suite.failures}")
 
-    geo = Geometry(emb)
     if not geo.prop4_union(eps1, eps2).contains_vec(_int_vec(pihat.inverse().coords)):
         raise SignConditionFailed("normalized pi^-1 left the bracket-cone union")
-    case, box = geo.classify_case(eps1, eps2, pihat, window=window)
+    case, box = geo.classify_case(eps1, eps2, pihat)
     evidence["cover_alpha"] = box.alpha
     evidence["cover_anchor"] = box.anchor
     return ConstructionResult(eps1=eps1, eps2=eps2, omega=omega, l=l, case=case, evidence=evidence)
@@ -368,6 +367,5 @@ def classify_case(
     eps2: FieldElement,
     pi: FieldElement,
     emb: RealEmbeddings,
-    window: int = 8,
 ):
-    return Geometry(emb).classify_case(eps1, eps2, pi, window=window)
+    return Geometry(emb).classify_case(eps1, eps2, pi)

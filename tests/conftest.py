@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from shintani_forge.cli import bundled_config_path
+from shintani_forge.cones import Geometry
 from shintani_forge.scenario import Runtime, load_config
 
 settings.register_profile(
@@ -35,6 +37,12 @@ def emb(rt):
 @pytest.fixture(scope="session")
 def geo(rt):
     return rt.geo
+
+
+@pytest.fixture(scope="session")
+def geo_at(emb):
+    """geo_at(w): the session's geometry at translate window w, one per w."""
+    return functools.cache(lambda window: Geometry(emb, window))
 
 
 @pytest.fixture(scope="session")

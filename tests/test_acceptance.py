@@ -41,7 +41,7 @@ def omega_pi(rt, els):
 def test_criterion_1_counterexample_exact(geo, els):
     start = time.monotonic()
     d = geo.colmez_domain(els["g1"], els["g2"])
-    support = geo.error_support(d, els["pi"], els["g1"], els["g2"], window=8)
+    support = geo.error_support(d, els["pi"], els["g1"], els["g2"])
     elapsed = time.monotonic() - start
     assert (1, -1) in support
     assert (0, -1) in support
@@ -55,7 +55,7 @@ def test_criterion_2_construction_verification(rt, els):
         els["g1"],
         els["g2"],
         els["pi"],
-        rt.emb,
+        rt.geo,
         l_max=4,
         eps_pair=(els["eps1"], els["eps2"]),
     )
@@ -70,8 +70,8 @@ def test_criterion_2_construction_verification(rt, els):
 
 
 def test_criterion_3_case_classification(geo, els):
-    case_a, box_a = geo.classify_case(els["eps1"], els["eps2"], els["pi1"], window=8)
-    case_b, box_b = geo.classify_case(els["eps1"], els["eps2"], els["pi2"], window=8)
+    case_a, box_a = geo.classify_case(els["eps1"], els["eps2"], els["pi1"])
+    case_b, box_b = geo.classify_case(els["eps1"], els["eps2"], els["pi2"])
     assert {case_a, case_b} == {"case1", "case2"}
     assert case_b == "case1" and box_b.alpha == (1, 1)
     assert case_a == "case2" and box_a.alpha == (1, 2)
@@ -115,7 +115,7 @@ def test_criterion_5_tiling(geo, els, omega_pi, config):
         ("B2", geo.explicit_B2(els["eps1"], omega_pi), els["eps1"], omega_pi),
     ]
     for name, dom, u1, u2 in checks:
-        rep = geo.fundamental_domain_check(dom, u1, u2, samples=1000, window=8, seed=seed)
+        rep = geo.fundamental_domain_check(dom, u1, u2, samples=1000, seed=seed)
         assert rep.passed, f"{name}: {rep.bad_samples[:2]}"
     _line(5, "D, B, B1, B2 tile with exactly one hit per 1000 seeded samples")
 

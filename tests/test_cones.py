@@ -231,80 +231,80 @@ class TestDomains:
             else:
                 geo.explicit_B2(els["eps1"], els["eps2"].inverse() * els["pi1"])
 
-    def test_sampled_tiling_of_both_B_variants(self, geo, els):
+    def test_sampled_tiling_of_both_B_variants(self, geo, geo_at, els):
         b = geo.explicit_B(els["eps1"], els["eps2"])
         col = geo.colmez_domain(els["eps1"], els["eps2"])
         for dom in (b, col):
-            rep = geo.fundamental_domain_check(
-                dom, els["eps1"], els["eps2"], samples=60, window=4, seed=11
+            rep = geo_at(4).fundamental_domain_check(
+                dom, els["eps1"], els["eps2"], samples=60, seed=11
             )
             assert rep.passed
 
-    def test_fdcheck_detects_deleted_cell(self, geo, els, B):
+    def test_fdcheck_detects_deleted_cell(self, geo, geo_at, els, B):
         # drop the full-dimensional cell the sampling triple spans
         probe = els["eps1"].spec.one + els["eps1"] + els["eps1"] * els["eps2"]
         victim = next(c for c in B.cones if geo.member(probe, c))
         broken = ShintaniSet.from_cones([c for c in B.cones if c != victim])
-        rep = geo.fundamental_domain_check(
-            broken, els["eps1"], els["eps2"], samples=60, window=4, seed=11
+        rep = geo_at(4).fundamental_domain_check(
+            broken, els["eps1"], els["eps2"], samples=60, seed=11
         )
         assert not rep.passed
         assert any(len(hits) == 0 for _, hits in rep.bad_samples)
 
 
 class TestCoversAndSupport:
-    def test_identity_cover(self, geo, spec, els, B):
-        box = geo.translation_cover(B, spec.one, els["eps1"], els["eps2"], window=3)
+    def test_identity_cover(self, geo_at, spec, els, B):
+        box = geo_at(3).translation_cover(B, spec.one, els["eps1"], els["eps2"])
         assert box.alpha == (0, 0)
         assert box.anchor == (0, 0)
 
-    def test_appendix_cover_boxes(self, geo, els, B):
-        box1 = geo.translation_cover(B, els["pi1"], els["eps1"], els["eps2"], window=4)
+    def test_appendix_cover_boxes(self, geo_at, els, B):
+        box1 = geo_at(4).translation_cover(B, els["pi1"], els["eps1"], els["eps2"])
         assert box1.alpha == (1, 2)
-        box2 = geo.translation_cover(B, els["pi2"], els["eps1"], els["eps2"], window=4)
+        box2 = geo_at(4).translation_cover(B, els["pi2"], els["eps1"], els["eps2"])
         assert box2.alpha == (1, 1)
 
-    def test_cover_minimality(self, geo, els, B):
-        box = geo.translation_cover(B, els["pi2"], els["eps1"], els["eps2"], window=4)
+    def test_cover_minimality(self, geo_at, els, B):
+        box = geo_at(4).translation_cover(B, els["pi2"], els["eps1"], els["eps2"])
         k1s = {k
                for k, _ in box.support}
         k2s = {k for _, k in box.support}
         assert max(k1s) - min(k1s) == box.alpha[0]
         assert max(k2s) - min(k2s) == box.alpha[1]
 
-    def test_error_support_contains_origin_when_pinv_inside(self, geo, els, D):
-        sup = geo.error_support(D, els["pi"], els["g1"], els["g2"], window=3)
+    def test_error_support_contains_origin_when_pinv_inside(self, geo_at, els, D):
+        sup = geo_at(3).error_support(D, els["pi"], els["g1"], els["g2"])
         assert (0, 0) in sup
 
-    def test_error_support_appendix_pairs(self, geo, els, D):
-        sup = geo.error_support(D, els["pi"], els["g1"], els["g2"], window=3)
+    def test_error_support_appendix_pairs(self, geo_at, els, D):
+        sup = geo_at(3).error_support(D, els["pi"], els["g1"], els["g2"])
         assert (1, -1) in sup and (0, -1) in sup
         assert any(k not in ((0, 0), (0, 1), (1, 0), (1, 1)) for k in sup)
 
-    def test_support_inside_anchored_box(self, geo, els, B):
-        box = geo.translation_cover(B, els["pi1"], els["eps1"], els["eps2"], window=4)
+    def test_support_inside_anchored_box(self, geo_at, els, B):
+        box = geo_at(4).translation_cover(B, els["pi1"], els["eps1"], els["eps2"])
         for k1, k2 in box.support:
             assert box.anchor[0] <= k1 <= box.anchor[0] + box.alpha[0]
             assert box.anchor[1] <= k2 <= box.anchor[1] + box.alpha[1]
 
-    def test_error_support_window_stable(self, geo, els, D):
-        s2 = geo.error_support(D, els["pi"], els["g1"], els["g2"], window=2)
-        s3 = geo.error_support(D, els["pi"], els["g1"], els["g2"], window=3)
+    def test_error_support_window_stable(self, geo_at, els, D):
+        s2 = geo_at(2).error_support(D, els["pi"], els["g1"], els["g2"])
+        s3 = geo_at(3).error_support(D, els["pi"], els["g1"], els["g2"])
         assert s2 == s3
 
-    def test_window_exceeded(self, geo, els, D):
+    def test_window_exceeded(self, geo_at, els, D):
         with pytest.raises(WindowExceeded):
-            geo.error_support(D, els["pi"], els["g1"], els["g2"], window=1)
+            geo_at(1).error_support(D, els["pi"], els["g1"], els["g2"])
 
-    def test_identity_error_support(self, geo, spec, els, D):
-        sup = geo.error_support(D, spec.one, els["g1"], els["g2"], window=2)
+    def test_identity_error_support(self, geo_at, spec, els, D):
+        sup = geo_at(2).error_support(D, spec.one, els["g1"], els["g2"])
         assert sup == [(0, 0)]
 
-    def test_translate_table_matches_rational_translates(self, geo, els, pihats):
+    def test_translate_table_matches_rational_translates(self, geo, geo_at, els, pihats):
         # pi-hat is no unit: the matrix of its inverse has denominators
         u1, u2 = els["eps2"], pihats["case1"]
         b1 = geo.explicit_B1(u1, u2)
-        table = geo._translates(b1, u1, u2, 2)
+        table = geo_at(2)._translates(b1, u1, u2)
         assert len(table) == 25
         for (k1, k2), cells in table.items():
             m = (u1**k1 * u2**k2).mul_matrix()

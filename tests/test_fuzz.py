@@ -39,7 +39,7 @@ junk = st.one_of(
     expressions,
     st.lists(st.integers(-2, 3), max_size=4),
     st.permutations([0, 1, 2]),
-    st.just({}),
+    st.builds(dict),
 )
 
 PATHS = [

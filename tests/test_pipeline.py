@@ -166,7 +166,7 @@ class TestBuildConstruction:
             els["g1"],
             els["g2"],
             els["pi"],
-            emb,
+            geo,
             l_max=4,
             eps_pair=(els["eps1"], els["eps2"]),
         )
@@ -178,13 +178,13 @@ class TestBuildConstruction:
         assert units.check_sign_suite(res.eps1, res.eps2, pihat, emb).passed
         assert geo.prop4_union(res.eps1, res.eps2).contains_vec(_int_vec(pihat.inverse().coords))
 
-    def test_non_unit_rejected(self, emb, els, spec):
+    def test_non_unit_rejected(self, geo, els, spec):
         with pytest.raises(ValueError):
-            units.build_construction(spec.element(2), els["g2"], els["pi"], emb)
+            units.build_construction(spec.element(2), els["g2"], els["pi"], geo)
 
-    def test_non_positive_pi_rejected(self, emb, els, spec):
+    def test_non_positive_pi_rejected(self, geo, els, spec):
         with pytest.raises(NotTotallyPositive):
-            units.build_construction(els["g1"], els["g2"], -els["pi"], emb)
+            units.build_construction(els["g1"], els["g2"], -els["pi"], geo)
 
 
 class TestClassifyCase:
@@ -203,9 +203,9 @@ class TestClassifyCase:
         assert box_a.alpha == box_b.alpha
         assert box_b.anchor == (box_a.anchor[0] - 1, box_a.anchor[1] - 2)
 
-    def test_inclusion_violated_for_misplaced_generator(self, geo, els):
+    def test_inclusion_violated_for_misplaced_generator(self, geo_at, els):
         # a unit multiple positioned across three translate rows cannot fit
         # the guaranteed block and must fail loudly
         bad = els["g1"] ** -3 * els["pi"]
         with pytest.raises(InclusionViolated):
-            geo.classify_case(els["eps1"], els["eps2"], bad, window=6)
+            geo_at(6).classify_case(els["eps1"], els["eps2"], bad)

@@ -519,6 +519,26 @@ class TestReports:
         assert exit_code([report["outcome"]]) == 3
 
 
+    def test_config_window_reaches_every_translate_search(self, config, tmp_path):
+        # at window 1 each of these supports touches the boundary, while the
+        # one translate fdcheck-B's samples hit is k = (0, 0), inside it
+        rt = Runtime(dataclasses.replace(config, window=1))
+        exceeded = "WindowExceeded: support touches the window boundary: "
+        for sid in (
+            "counterexample",
+            "construction",
+            "case-pi1",
+            "case-pi2",
+            "identities-case1",
+            "cover-pi1",
+            "inclusion-pi2",
+        ):
+            report = run_scenario(rt, sid, tmp_path)
+            assert report["outcome"] == "ERROR", sid
+            assert report["evidence"][0]["value"].startswith(exceeded), sid
+        assert run_scenario(rt, "fdcheck-B", tmp_path)["outcome"] == "PASS"
+
+
 class TestRuntimeReuse:
     """A Runtime builds each overlap-support translate table once; nothing
     is shared between runtimes, and fdcheck keeps no table."""
@@ -581,7 +601,7 @@ class TestRuntimeReuse:
         rt = Runtime(config)
         e1, e2 = els["eps1"], els["eps2"]
         b = rt.geo.explicit_B(e1, e2)
-        rep = rt.geo.fundamental_domain_check(b, e1, e2, samples=10, window=config.window)
+        rep = rt.geo.fundamental_domain_check(b, e1, e2, samples=10)
         assert rep.passed
         assert built == [rt.geo]
         assert rt.geo._tables == {}
