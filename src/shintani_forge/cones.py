@@ -41,6 +41,9 @@ Vec = tuple[int, int, int]
 
 # translate searches run over u1^k1 u2^k2 with |k1|, |k2| <= the window
 DEFAULT_WINDOW = 8
+# bound on a config window: every overlap support scans all (2w+1)^2
+# translates, so a larger window is a config error, not a hang
+MAX_WINDOW = 32
 
 
 def _dot(a, b):

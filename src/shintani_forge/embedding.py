@@ -3,9 +3,14 @@
 Roots of the defining polynomial are isolated with Sturm counts and refined
 by dyadic bisection; embeddings are evaluated in exact rational interval
 arithmetic, so every enclosure is sound by construction. Logarithms are the
-only transcendental step and are delegated to mpmath interval contexts, one
-per working precision; each interval number computes at its own context's
-precision, so no global mpmath state is set or read.
+only transcendental step and are delegated to mpmath, one interval context
+per working precision. The interval helpers below and the plane kernels run
+`mpmath.libmp` directly on raw (lo, hi) endpoints at their context's
+precision, with the operations and roundings the context would apply, so
+their intervals are bit-identical to the context arithmetic without its
+conversion overhead; float read-outs round each endpoint to the nearest
+double. Every interval computes at its own context's precision, so no
+global mpmath state is set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -20,7 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    from_int,
+    mpf_pos,
+    mpi_div,
+    mpi_log,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
 from .errors import NotTotallyPositive, PrecisionExhausted
 from .field import FieldElement, FieldSpec, count_real_roots, det3, _poly_eval
@@ -323,21 +337,24 @@ def iv_context(bits: int) -> MPIntervalContext:
     return iv
 
 
-# float read-outs round through this double-precision context rather than
-# the caller's mpmath.mp
-_FLOAT = MPContext()
+def iv_int(n: int, prec: int):
+    """Raw endpoints of the integer n at `prec`, rounded outward as the
+    interval context's `mpf(n)` rounds them."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
 def iv_fraction(lo: Fraction, hi: Fraction, bits: int):
     """mpmath interval enclosing the rational interval [lo, hi]."""
     iv = iv_context(bits)
-    a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-    b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-    return iv.mpf([a.a, b.b])
+    prec = iv.prec
+    a = mpi_div(iv_int(lo.numerator, prec), iv_int(lo.denominator, prec), prec)
+    b = a if hi == lo else mpi_div(iv_int(hi.numerator, prec), iv_int(hi.denominator, prec), prec)
+    return iv.make_mpf((a[0], b[1]))
 
 
 def iv_log_fraction(lo: Fraction, hi: Fraction, bits: int):
-    return iv_context(bits).log(iv_fraction(lo, hi, bits))
+    iv = iv_context(bits)
+    return iv.make_mpf(mpi_log(iv_fraction(lo, hi, bits)._mpi_, iv.prec))
 
 
 def trace_zero(logs):
@@ -346,16 +363,23 @@ def trace_zero(logs):
     return [v - t for v in logs]
 
 
+def _float(x) -> float:
+    """A raw mpf rounded to the nearest double (53 bits, ties to even)."""
+    return to_float(mpf_pos(x, 53, round_nearest))
+
+
 def iv_lower(v) -> float:
     """Lower endpoint of an mpmath interval, as a float."""
-    return float(_FLOAT.mpf(v.a))
+    return _float(v._mpi_[0])
 
 
 def iv_mid_err(v) -> tuple[float, float]:
-    """Midpoint and radius of an mpmath interval, as floats."""
-    mid = (_FLOAT.mpf(v.a) + _FLOAT.mpf(v.b)) / 2
-    rad = (_FLOAT.mpf(v.b) - _FLOAT.mpf(v.a)) / 2
-    return float(mid), abs(float(rad))
+    """Midpoint and radius of an mpmath interval, as floats. The endpoints
+    are rounded to doubles first; in the normal double range the float sum,
+    difference and halving then equal those of 53-bit mpfs."""
+    a, b = v._mpi_
+    fa, fb = _float(a), _float(b)
+    return (fa + fb) / 2, abs((fb - fa) / 2)
 
 
 def iv_sign(v):

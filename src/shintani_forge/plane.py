@@ -11,15 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
+
 from .embedding import (
     RatInterval,
     RealEmbeddings,
     iv_context,
     iv_fraction,
+    iv_int,
     iv_lower,
     iv_mid_err,
     iv_sign,
-    trace_zero,
 )
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
@@ -79,21 +81,33 @@ class PhiBasis:
         self.g2 = g2
         self.bits = bits
         self.iv = iv_context(bits)
-        self.l1 = emb.log_embed(g1, bits)
-        self.l2 = emb.log_embed(g2, bits)
-        self.det = self.l1[0] * self.l2[1] - self.l1[1] * self.l2[0]
-        if iv_sign(self.det) is None:
+        prec = self.prec = self.iv.prec
+        # raw endpoints of Log g1, Log g2, their 2x2 determinant and 3
+        self.l1 = [v._mpi_ for v in emb.log_embed(g1, bits)]
+        self.l2 = [v._mpi_ for v in emb.log_embed(g2, bits)]
+        self.det = mpi_sub(
+            mpi_mul(self.l1[0], self.l2[1], prec), mpi_mul(self.l1[1], self.l2[0], prec), prec
+        )
+        self.three = iv_int(3, prec)
+        if iv_sign(self.iv.make_mpf(self.det)) is None:
             raise DegenerateBasis(
                 "log images of the basis pair are not certified independent"
             )
 
     def project_logs(self, logs):
         """Coordinates in the (Log g1, Log g2) basis of the trace-zero part
-        of a log 3-vector, computed at the basis precision."""
-        lh0, lh1, _ = trace_zero([self.iv.convert(v) for v in logs])
-        a = (lh0 * self.l2[1] - lh1 * self.l2[0]) / self.det
-        b = (self.l1[0] * lh1 - self.l1[1] * lh0) / self.det
-        return a, b
+        of a log 3-vector, computed at the basis precision; logs at another
+        precision enter with their endpoints as they are."""
+        prec, det = self.prec, self.det
+        p0, p1, _ = self.l1
+        q0, q1, _ = self.l2
+        v0, v1, v2 = (v._mpi_ for v in logs)
+        t = mpi_div(mpi_add(mpi_add(v0, v1, prec), v2, prec), self.three, prec)
+        h0 = mpi_sub(v0, t, prec)
+        h1 = mpi_sub(v1, t, prec)
+        a = mpi_div(mpi_sub(mpi_mul(h0, q1, prec), mpi_mul(h1, q0, prec), prec), det, prec)
+        b = mpi_div(mpi_sub(mpi_mul(p0, h1, prec), mpi_mul(p1, h0, prec), prec), det, prec)
+        return self.iv.make_mpf(a), self.iv.make_mpf(b)
 
     def point(self, logs) -> PlanePoint:
         """The plane point of a log 3-vector, with its error radius."""
@@ -116,11 +130,15 @@ def phi(
 def _segment_logs(e_from, e_to, t: Fraction, bits: int):
     """Interval logs of (1-t)*v + t*w for positive interval 3-vectors."""
     iv = iv_context(bits)
-    ti = iv_fraction(t, t, bits)
-    one = iv.mpf(1)
+    prec = iv.prec
+    ti = iv_fraction(t, t, bits)._mpi_
+    si = mpi_sub(iv_int(1, prec), ti, prec)
     out = []
     for a, b in zip(e_from, e_to):
-        out.append(iv.log((one - ti) * a.iv(bits) + ti * b.iv(bits)))
+        mix = mpi_add(
+            mpi_mul(si, a.iv(bits)._mpi_, prec), mpi_mul(ti, b.iv(bits)._mpi_, prec), prec
+        )
+        out.append(iv.make_mpf(mpi_log(mix, prec)))
     return out
 
 

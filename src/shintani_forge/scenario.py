@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import units as unit_ops
-from .cones import DEFAULT_WINDOW, Geometry, ShintaniSet
+from .cones import DEFAULT_WINDOW, MAX_WINDOW, Geometry, ShintaniSet
 from .embedding import RealEmbeddings, SignConfig
 from .errors import (
     Inconclusive,
@@ -212,8 +212,8 @@ def load_config(path) -> ScenarioConfig:
         escalation_factor=_config_field(prec, "escalation_factor", _INT, 2),
     )
     window = _config_field(raw, "window", _INT, DEFAULT_WINDOW)
-    if window < 1:
-        raise ValueError(f"config field 'window' must be >= 1, got {window}")
+    if not 1 <= window <= MAX_WINDOW:
+        raise ValueError(f"config field 'window' must be in 1..{MAX_WINDOW}, got {window}")
     config = ScenarioConfig(
         spec=spec,
         embedding_order=tuple(order),

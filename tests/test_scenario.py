@@ -160,6 +160,8 @@ class TestConfig:
             ("units", "g1"),
             ("totally_positive", 5),
             ("scenarios", {}),
+            ("window", 33),
+            ("window", 1000),
         ],
     )
     def test_config_ints_are_checked(self, tmp_path, capsys, name, value):
