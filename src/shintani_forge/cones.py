@@ -26,12 +26,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embedding import RealEmbeddings
+from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_sub, round_ceiling, round_floor, to_int
+from mpmath.libmp.libmpi import mpf_min_max
+
+from .embedding import RealEmbeddings, iv_context, iv_log_fraction, iv_sign
 from .errors import (
     DegenerateGeometry,
     EmptySet,
     InclusionViolated,
     NotTotallyPositive,
+    PrecisionExhausted,
     SignConditionFailed,
     WindowExceeded,
 )
@@ -41,8 +45,9 @@ Vec = tuple[int, int, int]
 
 # translate searches run over u1^k1 u2^k2 with |k1|, |k2| <= the window
 DEFAULT_WINDOW = 8
-# bound on a config window: every overlap support scans all (2w+1)^2
-# translates, so a larger window is a config error, not a hang
+# bound on a config window: the window bounds the power matrices a translate
+# table holds and the k range its boxes select from, so a larger window is a
+# config error, not a hang
 MAX_WINDOW = 32
 
 
@@ -369,6 +374,128 @@ def diff_cell(a: Cone, b: Cone, trace_form) -> list[Cone]:
     return _carve(a, b, trace_form)[1]
 
 
+# -- translate tables --------------------------------------------------------
+
+
+def _power_matrices(u: FieldElement, window: int) -> dict:
+    """k -> an integer matrix that is a positive multiple of the matrix of
+    u^k, for |k| <= window."""
+    out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    step = _int_matrix(u.mul_matrix())
+    back = _int_matrix(u.inverse().mul_matrix())
+    for k in range(1, window + 1):
+        out[k] = _matmul(out[k - 1], step)
+        out[-k] = _matmul(out[-(k - 1)], back)
+    return out
+
+
+def _mpi_dot(row, logs, prec):
+    """The dot product of two raw interval 3-vectors."""
+    acc = mpi_mul(row[0], logs[0], prec)
+    for c, v in zip(row[1:], logs[1:]):
+        acc = mpi_add(acc, mpi_mul(c, v, prec), prec)
+    return acc
+
+
+class _TranslateTable:
+    """The translates u1^k1 u2^k2 D of one domain over a window, each built
+    on first use and kept, with a certified box of D in the phi plane.
+
+    phi writes the trace-zero part of a log-embedding vector in the basis
+    tz(Log u1), tz(Log u2). Multiplying by u1^k1 u2^k2 shifts it by exactly
+    (k1, k2), also when u2 is not a unit, and a positive scalar moves it
+    nowhere. It is evaluated as two linear forms in the three logs, both
+    zero on (1, 1, 1); on a box of logs each log then enters once, so the
+    image is as tight as interval arithmetic allows, where taking the
+    trace-zero part first and solving after would count each log twice.
+
+    A point sum t_i v_i of an open cone with totally positive generators v_i
+    has, in each slot j, sigma_j(x) / sum t_i between the least and the
+    greatest sigma_j(v_i). The forms applied to the logs of those slot
+    intervals give the cone's certified box, and a k whose shifted box
+    misses a target's box cannot meet the target. The forms are computed up
+    the precision ladder until their determinant is certified nonzero; a
+    pair that stays undecided at the cap raises PrecisionExhausted.
+    """
+
+    def __init__(self, geo: "Geometry", d: ShintaniSet, u1: FieldElement, u2: FieldElement):
+        # no reference to geo, whose memo keeps the table: a cycle would keep
+        # a dropped Geometry and its embeddings alive until a full collection
+        self.emb = geo.emb
+        self.window = geo.window
+        self.domain = d.cones
+        self._powers = (_power_matrices(u1, self.window), _power_matrices(u2, self.window))
+        self._cells: dict = {}
+        self._forms(u1, u2)
+        self.box = self.cones_box([c.gens for c in self.domain])
+
+    def _forms(self, u1: FieldElement, u2: FieldElement):
+        """Rows of the forms a, b with a(Log u1) = b(Log u2) = 1 and
+        a(Log u2) = b(Log u1) = 0: (Log u2 x 1) and (1 x Log u1) over
+        det(1, Log u1, Log u2)."""
+        emb = self.emb
+        for bits in emb.cfg.ladder():
+            iv = iv_context(bits)
+            prec = iv.prec
+            p = [v._mpi_ for v in emb.log_embed(u1, bits)]
+            q = [v._mpi_ for v in emb.log_embed(u2, bits)]
+            a = [mpi_sub(q[(j + 1) % 3], q[(j + 2) % 3], prec) for j in range(3)]
+            b = [mpi_sub(p[(j + 2) % 3], p[(j + 1) % 3], prec) for j in range(3)]
+            det = _mpi_dot(p, a, prec)
+            if iv_sign(iv.make_mpf(det)) is not None:
+                self.bits, self.prec = bits, prec
+                self.rows = tuple([mpi_div(c, det, prec) for c in row] for row in (a, b))
+                return
+        raise PrecisionExhausted(
+            f"phi basis of the translate pair not certified independent at {emb.cfg.max_bits} bits"
+        )
+
+    def point(self, x: FieldElement):
+        """phi(x), one raw interval per axis."""
+        logs = [v._mpi_ for v in self.emb.log_embed(x, self.bits)]
+        return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
+
+    def cones_box(self, gen_lists):
+        """Certified phi box, one raw interval per axis, of the union of the
+        open cones spanned by each list of integer generators."""
+        emb, bits = self.emb, self.bits
+        boxes = []
+        for gens in gen_lists:
+            encs = [
+                emb.embed_positive(FieldElement(emb.spec, tuple(map(Fraction, g))), bits)
+                for g in gens
+            ]
+            logs = [
+                iv_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)._mpi_
+                for j in range(3)
+            ]
+            boxes.append([_mpi_dot(row, logs, self.prec) for row in self.rows])
+        return tuple(
+            (mpf_min_max([b[i][0] for b in boxes])[0], mpf_min_max([b[i][1] for b in boxes])[1])
+            for i in range(2)
+        )
+
+    def candidates(self, fixed):
+        """The k of the window, ascending, whose shifted box of D meets the
+        box `fixed`: per axis ceil(lo) .. floor(hi) of fixed - box(D)."""
+        w = self.window
+        ranges = []
+        for f, m in zip(fixed, self.box):
+            lo, hi = mpi_sub(f, m, self.prec)
+            ranges.append(
+                range(max(-w, to_int(lo, round_ceiling)), min(w, to_int(hi, round_floor)) + 1)
+            )
+        return [(k1, k2) for k1 in ranges[0] for k2 in ranges[1]]
+
+    def cells(self, k) -> list[Cone]:
+        """The cells of u1^k1 u2^k2 D."""
+        cells = self._cells.get(k)
+        if cells is None:
+            m = _matmul(self._powers[0][k[0]], self._powers[1][k[1]])
+            cells = self._cells[k] = [c.translate(m) for c in self.domain]
+        return cells
+
+
 # -- the geometry engine -------------------------------------------------------
 
 
@@ -402,8 +529,8 @@ class Geometry:
         self.spec: FieldSpec = emb.spec
         self.window = window
         self.trace_form = primitive_vector(self.spec.trace_basis)
-        # (cell generators, u1, u2) -> the translate table of
-        # _overlap_support; fdcheck tables stay out (large, never shared)
+        # (cell generators, u1, u2) -> the _TranslateTable of
+        # _overlap_support; fdcheck tables stay out (never shared)
         self._tables: dict = {}
 
     # -- constructors -------------------------------------------------------
@@ -576,39 +703,20 @@ class Geometry:
     def _on_boundary(self, k) -> bool:
         return abs(k[0]) == self.window or abs(k[1]) == self.window
 
-    def _power_matrices(self, u: FieldElement) -> dict:
-        """k -> an integer matrix that is a positive multiple of the matrix
-        of u^k, for |k| <= window."""
-        out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-        step = _int_matrix(u.mul_matrix())
-        back = _int_matrix(u.inverse().mul_matrix())
-        for k in range(1, self.window + 1):
-            out[k] = _matmul(out[k - 1], step)
-            out[-k] = _matmul(out[-(k - 1)], back)
-        return out
-
-    def _translates(self, d: ShintaniSet, u1: FieldElement, u2: FieldElement):
-        m1 = self._power_matrices(u1)
-        m2 = self._power_matrices(u2)
-        out = {}
-        for k1 in range(-self.window, self.window + 1):
-            for k2 in range(-self.window, self.window + 1):
-                m = _matmul(m1[k1], m2[k2])
-                out[(k1, k2)] = [c.translate(m) for c in d.cones]
-        return out
-
     def _overlap_support(self, d, x, u1, u2):
         """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
-        a k on the window boundary raises WindowExceeded."""
+        a k on the window boundary raises WindowExceeded. Only the k whose
+        shifted box of D meets box(D) - phi(x) are built and tested."""
         if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("translate target must be totally positive")
         key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = self._translates(d, u1, u2)
+            table = self._tables[key] = _TranslateTable(self, d, u1, u2)
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
-        hits = sorted(k for k, cells in table.items() if self.overlap(cells, target))
+        fixed = [mpi_sub(b, p, table.prec) for b, p in zip(table.box, table.point(x))]
+        hits = [k for k in table.candidates(fixed) if self.overlap(table.cells(k), target)]
         if any(map(self._on_boundary, hits)):
             raise WindowExceeded(f"support touches the window boundary: {hits}")
         return hits
@@ -648,6 +756,9 @@ class Geometry:
         spans. A translate cell that misses S holds no point, so each point
         is tested only against the cells that meet S, found once by exact
         intersection; its hit set over the whole window is still exact.
+        The translate table's phi boxes choose the translates to intersect:
+        only the k with box(D) + k meeting box(S) are built, since no other
+        translate can meet S. The table is not kept.
 
         A PASS is evidence about S only. Each bundled domain has S as one of
         its cells, so a PASS there shows that no other window translate
@@ -660,10 +771,13 @@ class Geometry:
         flat = _int_vec([c for v in triple for c in v.coords])
         w = (flat[0:3], flat[3:6], flat[6:9])
         s_cells = decompose_rays(w, self.trace_form)
+        table = _TranslateTable(self, d, u1, u2)
         candidates = {}
-        for k, cells in self._translates(d, u1, u2).items():
+        for k in table.candidates(table.cones_box([w])):
             kept = [
-                c for c in cells if any(intersect_cells(s, c, self.trace_form) for s in s_cells)
+                c
+                for c in table.cells(k)
+                if any(intersect_cells(s, c, self.trace_form) for s in s_cells)
             ]
             if kept:
                 candidates[k] = kept

@@ -162,6 +162,9 @@ class RealEmbeddings:
         # deterministic bisection chain from the initial isolation, so the
         # enclosure at a given bit level never depends on request history
         self._snapshots: dict[int, list[RatInterval]] = {}
+        # (coordinates, bits) -> the embedding enclosures, shared by every
+        # call, so each interval's per-precision conversions are shared too
+        self._embedded: dict = {}
 
     # -- root isolation ----------------------------------------------------
 
@@ -225,16 +228,21 @@ class RealEmbeddings:
     # -- embeddings ---------------------------------------------------------
 
     def embed(self, x: FieldElement, bits: int) -> list[RatInterval]:
-        """Certified enclosures of the three real embeddings, in slot order."""
-        roots = self.refine_roots(bits)
-        a0, a1, a2 = x.coords
-        out = []
-        for t in roots:
-            acc = RatInterval.point(a2)
-            acc = acc * t + RatInterval.point(a1)
-            acc = acc * t + RatInterval.point(a0)
-            out.append(acc)
-        return out
+        """Certified enclosures of the three real embeddings, in slot order,
+        computed once per (coordinates, bits); each call returns a new list
+        of the same intervals, which no caller changes."""
+        key = (x.coords, bits)
+        enc = self._embedded.get(key)
+        if enc is None:
+            a0, a1, a2 = x.coords
+            enc = []
+            for t in self.refine_roots(bits):
+                acc = RatInterval.point(a2)
+                acc = acc * t + RatInterval.point(a1)
+                acc = acc * t + RatInterval.point(a0)
+                enc.append(acc)
+            self._embedded[key] = enc
+        return list(enc)
 
     def is_totally_positive(self, x: FieldElement) -> bool:
         try:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from shintani_forge.cones import (
     Cone,
     Geometry,
     ShintaniSet,
+    _TranslateTable,
     cones_fast_disjoint,
     diff_cell,
     intersect_cells,
@@ -304,9 +306,10 @@ class TestCoversAndSupport:
         # pi-hat is no unit: the matrix of its inverse has denominators
         u1, u2 = els["eps2"], pihats["case1"]
         b1 = geo.explicit_B1(u1, u2)
-        table = geo_at(2)._translates(b1, u1, u2)
-        assert len(table) == 25
-        for (k1, k2), cells in table.items():
+        table = _TranslateTable(geo_at(2), b1, u1, u2)
+        for k1, k2 in itertools.product(range(-2, 3), repeat=2):
+            cells = table.cells((k1, k2))
+            assert table.cells((k1, k2)) is cells
             m = (u1**k1 * u2**k2).mul_matrix()
             images = [
                 sorted(primitive_vector([sum(m[r][j] * g[j] for j in range(3)) for r in range(3)])

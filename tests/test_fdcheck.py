@@ -20,11 +20,13 @@ from shintani_forge.embedding import RealEmbeddings, SignConfig
 from shintani_forge.field import FieldSpec
 from shintani_forge.scenario import _checked_params
 
+from oracles import window_translates
+
 
 def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
     """The tiling check without pruning: each Fraction sample is tested
     against every cell of all (2 window + 1)^2 translates."""
-    translates = geo._translates(d, u1, u2)
+    translates = window_translates(geo, d, u1, u2)
     rng = random.Random(seed)
     triple = (geo.spec.one, u1, u1 * u2)
     bad = []

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shintani_forge
 from shintani_forge.cli import bundled_config_path, main
-from shintani_forge.cones import Geometry
+from shintani_forge.cones import Geometry, _TranslateTable
 from shintani_forge.errors import ParseError, UnknownName, UnknownScenario
 from shintani_forge.scenario import (
     Runtime,
@@ -548,13 +548,13 @@ class TestRuntimeReuse:
     @staticmethod
     def _count_tables(monkeypatch):
         built = []
-        original = Geometry._translates
+        original = _TranslateTable.__init__
 
-        def counting(geo, *args):
+        def counting(table, geo, *args):
             built.append(geo)
-            return original(geo, *args)
+            original(table, geo, *args)
 
-        monkeypatch.setattr(Geometry, "_translates", counting)
+        monkeypatch.setattr(_TranslateTable, "__init__", counting)
         return built
 
     def test_translate_table_of_B_built_once_per_runtime(self, config, tmp_path, monkeypatch):

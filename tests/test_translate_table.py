@@ -1,0 +1,228 @@
+"""The pruned translate table: its supports and covers against a scan of the
+whole window, the soundness of its phi boxes, how few translates it builds,
+and a translate pair whose phi basis cannot be certified."""
+
+import functools
+import itertools
+import random
+import time
+
+import pytest
+from mpmath import MPContext
+
+from shintani_forge.cones import Cone, Geometry, _TranslateTable
+from shintani_forge.embedding import RealEmbeddings, SignConfig
+from shintani_forge.errors import PrecisionExhausted, ShintaniError
+from shintani_forge.field import FieldSpec
+from shintani_forge.scenario import Runtime, run_scenario
+
+from oracles import scan_cover, scan_support, window_translates
+
+
+@pytest.fixture(scope="module")
+def translates():
+    return functools.cache(window_translates)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the engine error it raised."""
+    try:
+        return fn(*args)
+    except ShintaniError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def table_cover(geo, d, x, u1, u2):
+    box = geo.translation_cover(d, x, u1, u2)
+    return box.alpha, box.anchor, box.support
+
+
+def table_case(geo, eps1, eps2, pi):
+    case, box = geo.classify_case(eps1, eps2, pi)
+    return case, (box.alpha, box.anchor, box.support)
+
+
+def scan_case(geo, translates, eps1, eps2, pi):
+    d = geo.explicit_B(eps1, eps2)
+    cover = scan_cover(geo, translates(geo, d, eps1, eps2), d, pi)
+    a1, a2 = cover[0]
+    if a1 <= 1 and a2 <= 1:
+        return "case1", cover
+    if a1 <= 1 and a2 == 2:
+        return "case2", cover
+    return "InclusionViolated", f"cover box {cover[0]} exceeds the guaranteed (1,2) block"
+
+
+def assert_cover_matches(geo, translates, d, x, u1, u2):
+    want = outcome(scan_cover, geo, translates(geo, d, u1, u2), d, x)
+    assert outcome(table_cover, geo, d, x, u1, u2) == want
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 8])
+def test_bundled_supports_match_the_scan(geo_at, els, translates, window):
+    """counterexample, case-pi1, case-pi2, cover-pi1 and inclusion-pi2; at
+    windows 1 to 3 the WindowExceeded messages and hit lists match too."""
+    geo = geo_at(window)
+    g1, g2, e1, e2 = els["g1"], els["g2"], els["eps1"], els["eps2"]
+    d = geo.colmez_domain(g1, g2)
+    want = outcome(scan_support, geo, translates(geo, d, g1, g2), d, els["pi"])
+    assert outcome(geo.error_support, d, els["pi"], g1, g2) == want
+    cases = []
+    for pi in (els["pi1"], els["pi2"]):
+        want = outcome(scan_case, geo, translates, e1, e2, pi)
+        assert outcome(table_case, geo, e1, e2, pi) == want
+        assert_cover_matches(geo, translates, geo.explicit_B(e1, e2), pi, e1, e2)
+        cases.append(want[0])
+    if window == 8:
+        assert cases == ["case2", "case1"]
+
+
+def test_cover_sweep_targets_match_the_scan(geo, els, translates):
+    e1, e2 = els["eps1"], els["eps2"]
+    b = geo.explicit_B(e1, e2)
+    for a, c in itertools.product(range(-3, 4), repeat=2):
+        x = els["pi1"] * els["g1"] ** a * els["g2"] ** c
+        want = outcome(scan_cover, geo, translates(geo, b, e1, e2), b, x)
+        assert outcome(table_cover, geo, b, x, e1, e2) == want, (a, c)
+
+
+@pytest.mark.parametrize("target", ["pi", "pi1", "g1", "eps1"])
+def test_mixed_domain_covers_match_the_scan(geo, els, pihats, translates, target):
+    # the u2 of B1 and B2 is pi-hat, which is no unit
+    e1, e2, ph = els["eps1"], els["eps2"], pihats["case1"]
+    x = els[target]
+    assert_cover_matches(geo, translates, geo.explicit_B1(e2, ph), x, e2, ph)
+    assert_cover_matches(geo, translates, geo.explicit_B2(e1, ph), x, e1, ph)
+
+
+@pytest.fixture(scope="module")
+def second_field():
+    """x^3 - x^2 - 2x + 1 with g1 = y^2, g2 = (y - 1)^2, eps1 = g1^-3 g2^-1,
+    eps2 = g1 g2^-1 and the normalized pi-hat (19, -55, 28)."""
+    spec = FieldSpec([1, -2, -1, 1])
+    geo = Geometry(RealEmbeddings(spec, cfg=SignConfig()))
+    g1 = spec.y**2
+    g2 = (spec.y - spec.one) ** 2
+    return geo, g1, g2, g1**-3 * g2**-1, g1 * g2**-1, spec.element(19, -55, 28)
+
+
+def test_second_field_B_covers_match_the_scan(second_field, translates):
+    geo, g1, _, e1, e2, ph = second_field
+    b = geo.explicit_B(e1, e2)
+    for x in (ph, ph * g1, geo.spec.element(3, 1, 1)):
+        assert_cover_matches(geo, translates, b, x, e1, e2)
+
+
+# -- box soundness ---------------------------------------------------------
+
+
+def domains(geo, g1, g2, e1, e2, ph):
+    """(name, domain, u1, u2) of D, B, B1 and B2."""
+    return [
+        ("D", geo.colmez_domain(g1, g2), g1, g2),
+        ("B", geo.explicit_B(e1, e2), e1, e2),
+        ("B1", geo.explicit_B1(e2, ph), e2, ph),
+        ("B2", geo.explicit_B2(e1, ph), e1, ph),
+    ]
+
+
+class Phi256:
+    """phi at 256 bits from the midpoints of 512-bit embeddings: the
+    trace-zero part of Log x solved in the basis tz(Log u1), tz(Log u2) on
+    its first two coordinates."""
+
+    def __init__(self, emb, u1, u2):
+        self.emb = emb
+        self.ctx = MPContext()
+        self.ctx.prec = 256
+        self.p = self.tz(u1)
+        self.q = self.tz(u2)
+
+    def tz(self, x):
+        ctx = self.ctx
+        logs = [ctx.log(ctx.mpf(v.mid().numerator) / v.mid().denominator)
+                for v in self.emb.embed(x, 512)]
+        mean = sum(logs) / 3
+        return [v - mean for v in logs]
+
+    def assert_inside(self, x, box, shift=(0, 0)):
+        """phi(x) lies in the box shifted by `shift`, up to 2^-100 for the
+        error of the reference (the box of a ray can be one point)."""
+        (p0, p1, _), (q0, q1, _), (v0, v1, _) = self.p, self.q, self.tz(x)
+        det = p0 * q1 - p1 * q0
+        point = ((v0 * q1 - v1 * q0) / det, (p0 * v1 - p1 * v0) / det)
+        tol = self.ctx.mpf(2) ** -100
+        for v, (lo, hi), k in zip(point, box, shift):
+            assert self.ctx.make_mpf(lo) + k - tol <= v <= self.ctx.make_mpf(hi) + k + tol
+
+
+def test_box_soundness(geo, els, pihats, second_field):
+    """Integer points strictly inside each cell of D, B, B1 and B2 on both
+    fields have their phi in the cell's box; their images under u1^k1 u2^k2
+    have theirs in the box shifted by k and in the box of the image cell."""
+    rng = random.Random(7)
+    geo2, *field2 = second_field
+    bundled = (els["g1"], els["g2"], els["eps1"], els["eps2"], pihats["case1"])
+    for g, (name, d, u1, u2) in [(geo, x) for x in domains(geo, *bundled)] + [
+        (geo2, x) for x in domains(geo2, *field2)
+    ]:
+        table = _TranslateTable(g, d, u1, u2)
+        phi = Phi256(g.emb, u1, u2)
+        for i, cell in enumerate(d.cones):
+            box = table.cones_box([cell.gens])
+            for _ in range(2):
+                t = [rng.randint(1, 99) for _ in cell.gens]
+                v = [sum(c * gen[j] for c, gen in zip(t, cell.gens)) for j in range(3)]
+                assert cell.contains_vec(v)
+                x = g.element_of_vec(v)
+                phi.assert_inside(x, box)
+                for k in ((1, 0), (0, 1), (-1, 2), (2, -1)):
+                    y = x * u1 ** k[0] * u2 ** k[1]
+                    image = table.cells(k)[i]
+                    assert image.contains_vec(y.coords), (name, cell, k)
+                    phi.assert_inside(y, box, k)
+                    phi.assert_inside(y, table.cones_box([image.gens]))
+
+
+# -- translates built --------------------------------------------------------
+
+
+def count_translates(monkeypatch) -> list:
+    calls = []
+    original = Cone.translate
+
+    def counting(cell, m):
+        calls.append(cell)
+        return original(cell, m)
+
+    monkeypatch.setattr(Cone, "translate", counting)
+    return calls
+
+
+def test_cover_and_fdcheck_build_few_translates(config, els, tmp_path, monkeypatch):
+    # a scan of the window makes 1,740 and 1,734 translates here
+    calls = count_translates(monkeypatch)
+    rt = Runtime(config)
+    assert run_scenario(rt, "cover-pi1", tmp_path)["outcome"] == "PASS"
+    assert len(calls) <= 200
+    calls.clear()
+    rt = Runtime(config)
+    e1, e2 = els["eps1"], els["eps2"]
+    b = rt.geo.explicit_B(e1, e2)
+    assert rt.geo.fundamental_domain_check(b, e1, e2, samples=100).passed
+    assert len(calls) <= 200
+
+
+def test_uncertified_pair_is_inconclusive(config, els):
+    """g1 and g1^2 have dependent logs, so the determinant of the phi basis
+    straddles zero at every precision. No config reaches this: the delta
+    sign checks every domain makes rejected each dependent pair g^a, g^b
+    tried (g1, g2, eps1 and eps2, with a, b in -4..4 nonzero)."""
+    cfg = SignConfig(max_bits=256)
+    geo = Geometry(RealEmbeddings(config.spec, config.embedding_order, cfg=cfg))
+    g1 = els["g1"]
+    d = geo.colmez_domain(g1, els["g2"])
+    start = time.monotonic()
+    with pytest.raises(PrecisionExhausted, match="not certified independent at 256 bits"):
+        geo.error_support(d, els["pi"], g1, g1**2)
+    assert time.monotonic() - start < 5
