@@ -84,30 +84,24 @@ def _matmul(a, b):
     return tuple(tuple(_dot(r, c) for c in zip(*b)) for r in a)
 
 
-def _rank(rows) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(3):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [m[r][k] - f * m[rank][k] for k in range(3)]
-        rank += 1
-    return rank
-
-
 def _cross(a: Vec, b: Vec):
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def _rank(rows) -> int:
+    """Rank of a list of integer 3-vectors: a first nonzero row v, a first
+    nonzero normal n = v x r, and rank 3 exactly when n is off some row."""
+    v = next((r for r in rows if any(r)), None)
+    if v is None:
+        return 0
+    n = next((c for c in (_cross(v, r) for r in rows) if any(c)), None)
+    if n is None:
+        return 1
+    return 3 if any(_dot(n, r) for r in rows) else 2
 
 
 class Cone:
@@ -216,15 +210,22 @@ class Cone:
 
 
 def cones_fast_disjoint(a: Cone, b: Cone) -> bool:
-    """Cheap certified disjointness: one cone lies strictly on the wrong side
-    of a defining form of the other. False means undecided."""
+    """Cheap certified disjointness; False means undecided.
+
+    The cells are disjoint when a positivity form of one is <= 0 on every
+    generator of the other, or when an equality form of one has one sign on
+    the other's generators and is not zero on all of them. Sound because
+    every point of a relatively open simplicial cell is a strictly positive
+    combination of all its generators, so the form is <= 0, or nonzero, on
+    each point of the other cell. This settles cells that only touch: a
+    shared face puts zeros among the values, which a strict test rejects."""
     for x, y in ((a, b), (b, a)):
         for f in x.pos_forms:
-            if all(_dot(f, g) < 0 for g in y.gens):
+            if all(_dot(f, g) <= 0 for g in y.gens):
                 return True
         for e in x.eq_forms:
-            s = [_sign(_dot(e, g)) for g in y.gens]
-            if all(v > 0 for v in s) or all(v < 0 for v in s):
+            s = [_dot(e, g) for g in y.gens]
+            if any(s) and (min(s) >= 0 or max(s) <= 0):
                 return True
     return False
 
@@ -290,30 +291,39 @@ def split_cell(cone: Cone, form, trace_form):
 
 def decompose_rays(rays, trace_form) -> list[Cone]:
     """Disjoint open simplicial cells whose union is the relative interior of
-    the cone generated by `rays` (all rays must have positive trace)."""
+    the cone generated by `rays`; DegenerateGeometry unless every ray has
+    positive trace."""
     canon = sorted({primitive_vector(r) for r in rays})
     if not canon:
         return []
+    tvals = [_dot(trace_form, r) for r in canon]
+    if min(tvals) <= 0:
+        raise DegenerateGeometry("every ray must have positive trace")
     rank = _rank(canon)
     if rank == 1:
-        assert len(canon) == 1, "opposite rays cannot both have positive trace"
+        # two distinct primitive rays on one line are opposite, and opposite
+        # rays cannot both have positive trace
         return [Cone((canon[0],))]
+    if rank == 2:
+        # the rays lie in an open half-plane, where r comes before s exactly
+        # when n . (r x s) > 0; the cell spans the first and the last ray
+        n = next(c for c in (_cross(canon[0], r) for r in canon) if any(c))
+        first = last = canon[0]
+        for r in canon[1:]:
+            if _dot(n, _cross(r, first)) > 0:
+                first = r
+            elif _dot(n, _cross(last, r)) > 0:
+                last = r
+        return [Cone(tuple(sorted((first, last))))]
 
-    tvals = [Fraction(_dot(trace_form, r)) for r in canon]
-    assert all(t > 0 for t in tvals)
     a = next(i for i in range(3) if trace_form[i] != 0)
     b, c = (i for i in range(3) if i != a)
-    pts = [(Fraction(r[b]) / t, Fraction(r[c]) / t) for r, t in zip(canon, tvals)]
-
-    if rank == 2:
-        base = pts[0]
-        dvec = next((p[0] - base[0], p[1] - base[1]) for p in pts if p != base)
-        lam = [(p[0] - base[0]) * dvec[0] + (p[1] - base[1]) * dvec[1] for p in pts]
-        imin = min(range(len(lam)), key=lambda i: lam[i])
-        imax = max(range(len(lam)), key=lambda i: lam[i])
-        return [Cone(tuple(sorted((canon[imin], canon[imax]))))]
-
-    hull = _convex_hull(list(zip(pts, canon)))
+    hull = _convex_hull(
+        [
+            ((Fraction(r[b], t), Fraction(r[c], t)), (t, r[b], r[c]), r)
+            for r, t in zip(canon, tvals)
+        ]
+    )
     k = len(hull)
     h0 = hull[0]
     cells = [Cone(tuple(sorted((h0, hull[i], hull[i + 1])))) for i in range(1, k - 1)]
@@ -322,25 +332,30 @@ def decompose_rays(rays, trace_form) -> list[Cone]:
 
 
 def _convex_hull(tagged):
-    """Monotone chain on exact rational points; returns the rays of the hull
-    vertices in cyclic order (collinear and interior points dropped)."""
+    """Monotone chain over (point, row, ray) triples, where a ray r of trace
+    t > 0 has the exact point (r_b / t, r_c / t) of the section trace = 1 and
+    the integer row (t, r_b, r_c); returns the rays of the hull vertices in
+    cyclic order (collinear and interior points dropped). Points sort by
+    their rational coordinates; three of them turn left exactly when the
+    determinant of their rows is positive, since it is their planar cross
+    product times the three traces."""
     tagged = sorted(tagged, key=lambda t: t[0])
 
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+    def turn(o, p, q):
+        return _dot(o[1], _cross(p[1], q[1]))
 
     lower: list = []
     for t in tagged:
-        while len(lower) >= 2 and cross(lower[-2][0], lower[-1][0], t[0]) <= 0:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], t) <= 0:
             lower.pop()
         lower.append(t)
     upper: list = []
     for t in reversed(tagged):
-        while len(upper) >= 2 and cross(upper[-2][0], upper[-1][0], t[0]) <= 0:
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], t) <= 0:
             upper.pop()
         upper.append(t)
     hull = lower[:-1] + upper[:-1]
-    return [t[1] for t in hull]
+    return [t[2] for t in hull]
 
 
 def _carve(a: Cone, b: Cone, trace_form) -> tuple[list[Cone], list[Cone]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cones import ShintaniSet
-from .embedding import RealEmbeddings
+from .embedding import RealEmbeddings, iv_fraction
 from .field import FieldElement
 from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs
 from fractions import Fraction
@@ -56,14 +56,15 @@ def set_boundary_faces(s: ShintaniSet):
     return sorted(faces), sorted(rays)
 
 
-def sample_face_curve(pair, basis: PhiBasis, n_points: int) -> CurveSample:
+def sample_face_curve(pair, basis: PhiBasis, grid) -> CurveSample:
     """phi image of the embedded segment between two generator rays, at the
-    basis precision; the curve id is the face."""
+    basis precision; `grid` holds the parameter values t and their raw
+    intervals at that precision. The curve id is the face."""
     emb, bits = basis.emb, basis.bits
     e_from = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[0])), bits)
     e_to = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[1])), bits)
-    ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
-    pts = tuple(basis.point(_segment_logs(e_from, e_to, t, bits)) for t in ts)
+    ts, tis = grid
+    pts = tuple(basis.point(_segment_logs(e_from, e_to, ti, bits)) for ti in tis)
     return CurveSample(curve_id=pair, ts=ts, points=pts)
 
 
@@ -88,6 +89,7 @@ def materialize_scene(
     basis = PhiBasis(emb, basis_pair[0], basis_pair[1], FIGURE_BITS)
     basis_key = (basis_pair[0].coords, basis_pair[1].coords)
     sampled = {} if sampled is None else sampled
+    grid = None  # built on the first face this call samples
     out = []
     for li, layer in enumerate(scene.layers):
         curves = []
@@ -97,7 +99,10 @@ def materialize_scene(
             for fi, pair in enumerate(faces):
                 key = (basis_key, n_points, pair)
                 if key not in sampled:
-                    sampled[key] = sample_face_curve(pair, basis, n_points)
+                    if grid is None:
+                        ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
+                        grid = ts, tuple(iv_fraction(t, t, basis.bits)._mpi_ for t in ts)
+                    sampled[key] = sample_face_curve(pair, basis, grid)
                 hit = sampled[key]
                 curves.append(CurveSample((f"layer{li}/face{fi}",), hit.ts, hit.points))
             for ray in rays:

@@ -127,11 +127,12 @@ def phi(
     return PhiBasis(emb, g1, g2, PLANE_BITS).point(emb.log_embed(x, PLANE_BITS))
 
 
-def _segment_logs(e_from, e_to, t: Fraction, bits: int):
-    """Interval logs of (1-t)*v + t*w for positive interval 3-vectors."""
+def _segment_logs(e_from, e_to, ti, bits: int):
+    """Interval logs of (1-t)*v + t*w for positive interval 3-vectors, with
+    t given as its raw interval at `bits` (`iv_fraction(t, t, bits)._mpi_`):
+    a caller sampling a grid converts each grid value once."""
     iv = iv_context(bits)
     prec = iv.prec
-    ti = iv_fraction(t, t, bits)._mpi_
     si = mpi_sub(iv_int(1, prec), ti, prec)
     out = []
     for a, b in zip(e_from, e_to):
@@ -176,7 +177,7 @@ def curve_sample(
             ey = l if i == 2 else 0
             pts.append(PlanePoint(ex + dx, ey + dy, 0.0))
             continue
-        p = basis.point(_segment_logs(e_one, e_to, t, bits))
+        p = basis.point(_segment_logs(e_one, e_to, iv_fraction(t, t, bits)._mpi_, bits))
         pts.append(PlanePoint(p.x + dx, p.y + dy, p.err))
     return CurveSample(curve_id=(i, l, tuple(translate)), ts=tuple(ts), points=tuple(pts))
 
@@ -323,6 +324,7 @@ def check_direction_bounds(
         "y2 <= l": [],
     }
     passed = True
+    t_ivs = {}  # (j, rung) -> the interval of t, shared by the two curves
     for i in (1, 2):
         gpow = (g1 if i == 1 else g2) ** l
         e_to = emb.embed_positive(gpow, PLANE_BITS)
@@ -330,7 +332,10 @@ def check_direction_bounds(
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
             for work in emb.cfg.ladder(PLANE_BITS):
-                logs = _segment_logs(e_one, e_to, t, work)
+                ti = t_ivs.get((j, work))
+                if ti is None:
+                    ti = t_ivs[j, work] = iv_fraction(t, t, work)._mpi_
+                logs = _segment_logs(e_one, e_to, ti, work)
                 a, b = basis.project_logs(logs)
                 # l - a and l - b at the rung's precision, not the basis's
                 lv = iv_context(work).mpf(l)

@@ -1,8 +1,12 @@
 """Full-window translate scans built only from public pieces: the rational
 matrix of each power u1^k1 u2^k2, `Cone.translate` and `Geometry.overlap`.
 They share no code with the pruned translate table, so tests hold the
-table's results to them."""
+table's results to them. Also the Fraction rank and ray decomposition that
+the integer cell kernels replace."""
 
+from fractions import Fraction
+
+from shintani_forge.cones import Cone, primitive_vector
 from shintani_forge.errors import WindowExceeded
 
 
@@ -38,3 +42,76 @@ def scan_cover(geo, translates, d, x):
     anchor = (min(k1 for k1, _ in hits), min(k2 for _, k2 in hits))
     alpha = (max(k1 for k1, _ in hits) - anchor[0], max(k2 for _, k2 in hits) - anchor[1])
     return alpha, anchor, tuple(hits)
+
+
+# Exact rank and ray decomposition in Fraction arithmetic: Gaussian
+# elimination and a monotone chain on the rational points of the section
+# trace = 1. The integer kernels of `cones` must agree with them exactly.
+
+
+def fraction_rank(rows) -> int:
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(3):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = Fraction(1) / m[rank][c]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [m[r][k] - f * m[rank][k] for k in range(3)]
+        rank += 1
+    return rank
+
+
+def fraction_convex_hull(tagged):
+    """Monotone chain on (rational point, ray) pairs; the rays of the hull
+    vertices in cyclic order, collinear and interior points dropped."""
+    tagged = sorted(tagged, key=lambda t: t[0])
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    lower: list = []
+    for t in tagged:
+        while len(lower) >= 2 and cross(lower[-2][0], lower[-1][0], t[0]) <= 0:
+            lower.pop()
+        lower.append(t)
+    upper: list = []
+    for t in reversed(tagged):
+        while len(upper) >= 2 and cross(upper[-2][0], upper[-1][0], t[0]) <= 0:
+            upper.pop()
+        upper.append(t)
+    hull = lower[:-1] + upper[:-1]
+    return [t[1] for t in hull]
+
+
+def fraction_decompose_rays(rays, trace_form) -> list[Cone]:
+    """The open cells of the cone on `rays` (all of positive trace), with the
+    rank, the segment ends and the hull all found in Fraction arithmetic."""
+    canon = sorted({primitive_vector(r) for r in rays})
+    if not canon:
+        return []
+    rank = fraction_rank(canon)
+    if rank == 1:
+        return [Cone((canon[0],))]
+    tvals = [Fraction(sum(f * x for f, x in zip(trace_form, r))) for r in canon]
+    a = next(i for i in range(3) if trace_form[i] != 0)
+    b, c = (i for i in range(3) if i != a)
+    pts = [(Fraction(r[b]) / t, Fraction(r[c]) / t) for r, t in zip(canon, tvals)]
+    if rank == 2:
+        base = pts[0]
+        dvec = next((p[0] - base[0], p[1] - base[1]) for p in pts if p != base)
+        lam = [(p[0] - base[0]) * dvec[0] + (p[1] - base[1]) * dvec[1] for p in pts]
+        imin = min(range(len(lam)), key=lambda i: lam[i])
+        imax = max(range(len(lam)), key=lambda i: lam[i])
+        return [Cone(tuple(sorted((canon[imin], canon[imax]))))]
+    hull = fraction_convex_hull(list(zip(pts, canon)))
+    k = len(hull)
+    h0 = hull[0]
+    cells = [Cone(tuple(sorted((h0, hull[i], hull[i + 1])))) for i in range(1, k - 1)]
+    cells += [Cone(tuple(sorted((h0, hull[i])))) for i in range(2, k - 1)]
+    return cells

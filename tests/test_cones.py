@@ -10,7 +10,10 @@ from shintani_forge.cones import (
     Geometry,
     ShintaniSet,
     _TranslateTable,
+    _carve,
+    _rank,
     cones_fast_disjoint,
+    decompose_rays,
     diff_cell,
     intersect_cells,
     primitive_vector,
@@ -22,6 +25,9 @@ from shintani_forge.errors import (
     SignConditionFailed,
     WindowExceeded,
 )
+from shintani_forge.scenario import _checked_params
+
+from oracles import fraction_decompose_rays, fraction_rank
 
 small_pow = st.integers(min_value=-2, max_value=2)
 
@@ -166,6 +172,128 @@ class TestIntersect:
                 x = x + spec.element(*g).scalar_mul(q)
             hits = [c for c in B.cones if geo.member(x, c)]
             assert len(hits) == 1
+
+
+class TestFastDisjoint:
+    def test_settled_pairs_have_empty_carve(self, geo):
+        # cells on a small shared pool of rays, so many pairs share a ray or
+        # a face; every pair the fast test settles must carve to nothing
+        tf = geo.trace_form
+        rng = random.Random(7)
+        settled = touching = 0
+        for _ in range(6):
+            pool = set()
+            while len(pool) < 6:
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+                if sum(f * x for f, x in zip(tf, v)) > 0:
+                    pool.add(primitive_vector(v))
+            cells = [
+                Cone(tuple(gens))
+                for k in (1, 2, 3)
+                for gens in itertools.combinations(sorted(pool), k)
+                if _rank(gens) == k
+            ]
+            for a, b in itertools.combinations(cells, 2):
+                if cones_fast_disjoint(a, b):
+                    settled += 1
+                    touching += bool(set(a.gens) & set(b.gens))
+                    assert _carve(a, b, tf)[0] == []
+                    assert _carve(b, a, tf)[0] == []
+        # the rule reaches pairs with a shared generator, which no strict
+        # sign test settles
+        assert touching > 2000 and settled > 3000
+
+    def test_bundled_domains_settled_without_a_carve(self, rt, config):
+        pairs = []
+        for sid in ("fdcheck-D", "fdcheck-B", "fdcheck-B1", "fdcheck-B2"):
+            d, _, _ = rt.domain(_checked_params(rt, "fdcheck", config.scenario(sid)["params"]))
+            pairs += itertools.combinations(d.cones, 2)
+        assert len(pairs) == 60
+        assert all(cones_fast_disjoint(a, b) for a, b in pairs)
+
+    def test_overlapping_pair_stays_unsettled(self, geo, els):
+        # a ray through an interior point of C(1, eps1, eps1*eps2)
+        one, e1, e12 = els["eps1"].spec.one, els["eps1"], els["eps1"] * els["eps2"]
+        full = geo.cone(one, e1, e12)
+        ray = geo.cone(one + e1 + e12)
+        assert not cones_fast_disjoint(full, ray)
+        assert intersect_cells(full, ray, geo.trace_form) == [ray]
+
+
+def _random_rays(rng, tf, count):
+    out = []
+    while len(out) < count:
+        v = tuple(rng.randint(-5, 5) for _ in range(3))
+        if sum(f * x for f, x in zip(tf, v)) > 0:
+            out.append(v)
+    return out
+
+
+def _comb(a, u, b, v):
+    return tuple(a * x + b * y for x, y in zip(u, v))
+
+
+class TestIntegerKernels:
+    """`_rank` and `decompose_rays` against their Fraction oracles."""
+
+    def _check(self, rays, tf):
+        assert _rank(rays) == fraction_rank(rays)
+        assert decompose_rays(rays, tf) == fraction_decompose_rays(rays, tf)
+
+    def test_random_ray_sets(self, geo):
+        rng = random.Random(3)
+        for _ in range(400):
+            rows = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(rng.randint(1, 5))]
+            assert _rank(rows) == fraction_rank(rows)
+            self._check(_random_rays(rng, geo.trace_form, rng.randint(1, 7)), geo.trace_form)
+
+    def test_collinear_and_coplanar_sets(self, geo):
+        tf = geo.trace_form
+        rng = random.Random(4)
+        for _ in range(200):
+            u, v = _random_rays(rng, tf, 2)
+            line = [_comb(rng.randint(1, 4), u, 0, v) for _ in range(3)]
+            plane = [
+                _comb(rng.randint(0, 4), u, rng.randint(1, 4), v) for _ in range(rng.randint(2, 6))
+            ]
+            self._check(line, tf)
+            self._check(plane, tf)
+            assert fraction_rank(line) == 1 and fraction_rank(plane) <= 2
+
+    def test_repeated_rays(self, geo):
+        tf = geo.trace_form
+        rng = random.Random(5)
+        for _ in range(200):
+            rays = _random_rays(rng, tf, rng.randint(1, 4))
+            rays += [tuple(2 * x for x in r) for r in rays[: rng.randint(1, len(rays))]]
+            rays += rays[:1]
+            self._check(rays, tf)
+
+    def test_rays_with_collinear_section_points(self, geo):
+        # r + s lies on the segment from r to s in the section trace = 1, and
+        # so does every positive combination; add points off and on the line
+        tf = geo.trace_form
+        rng = random.Random(6)
+        for _ in range(200):
+            r, s, w = _random_rays(rng, tf, 3)
+            mids = [
+                _comb(rng.randint(1, 3), r, rng.randint(1, 3), s) for _ in range(rng.randint(1, 3))
+            ]
+            self._check([r, s, w] + mids, tf)
+            self._check([r, s] + mids, tf)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(0, 0, 1)],
+            [(1, 0, 0), (-1, 0, 0)],
+            [(1, 0, 0), (0, 1, 0), (-2, 0, 1)],
+        ],
+    )
+    def test_ray_of_nonpositive_trace_rejected(self, rays):
+        tf = (1, 1, 0)
+        with pytest.raises(DegenerateGeometry, match="positive trace"):
+            decompose_rays(rays, tf)
 
 
 class TestPerturbedClosure:

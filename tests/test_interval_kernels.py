@@ -138,7 +138,7 @@ def test_face_segments(emb, els, face_pairs, bits):
         e_from = emb.embed_positive(element(emb, pair[0]), bits)
         e_to = emb.embed_positive(element(emb, pair[1]), bits)
         for t in TS:
-            logs = _segment_logs(e_from, e_to, t, bits)
+            logs = _segment_logs(e_from, e_to, iv_fraction(t, t, bits)._mpi_, bits)
             want = ref_segment_logs(e_from, e_to, t, bits)
             assert_all_same(logs, want)
             for k, basis in bases.items():
@@ -155,7 +155,7 @@ def test_curve_sample_segments(emb, els, bits):
         for l in (1, 2):
             e_to = emb.embed_positive(g**l, bits)
             for t in TS[1:-1]:
-                logs = _segment_logs(e_one, e_to, t, bits)
+                logs = _segment_logs(e_one, e_to, iv_fraction(t, t, bits)._mpi_, bits)
                 want = ref_segment_logs(e_one, e_to, t, bits)
                 assert_all_same(logs, want)
                 assert_all_same(basis.project_logs(logs), ref.project_logs(want))
@@ -173,7 +173,7 @@ def test_cross_precision_projection(emb, els, face_pairs):
     ]
     for e_from, e_to in segments:
         for t in TS[1:-1]:
-            logs = _segment_logs(e_from, e_to, t, 256)
+            logs = _segment_logs(e_from, e_to, iv_fraction(t, t, 256)._mpi_, 256)
             got = basis.project_logs(logs)
             assert all(type(v) is type(iv_context(128).mpf(0)) for v in got)
             assert_all_same(got, ref.project_logs(ref_segment_logs(e_from, e_to, t, 256)))

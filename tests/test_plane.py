@@ -112,7 +112,8 @@ class TestDerivatives:
                     ts = (h, 2 * h) if t_end == 0 else (1 - 2 * h, 1 - h)
                     pts = []
                     for t in ts:
-                        logs = plane._segment_logs(e_one, e_to, t, 256)
+                        ti = plane.iv_fraction(t, t, 256)._mpi_
+                        logs = plane._segment_logs(e_one, e_to, ti, 256)
                         a, b = basis.project_logs(logs)
                         mid = lambda v: (mpmath.mpf(v.a) + mpmath.mpf(v.b)) / 2
                         pts.append((mid(a), mid(b)))
