@@ -43,12 +43,9 @@ from .field import FieldElement, FieldSpec, _int_vec, adjugate3, det3
 
 Vec = tuple[int, int, int]
 
-# translate searches run over u1^k1 u2^k2 with |k1|, |k2| <= the window
-DEFAULT_WINDOW = 8
-# bound on a config window: the window bounds the power matrices a translate
-# table holds and the k range its boxes select from, so a larger window is a
-# config error, not a hang
-MAX_WINDOW = 32
+# cap on |k1|, |k2| in a translate search, whose certified box range decides
+# its completeness: a range this cap cuts is an error (bundled: |k| <= 3)
+WINDOW = 8
 
 
 def _dot(a, b):
@@ -392,18 +389,6 @@ def diff_cell(a: Cone, b: Cone, trace_form) -> list[Cone]:
 # -- translate tables --------------------------------------------------------
 
 
-def _power_matrices(u: FieldElement, window: int) -> dict:
-    """k -> an integer matrix that is a positive multiple of the matrix of
-    u^k, for |k| <= window."""
-    out = {0: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-    step = _int_matrix(u.mul_matrix())
-    back = _int_matrix(u.inverse().mul_matrix())
-    for k in range(1, window + 1):
-        out[k] = _matmul(out[k - 1], step)
-        out[-k] = _matmul(out[-(k - 1)], back)
-    return out
-
-
 def _mpi_dot(row, logs, prec):
     """The dot product of two raw interval 3-vectors."""
     acc = mpi_mul(row[0], logs[0], prec)
@@ -413,8 +398,8 @@ def _mpi_dot(row, logs, prec):
 
 
 class _TranslateTable:
-    """The translates u1^k1 u2^k2 D of one domain over a window, each built
-    on first use and kept, with a certified box of D in the phi plane.
+    """The translates u1^k1 u2^k2 D of one domain, each built on first use
+    and kept, with a certified box of D in the phi plane.
 
     phi writes the trace-zero part of a log-embedding vector in the basis
     tz(Log u1), tz(Log u2). Multiplying by u1^k1 u2^k2 shifts it by exactly
@@ -437,9 +422,11 @@ class _TranslateTable:
         # no reference to geo, whose memo keeps the table: a cycle would keep
         # a dropped Geometry and its embeddings alive until a full collection
         self.emb = geo.emb
-        self.window = geo.window
         self.domain = d.cones
-        self._powers = (_power_matrices(u1, self.window), _power_matrices(u2, self.window))
+        # per axis: k -> a positive integer multiple of the matrix of u^k
+        self._powers = tuple(
+            {k: _int_matrix((u**k).mul_matrix()) for k in (-1, 0, 1)} for u in (u1, u2)
+        )
         self._cells: dict = {}
         self._forms(u1, u2)
         self.box = self.cones_box([c.gens for c in self.domain])
@@ -491,24 +478,45 @@ class _TranslateTable:
         )
 
     def candidates(self, fixed):
-        """The k of the window, ascending, whose shifted box of D meets the
-        box `fixed`: per axis ceil(lo) .. floor(hi) of fixed - box(D)."""
-        w = self.window
-        ranges = []
-        for f, m in zip(fixed, self.box):
+        """The k with |k1|, |k2| <= WINDOW, ascending, whose shifted box of D
+        meets the box `fixed`: per axis the certified range ceil(lo) ..
+        floor(hi) of fixed - box(D), clipped. Also the cuts: (axis, lo, hi)
+        for each range the clip shortens, none when a range is empty."""
+        ranges, cuts = [], []
+        for axis, (f, m) in enumerate(zip(fixed, self.box)):
             lo, hi = mpi_sub(f, m, self.prec)
-            ranges.append(
-                range(max(-w, to_int(lo, round_ceiling)), min(w, to_int(hi, round_floor)) + 1)
-            )
-        return [(k1, k2) for k1 in ranges[0] for k2 in ranges[1]]
+            lo, hi = to_int(lo, round_ceiling), to_int(hi, round_floor)
+            if lo > hi:
+                return [], []
+            if lo < -WINDOW or hi > WINDOW:
+                cuts.append((axis, lo, hi))
+            ranges.append(range(max(-WINDOW, lo), min(WINDOW, hi) + 1))
+        return [(k1, k2) for k1 in ranges[0] for k2 in ranges[1]], cuts
+
+    def _power(self, axis: int, k: int):
+        powers = self._powers[axis]
+        if k not in powers:
+            step = 1 if k > 0 else -1
+            powers[k] = _matmul(self._power(axis, k - step), powers[step])
+        return powers[k]
 
     def cells(self, k) -> list[Cone]:
         """The cells of u1^k1 u2^k2 D."""
         cells = self._cells.get(k)
         if cells is None:
-            m = _matmul(self._powers[0][k[0]], self._powers[1][k[1]])
+            m = _matmul(self._power(0, k[0]), self._power(1, k[1]))
             cells = self._cells[k] = [c.translate(m) for c in self.domain]
         return cells
+
+
+def _cut_message(cuts) -> str:
+    """One clause per cut: `k1 range [-2, 3] cut by the window |k| <= 2 (1 above)`."""
+    clauses = []
+    for axis, lo, hi in cuts:
+        over = ((-WINDOW - lo, "below"), (hi - WINDOW, "above"))
+        over = ", ".join(f"{n} {side}" for n, side in over if n > 0)
+        clauses.append(f"k{axis + 1} range [{lo}, {hi}] cut by the window |k| <= {WINDOW} ({over})")
+    return "; ".join(clauses)
 
 
 # -- the geometry engine -------------------------------------------------------
@@ -537,12 +545,11 @@ class FDReport:
 
 class Geometry:
     """Exact Shintani set operations bound to one field and one embedding
-    labeling; every translate search runs over the same window."""
+    labeling; translate searches run over certified k ranges."""
 
-    def __init__(self, emb: RealEmbeddings, window: int = DEFAULT_WINDOW):
+    def __init__(self, emb: RealEmbeddings):
         self.emb = emb
         self.spec: FieldSpec = emb.spec
-        self.window = window
         self.trace_form = primitive_vector(self.spec.trace_basis)
         # (cell generators, u1, u2) -> the _TranslateTable of
         # _overlap_support; fdcheck tables stay out (never shared)
@@ -569,12 +576,7 @@ class Geometry:
 
     def _first_meeting(self, pairs):
         """The first pair of cells with a nonempty intersection, or None."""
-        for a, b in pairs:
-            if cones_fast_disjoint(a, b):
-                continue
-            if intersect_cells(a, b, self.trace_form):
-                return (a, b)
-        return None
+        return next(((a, b) for a, b in pairs if intersect_cells(a, b, self.trace_form)), None)
 
     def element_of_vec(self, v) -> FieldElement:
         return FieldElement(self.spec, tuple(Fraction(x) for x in v))
@@ -715,13 +717,10 @@ class Geometry:
 
     # -- translates, covers, supports -----------------------------------------
 
-    def _on_boundary(self, k) -> bool:
-        return abs(k[0]) == self.window or abs(k[1]) == self.window
-
     def _overlap_support(self, d, x, u1, u2):
-        """All k in the window with u1^k1 u2^k2 D meeting x^-1 D, sorted;
-        a k on the window boundary raises WindowExceeded. Only the k whose
-        shifted box of D meets box(D) - phi(x) are built and tested."""
+        """All k with u1^k1 u2^k2 D meeting x^-1 D, sorted: only the k whose
+        shifted box of D meets box(D) - phi(x) can, and WINDOW must not cut
+        their range. Only those are built and tested."""
         if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("translate target must be totally positive")
         key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords)
@@ -731,10 +730,10 @@ class Geometry:
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
         fixed = [mpi_sub(b, p, table.prec) for b, p in zip(table.box, table.point(x))]
-        hits = [k for k in table.candidates(fixed) if self.overlap(table.cells(k), target)]
-        if any(map(self._on_boundary, hits)):
-            raise WindowExceeded(f"support touches the window boundary: {hits}")
-        return hits
+        ks, cuts = table.candidates(fixed)
+        if cuts:
+            raise WindowExceeded(_cut_message(cuts))
+        return [k for k in ks if self.overlap(table.cells(k), target)]
 
     def error_support(
         self, d: ShintaniSet, pi: FieldElement, u1: FieldElement, u2: FieldElement
@@ -746,9 +745,8 @@ class Geometry:
     ) -> CoverBox:
         hits = self._overlap_support(d, x, u1, u2)
         if not hits:
-            raise WindowExceeded("x^-1 D meets no translate inside the window")
-        k1s = [k1 for k1, _ in hits]
-        k2s = [k2 for _, k2 in hits]
+            raise EmptySet("x^-1 D meets no translate of D")
+        k1s, k2s = zip(*hits)
         anchor = (min(k1s), min(k2s))
         alpha = (max(k1s) - anchor[0], max(k2s) - anchor[1])
         return CoverBox(alpha=alpha, anchor=anchor, support=tuple(hits), domain=d)
@@ -763,32 +761,35 @@ class Geometry:
         samples: int = 1000,
         seed: int = 0,
     ) -> FDReport:
-        """Seeded sampling check that the window translates of D hit each
-        random totally positive point exactly once.
+        """Seeded sampling check that the translates of D hit each random
+        totally positive point exactly once.
 
         Points are positive rational combinations of the spanning triple
         (1, u1, u1*u2), so every point lies in the open cone S the triple
         spans. A translate cell that misses S holds no point, so each point
         is tested only against the cells that meet S, found once by exact
-        intersection; its hit set over the whole window is still exact.
-        The translate table's phi boxes choose the translates to intersect:
-        only the k with box(D) + k meeting box(S) are built, since no other
-        translate can meet S. The table is not kept.
+        intersection; its hit set is still exact. The translate table's phi
+        boxes choose the translates to intersect: only the k with
+        box(D) + k meeting box(S) are built, since no other translate can
+        meet S; a hit on an end of that range that WINDOW cuts fails the
+        check as a boundary hit. The table is not kept.
 
         A PASS is evidence about S only. Each bundled domain has S as one of
-        its cells, so a PASS there shows that no other window translate
-        meets that cell; a domain with another cell deleted, or with a
-        translate of another cell added, can still pass.
+        its cells, so a PASS there shows that no other translate meets that
+        cell; a domain with another cell deleted, or with a translate of
+        another cell added, can still pass.
         """
         if samples < 1:
             raise ValueError("fundamental domain check needs samples >= 1")
         triple = (self.spec.one, u1, u1 * u2)
-        flat = _int_vec([c for v in triple for c in v.coords])
-        w = (flat[0:3], flat[3:6], flat[6:9])
+        w = _int_matrix([v.coords for v in triple])
         s_cells = decompose_rays(w, self.trace_form)
         table = _TranslateTable(self, d, u1, u2)
+        ks, cuts = table.candidates(table.cones_box([w]))
+        ends = [(axis, -WINDOW) for axis, lo, _ in cuts if lo < -WINDOW]
+        ends += [(axis, WINDOW) for axis, _, hi in cuts if hi > WINDOW]
         candidates = {}
-        for k in table.candidates(table.cones_box([w])):
+        for k in ks:
             kept = [
                 c
                 for c in table.cells(k)
@@ -810,7 +811,7 @@ class Geometry:
                 for k, cells in candidates.items()
                 if any(c.contains_vec(xv) for c in cells)
             ]
-            edge = [k for k in hits if self._on_boundary(k)]
+            edge = [k for k in hits if any(k[axis] == end for axis, end in ends)]
             if len(hits) == 1 and not edge:
                 continue
             x = self.spec.zero

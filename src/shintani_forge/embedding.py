@@ -37,7 +37,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NotTotallyPositive, PrecisionExhausted
-from .field import FieldElement, FieldSpec, count_real_roots, det3, _poly_eval
+from .field import FieldElement, FieldSpec, count_real_roots, det3
 
 Rat = Fraction
 
@@ -158,19 +158,13 @@ class RealEmbeddings:
         self.order = tuple(order)
         self.cfg = cfg
         self._initial: list[RatInterval] = self._isolate_initial()
-        # bits -> ascending-root interval list; every entry lies on the
-        # deterministic bisection chain from the initial isolation, so the
-        # enclosure at a given bit level never depends on request history
+        # bits -> the intervals of refine_roots(bits), in ascending-root order
         self._snapshots: dict[int, list[RatInterval]] = {}
         # (coordinates, bits) -> the embedding enclosures, shared by every
         # call, so each interval's per-precision conversions are shared too
         self._embedded: dict = {}
 
     # -- root isolation ----------------------------------------------------
-
-    def _poly_sign(self, x: Fraction) -> int:
-        v = _poly_eval([Fraction(c) for c in self.spec.int_coeffs], x)
-        return 0 if v == 0 else (1 if v > 0 else -1)
 
     def _isolate_initial(self) -> list[RatInterval]:
         spec = self.spec
@@ -185,43 +179,44 @@ class RealEmbeddings:
             n = count_real_roots(chain, a, c)
             if n == 0:
                 continue
-            if n == 1 and self._poly_sign(a) * self._poly_sign(c) < 0:
+            # an irreducible cubic has simple irrational roots, so a piece
+            # with one root changes sign between its rational ends
+            if n == 1:
                 found.append(RatInterval(a, c))
                 continue
             m = (a + c) / 2
-            # irreducibility rules out rational roots, so m is never a root
             stack.append((a, m))
             stack.append((m, c))
         found.sort(key=lambda iv: iv.lo)
         assert len(found) == 3
         return found
 
+    def _dyadic_sign(self, m: int, e: int) -> int:
+        """The sign of p(m / 2^e), from 2^(3e) p(m / 2^e) by integer Horner."""
+        c0, c1, c2, c3 = self.spec.int_coeffs
+        v = ((c3 * m + (c2 << e)) * m + (c1 << 2 * e)) * m + (c0 << 3 * e)
+        return (v > 0) - (v < 0)
+
     def refine_roots(self, bits: int) -> list[RatInterval]:
         """Isolating intervals bisected to the first width <= 2^-bits.
 
-        The result is the unique element of the bisection chain crossing the
-        width target, computed from the deepest cached chain ancestor; nested
-        refinement and determinism across request orders both follow.
+        The result is the unique element of the bisection chain from the
+        initial isolation that crosses the width target, so nested
+        refinement and determinism across request orders both follow. Every
+        endpoint of the chain is dyadic, so an interval is bisected as
+        integer numerators (a, b) over 2^e.
         """
         snap = self._snapshots.get(bits)
         if snap is None:
-            target = Fraction(1, 2**bits)
             snap = []
-            for idx, start in enumerate(self._initial):
-                for cached in sorted(self._snapshots, reverse=True):
-                    cand = self._snapshots[cached][idx]
-                    if cand.width() > target:
-                        start = cand
-                        break
-                lo, hi = start.lo, start.hi
-                slo = self._poly_sign(lo)
-                while hi - lo > target:
-                    m = (lo + hi) / 2
-                    if self._poly_sign(m) == slo:
-                        lo = m
-                    else:
-                        hi = m
-                snap.append(RatInterval(lo, hi))
+            for start in self._initial:
+                e = max(start.lo.denominator, start.hi.denominator).bit_length() - 1
+                a, b = int(start.lo * 2**e), int(start.hi * 2**e)
+                slo = self._dyadic_sign(a, e)
+                while (b - a) << bits > 1 << e:
+                    m, e = a + b, e + 1
+                    a, b = (m, 2 * b) if self._dyadic_sign(m, e) == slo else (2 * a, m)
+                snap.append(RatInterval(Fraction(a, 1 << e), Fraction(b, 1 << e)))
             self._snapshots[bits] = snap
         return [snap[i] for i in self.order]
 

@@ -30,7 +30,7 @@ class EmptySet(ShintaniError):
 
 
 class WindowExceeded(ShintaniError):
-    """A windowed search hit the window boundary."""
+    """`cones.WINDOW` cut the certified k range of a translate search."""
 
 
 class InclusionViolated(ShintaniError):

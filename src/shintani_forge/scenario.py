@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import units as unit_ops
-from .cones import DEFAULT_WINDOW, MAX_WINDOW, Geometry, ShintaniSet
+from .cones import Geometry, ShintaniSet
 from .embedding import RealEmbeddings, SignConfig
 from .errors import (
     Inconclusive,
@@ -30,6 +30,11 @@ from .figures import FIGURE_BITS, Scene, materialize_scene, render_svg_csv
 from .plane import check_direction_bounds, curve_sample
 
 SCHEMA_VERSION = 1
+
+# the top-level fields of a schema-1 config; any other is a config error
+_CONFIG_FIELDS = set(
+    "schema field embedding_order elements units totally_positive precision seed scenarios".split()
+)
 
 # bound on |k| times the coordinate bit height of the base of an element
 # power base^k: beyond it the power is a parse error, not a hang (the
@@ -177,7 +182,6 @@ class ScenarioConfig:
     units: list
     totally_positive: list
     sign_config: SignConfig
-    window: int
     seed: int
     scenarios: list
 
@@ -192,6 +196,9 @@ def load_config(path) -> ScenarioConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}")
+    unknown = sorted(set(raw) - _CONFIG_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown config field {unknown[0]!r}")
     coeffs = _config_field(raw, "field", _OBJECT, None).get("poly_coeffs")
     if not _is_list_of(coeffs, lambda c: isinstance(c, str) or _TYPES[_INT](c)):
         raise ValueError(f"config field 'poly_coeffs' must list strings or ints, got {coeffs!r}")
@@ -211,9 +218,6 @@ def load_config(path) -> ScenarioConfig:
         max_bits=int(os.environ.get("SHINTANI_MAX_BITS", max_bits)),
         escalation_factor=_config_field(prec, "escalation_factor", _INT, 2),
     )
-    window = _config_field(raw, "window", _INT, DEFAULT_WINDOW)
-    if not 1 <= window <= MAX_WINDOW:
-        raise ValueError(f"config field 'window' must be in 1..{MAX_WINDOW}, got {window}")
     config = ScenarioConfig(
         spec=spec,
         embedding_order=tuple(order),
@@ -221,7 +225,6 @@ def load_config(path) -> ScenarioConfig:
         units=_config_field(raw, "units", _NAMES, []),
         totally_positive=_config_field(raw, "totally_positive", _NAMES, []),
         sign_config=cfg,
-        window=window,
         seed=_config_field(raw, "seed", _INT, 0),
         scenarios=_config_field(raw, "scenarios", _LIST, []),
     )
@@ -269,7 +272,7 @@ class Runtime:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
-        self.geo = Geometry(self.emb, config.window)
+        self.geo = Geometry(self.emb)
 
     def domain(self, p: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:
         """Build the domain a scenario refers to, returning (set, u1, u2)

@@ -310,7 +310,7 @@ def build_construction(
 ) -> ConstructionResult:
     """Run the full pipeline: validate inputs, check the inequality chains,
     pick the power, normalize pi by the triangle search, re-verify the sign
-    suite and classify the case over the window of `geo`.
+    suite and classify the case with the translate searches of `geo`.
 
     g1, g2 generate the unit group the normalization ranges over. With
     `eps_pair` the inequality chains and the power scan run on the supplied

@@ -1,9 +1,9 @@
-import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from shintani_forge import cones
 from shintani_forge.cli import bundled_config_path
 from shintani_forge.cones import Geometry
 from shintani_forge.scenario import Runtime, load_config
@@ -39,10 +39,16 @@ def geo(rt):
     return rt.geo
 
 
-@pytest.fixture(scope="session")
-def geo_at(emb):
-    """geo_at(w): the session's geometry at translate window w, one per w."""
-    return functools.cache(lambda window: Geometry(emb, window))
+@pytest.fixture
+def geo_at(emb, monkeypatch):
+    """geo_at(w): a fresh geometry on the session's embeddings, with the
+    translate cap `cones.WINDOW` set to w for the rest of the test."""
+
+    def at(window):
+        monkeypatch.setattr(cones, "WINDOW", window)
+        return Geometry(emb)
+
+    return at
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,19 @@
-"""Full-window translate scans built only from public pieces: the rational
-matrix of each power u1^k1 u2^k2, `Cone.translate` and `Geometry.overlap`.
-They share no code with the pruned translate table, so tests hold the
-table's results to them. Also the Fraction rank and ray decomposition that
-the integer cell kernels replace."""
+"""Translate scans of every |k1|, |k2| <= a window, built only from public
+pieces: the rational matrix of each power u1^k1 u2^k2, `Cone.translate` and
+`Geometry.overlap`. They share no code with the pruned translate table, so
+tests hold the table's results to them. Also the Fraction rank and ray
+decomposition that the integer cell kernels replace, and the Fraction
+bisection that the integer root refinement replaces."""
 
 from fractions import Fraction
 
 from shintani_forge.cones import Cone, primitive_vector
-from shintani_forge.errors import WindowExceeded
+from shintani_forge.errors import EmptySet
 
 
-def window_translates(geo, d, u1, u2) -> dict:
+def window_translates(d, u1, u2, window) -> dict:
     """k -> the cells of u1^k1 u2^k2 D, for all (2 window + 1)^2 k."""
-    ks = range(-geo.window, geo.window + 1)
+    ks = range(-window, window + 1)
     p1 = {k: u1**k for k in ks}
     p2 = {k: u2**k for k in ks}
     out = {}
@@ -24,21 +25,17 @@ def window_translates(geo, d, u1, u2) -> dict:
 
 
 def scan_support(geo, translates, d, x):
-    """All k whose translate meets x^-1 D, sorted; a k on the window
-    boundary raises WindowExceeded with the whole hit list."""
+    """All scanned k whose translate meets x^-1 D, sorted."""
     m = x.inverse().mul_matrix()
     target = [c.translate(m) for c in d.cones]
-    hits = sorted(k for k, cells in translates.items() if geo.overlap(cells, target))
-    if any(abs(k1) == geo.window or abs(k2) == geo.window for k1, k2 in hits):
-        raise WindowExceeded(f"support touches the window boundary: {hits}")
-    return hits
+    return sorted(k for k, cells in translates.items() if geo.overlap(cells, target))
 
 
 def scan_cover(geo, translates, d, x):
     """(alpha, anchor, support) of the translate cover of x^-1 D."""
     hits = scan_support(geo, translates, d, x)
     if not hits:
-        raise WindowExceeded("x^-1 D meets no translate inside the window")
+        raise EmptySet("x^-1 D meets no translate of D")
     anchor = (min(k1 for k1, _ in hits), min(k2 for _, k2 in hits))
     alpha = (max(k1 for k1, _ in hits) - anchor[0], max(k2 for _, k2 in hits) - anchor[1])
     return alpha, anchor, tuple(hits)
@@ -115,3 +112,30 @@ def fraction_decompose_rays(rays, trace_form) -> list[Cone]:
     cells = [Cone(tuple(sorted((h0, hull[i], hull[i + 1])))) for i in range(1, k - 1)]
     cells += [Cone(tuple(sorted((h0, hull[i])))) for i in range(2, k - 1)]
     return cells
+
+
+def fraction_refine_roots(emb, bits):
+    """The ascending isolating intervals of `emb`, each bisected from its
+    initial isolation in Fraction arithmetic to the first width <= 2^-bits;
+    the integer bisection of `refine_roots` must give the same intervals."""
+    coeffs = [Fraction(c) for c in emb.spec.int_coeffs]
+
+    def sign(x):
+        v = Fraction(0)
+        for c in reversed(coeffs):
+            v = v * x + c
+        return (v > 0) - (v < 0)
+
+    target = Fraction(1, 2**bits)
+    out = []
+    for start in emb._initial:
+        lo, hi = start.lo, start.hi
+        slo = sign(lo)
+        while hi - lo > target:
+            m = (lo + hi) / 2
+            if sign(m) == slo:
+                lo = m
+            else:
+                hi = m
+        out.append((lo, hi))
+    return out

@@ -417,14 +417,19 @@ class TestCoversAndSupport:
             assert box.anchor[0] <= k1 <= box.anchor[0] + box.alpha[0]
             assert box.anchor[1] <= k2 <= box.anchor[1] + box.alpha[1]
 
-    def test_error_support_window_stable(self, geo_at, els, D):
-        s2 = geo_at(2).error_support(D, els["pi"], els["g1"], els["g2"])
+    def test_error_support_window_stable(self, geo, geo_at, els, D):
+        # the certified range [-2, 3] x [-1, 2] fits in |k| <= 3, so the
+        # support is the one found under the default cap
+        s8 = geo.error_support(D, els["pi"], els["g1"], els["g2"])
         s3 = geo_at(3).error_support(D, els["pi"], els["g1"], els["g2"])
-        assert s2 == s3
+        assert s3 == s8
 
     def test_window_exceeded(self, geo_at, els, D):
-        with pytest.raises(WindowExceeded):
-            geo_at(1).error_support(D, els["pi"], els["g1"], els["g2"])
+        # |k| <= 2 cuts k1 = 3 off the range, though the support, with k1
+        # in 0..1, lies well inside the cap
+        msg = r"^k1 range \[-2, 3\] cut by the window \|k\| <= 2 \(1 above\)$"
+        with pytest.raises(WindowExceeded, match=msg):
+            geo_at(2).error_support(D, els["pi"], els["g1"], els["g2"])
 
     def test_identity_error_support(self, geo_at, spec, els, D):
         sup = geo_at(2).error_support(D, spec.one, els["g1"], els["g2"])

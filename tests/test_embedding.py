@@ -10,6 +10,8 @@ from shintani_forge.errors import NotTotallyReal, PrecisionExhausted
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
 
+from oracles import fraction_refine_roots
+
 coord = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 coords = st.tuples(coord, coord, coord)
 
@@ -35,6 +37,19 @@ class TestRootIsolation:
         for c, f in zip(coarse, fine):
             assert c.lo <= f.lo and f.hi <= c.hi
             assert f.width() <= Fraction(1, 2**80)
+
+    @pytest.mark.parametrize("coeffs", [(1, -1, -4, 2), (1, -2, -1, 1)])
+    def test_integer_bisection_matches_fraction_bisection(self, coeffs):
+        # the bundled field, in its config's labels, and x^3 - x^2 - 2x + 1;
+        # refined fresh at each width and along the 64 -> 128 -> 4096 chain
+        spec = FieldSpec(list(coeffs))
+        chained = RealEmbeddings(spec, (1, 2, 0), cfg=SignConfig())
+        for bits in (64, 128, 4096):
+            want = fraction_refine_roots(chained, bits)
+            want = [want[i] for i in chained.order]
+            fresh = RealEmbeddings(spec, (1, 2, 0), cfg=SignConfig())
+            for emb in (chained, fresh):
+                assert [(iv.lo, iv.hi) for iv in emb.refine_roots(bits)] == want
 
     def test_history_independent(self, spec):
         a = RealEmbeddings(spec, cfg=SignConfig())

@@ -1,12 +1,13 @@
 """The pruned tiling check against a brute-force oracle that tests every
-cell of every window translate, on the bundled domains, on a second field
-and on tampered copies of B."""
+cell of every translate with |k1|, |k2| <= cones.WINDOW, on the bundled
+domains, on a second field and on tampered copies of B."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from shintani_forge import cones
 from shintani_forge.cones import (
     Cone,
     FDReport,
@@ -25,8 +26,11 @@ from oracles import window_translates
 
 def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
     """The tiling check without pruning: each Fraction sample is tested
-    against every cell of all (2 window + 1)^2 translates."""
-    translates = window_translates(geo, d, u1, u2)
+    against every cell of all (2 WINDOW + 1)^2 translates. Its boundary
+    hits are all hits on the edge |k1| or |k2| = WINDOW, where the pruned
+    check counts only those on an edge that cuts the certified range."""
+    window = cones.WINDOW
+    translates = window_translates(d, u1, u2, window)
     rng = random.Random(seed)
     triple = (geo.spec.one, u1, u1 * u2)
     bad = []
@@ -43,7 +47,7 @@ def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
         if len(hits) != 1:
             bad.append((x.coords, sorted(hits)))
         for k1, k2 in hits:
-            if abs(k1) == geo.window or abs(k2) == geo.window:
+            if abs(k1) == window or abs(k2) == window:
                 boundary.append(((k1, k2), x.coords))
     return FDReport(
         passed=not bad and not boundary,
@@ -56,7 +60,10 @@ def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
 
 def check_both(geo, d, u1, u2, samples=200, seed=0) -> FDReport:
     rep = geo.fundamental_domain_check(d, u1, u2, samples=samples, seed=seed)
-    assert rep == brute_force_check(geo, d, u1, u2, samples, seed)
+    want = brute_force_check(geo, d, u1, u2, samples, seed)
+    assert (rep.samples, rep.bad_samples, rep.seed) == (want.samples, want.bad_samples, want.seed)
+    assert all(hit in want.boundary_hits for hit in rep.boundary_hits)
+    assert rep.passed == (not rep.bad_samples and not rep.boundary_hits)
     return rep
 
 
@@ -114,11 +121,16 @@ def test_added_translate_of_sampled_cell_hits_twice(geo, geo_at, els, B):
 
 
 def test_translated_domain_hits_only_the_window_boundary(geo, geo_at, els, B):
+    # every sample hits eps1 B once, at k = (-1, 0); the S-box range of k1
+    # is -2..0, so the cap |k| <= 1 cuts it at -1 and each hit lies on the
+    # cut, while under |k| <= 2 the range is whole and the check passes
     e1, e2 = els["eps1"], els["eps2"]
-    rep = check_both(geo_at(1), geo.scale(B, e1), e1, e2, seed=5)
+    moved = geo.scale(B, e1)
+    rep = check_both(geo_at(1), moved, e1, e2, seed=5)
     assert rep.bad_samples == []
     assert len(rep.boundary_hits) == 200
     assert all(k == (-1, 0) for k, _ in rep.boundary_hits)
+    assert check_both(geo_at(2), moved, e1, e2, seed=5).passed
 
 
 def test_only_cells_meeting_the_sampling_cone_are_tested(geo, els, B, monkeypatch):

@@ -3,10 +3,11 @@ and the command line. Whatever they hold, the run ends with a report for
 every selected scenario, or with one line of config or usage error on
 stderr, and its exit code is 0, 1, 2 or 3; no other exception escapes.
 
-The configs keep to cheap scenario kinds and a window of at most 3. An
-exponent token is small or huge: a power whose |k| times the bit height of
-its base exceeds `scenario.MAX_POWER_BITS` is a parse error, and every power
-to the huge token is one.
+The configs keep to cheap scenario kinds. A top-level field outside the
+schema, such as `nonsense`, is a config error. An exponent token is small or
+huge: a power whose |k| times the bit height of its base exceeds
+`scenario.MAX_POWER_BITS` is a parse error, and every power to the huge
+token is one.
 """
 
 import functools
@@ -57,7 +58,6 @@ PATHS = [
     ("precision", "start_bits"),
     ("precision", "max_bits"),
     ("precision", "escalation_factor"),
-    ("window",),
     ("seed",),
     ("scenarios",),
     ("scenarios", 0),
@@ -76,7 +76,6 @@ KINDS = {
 
 def _cheap_raw() -> dict:
     raw = json.loads(bundled_config_path().read_text())
-    raw["window"] = 3
     raw["scenarios"] = [sc for sc in raw["scenarios"] if sc["id"] in CHEAP]
     return raw
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shintani_forge
+from shintani_forge import cones
 from shintani_forge.cli import bundled_config_path, main
 from shintani_forge.cones import Geometry, _TranslateTable
 from shintani_forge.errors import ParseError, UnknownName, UnknownScenario
@@ -126,6 +127,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(bad)
 
+    @pytest.mark.parametrize("name", ["window", "Seed"])
+    def test_unknown_top_level_field_is_config_error(self, tmp_path, capsys, name):
+        # configs once set the translate window, now the constant
+        # cones.WINDOW: such a config must not run as if it were obeyed
+        cfgp = _bundled_with(tmp_path, **{name: 2})
+        with pytest.raises(ValueError, match=f"unknown config field '{name}'"):
+            load_config(cfgp)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config field '{name}'\n"
+        assert not out.exists()
+
     def test_max_bits_env_override(self, monkeypatch):
         monkeypatch.setenv("SHINTANI_MAX_BITS", "512")
         cfg = load_config(bundled_config_path())
@@ -134,10 +147,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("window", 8.7),
-            ("window", True),
-            ("window", "8"),
-            ("window", 0),
+            ("start_bits", True),
+            ("start_bits", "64"),
+            ("escalation_factor", True),
+            ("escalation_factor", "2"),
             ("seed", 1.9),
             ("seed", True),
             ("seed", "1"),
@@ -160,8 +173,6 @@ class TestConfig:
             ("units", "g1"),
             ("totally_positive", 5),
             ("scenarios", {}),
-            ("window", 33),
-            ("window", 1000),
         ],
     )
     def test_config_ints_are_checked(self, tmp_path, capsys, name, value):
@@ -521,24 +532,26 @@ class TestReports:
         assert exit_code([report["outcome"]]) == 3
 
 
-    def test_config_window_reaches_every_translate_search(self, config, tmp_path):
-        # at window 1 each of these supports touches the boundary, while the
-        # one translate fdcheck-B's samples hit is k = (0, 0), inside it
-        rt = Runtime(dataclasses.replace(config, window=1))
-        exceeded = "WindowExceeded: support touches the window boundary: "
-        for sid in (
-            "counterexample",
-            "construction",
-            "case-pi1",
-            "case-pi2",
-            "identities-case1",
-            "cover-pi1",
-            "inclusion-pi2",
-        ):
-            report = run_scenario(rt, sid, tmp_path)
-            assert report["outcome"] == "ERROR", sid
-            assert report["evidence"][0]["value"].startswith(exceeded), sid
-        assert run_scenario(rt, "fdcheck-B", tmp_path)["outcome"] == "PASS"
+    def test_config_window_reaches_every_translate_search(self, config, tmp_path, monkeypatch):
+        """Under the cap |k| <= 2 every scenario whose certified ranges fit
+        reports as under the default cap, supports that reach k = -2
+        included; counterexample's k1 range [-2, 3] is cut, an ERROR though
+        its support lies inside the cap."""
+        sids = ("case-pi1", "case-pi2", "cover-pi1", "inclusion-pi2", "identities-case2")
+        want = {sid: run_scenario(Runtime(config), sid, tmp_path / "8") for sid in sids}
+        monkeypatch.setattr(cones, "WINDOW", 2)
+        rt = Runtime(config)
+        for sid in sids:
+            assert want[sid]["outcome"] == "PASS", sid
+            assert run_scenario(rt, sid, tmp_path / "2") == want[sid], sid
+        report = run_scenario(rt, "counterexample", tmp_path / "2")
+        assert report["outcome"] == "ERROR"
+        assert report["evidence"] == [
+            {
+                "name": "error",
+                "value": "WindowExceeded: k1 range [-2, 3] cut by the window |k| <= 2 (1 above)",
+            }
+        ]
 
 
 class TestRuntimeReuse:
@@ -576,7 +589,7 @@ class TestRuntimeReuse:
             return original(geo, *args, **kwargs)
 
         monkeypatch.setattr(Geometry, "classify_case", counting)
-        rt = Runtime(dataclasses.replace(config, window=3))
+        rt = Runtime(config)
         report = run_scenario(rt, "identities-case2", tmp_path)
         assert report["outcome"] == "PASS"
         assert [e["name"] for e in report["evidence"]] == [
@@ -593,7 +606,7 @@ class TestRuntimeReuse:
             return original(geo, *args)
 
         monkeypatch.setattr(Geometry, "explicit_B", counting)
-        rt = Runtime(dataclasses.replace(config, window=3))
+        rt = Runtime(config)
         for n, sid in enumerate(("identities-case1", "identities-case2"), 1):
             assert run_scenario(rt, sid, tmp_path)["outcome"] == "PASS"
             assert len(calls) == n

@@ -1,6 +1,7 @@
-"""The pruned translate table: its supports and covers against a scan of the
-whole window, the soundness of its phi boxes, how few translates it builds,
-and a translate pair whose phi basis cannot be certified."""
+"""The pruned translate table: its supports and covers against a scan of
+every |k| <= cones.WINDOW, its verdicts under smaller caps, the soundness of
+its phi boxes, how few translates it builds, and a translate pair whose phi
+basis cannot be certified."""
 
 import functools
 import itertools
@@ -9,7 +10,9 @@ import time
 
 import pytest
 from mpmath import MPContext
+from mpmath.libmp import mpi_sub
 
+from shintani_forge import cones
 from shintani_forge.cones import Cone, Geometry, _TranslateTable
 from shintani_forge.embedding import RealEmbeddings, SignConfig
 from shintani_forge.errors import PrecisionExhausted, ShintaniError
@@ -21,7 +24,10 @@ from oracles import scan_cover, scan_support, window_translates
 
 @pytest.fixture(scope="module")
 def translates():
-    return functools.cache(window_translates)
+    """translates(geo, d, u1, u2): the scan of |k| <= cones.WINDOW, kept per
+    window."""
+    scan = functools.cache(window_translates)
+    return lambda geo, d, u1, u2: scan(d, u1, u2, cones.WINDOW)
 
 
 def outcome(fn, *args):
@@ -58,23 +64,50 @@ def assert_cover_matches(geo, translates, d, x, u1, u2):
     assert outcome(table_cover, geo, d, x, u1, u2) == want
 
 
+# the searches of counterexample (pi on D), of case-pi1 and cover-pi1 (pi1
+# on B) and of case-pi2 and inclusion-pi2 (pi2 on B) that a cap cuts, with
+# the message; their certified ranges are [-2, 3] x [-1, 2] for pi and
+# [-2, 1] x [-2, 0] for pi1 and pi2
+B_CUT_AT_1 = (
+    "k1 range [-2, 1] cut by the window |k| <= 1 (1 below); "
+    "k2 range [-2, 0] cut by the window |k| <= 1 (1 below)"
+)
+CUT = {
+    1: {
+        "pi": "k1 range [-2, 3] cut by the window |k| <= 1 (1 below, 2 above); "
+        "k2 range [-1, 2] cut by the window |k| <= 1 (1 above)",
+        "pi1": B_CUT_AT_1,
+        "pi2": B_CUT_AT_1,
+    },
+    2: {"pi": "k1 range [-2, 3] cut by the window |k| <= 2 (1 above)"},
+    3: {},
+    8: {},
+}
+
+
 @pytest.mark.parametrize("window", [1, 2, 3, 8])
-def test_bundled_supports_match_the_scan(geo_at, els, translates, window):
-    """counterexample, case-pi1, case-pi2, cover-pi1 and inclusion-pi2; at
-    windows 1 to 3 the WindowExceeded messages and hit lists match too."""
-    geo = geo_at(window)
+def test_bundled_supports_match_the_scan(geo, geo_at, els, translates, window):
+    """counterexample, case-pi1, case-pi2, cover-pi1 and inclusion-pi2 under
+    the cap |k| <= window: a search whose certified range the cap cuts is
+    WindowExceeded, and every other one matches the scan of |k| <= 8, even
+    where its support reaches the cap."""
     g1, g2, e1, e2 = els["g1"], els["g2"], els["eps1"], els["eps2"]
     d = geo.colmez_domain(g1, g2)
-    want = outcome(scan_support, geo, translates(geo, d, g1, g2), d, els["pi"])
-    assert outcome(geo.error_support, d, els["pi"], g1, g2) == want
-    cases = []
-    for pi in (els["pi1"], els["pi2"]):
-        want = outcome(scan_case, geo, translates, e1, e2, pi)
-        assert outcome(table_case, geo, e1, e2, pi) == want
-        assert_cover_matches(geo, translates, geo.explicit_B(e1, e2), pi, e1, e2)
-        cases.append(want[0])
-    if window == 8:
-        assert cases == ["case2", "case1"]
+    b = geo.explicit_B(e1, e2)
+    want = {"pi": outcome(scan_support, geo, translates(geo, d, g1, g2), d, els["pi"])}
+    for name in ("pi1", "pi2"):
+        want[name] = (
+            outcome(scan_case, geo, translates, e1, e2, els[name]),
+            outcome(scan_cover, geo, translates(geo, b, e1, e2), b, els[name]),
+        )
+    assert (want["pi1"][0][0], want["pi2"][0][0]) == ("case2", "case1")
+    capped = geo_at(window)
+    for name, cut in CUT[window].items():
+        want[name] = ("WindowExceeded", cut) if name == "pi" else 2 * (("WindowExceeded", cut),)
+    assert outcome(capped.error_support, d, els["pi"], g1, g2) == want["pi"]
+    for name in ("pi1", "pi2"):
+        got_case = outcome(table_case, capped, e1, e2, els[name])
+        assert (got_case, outcome(table_cover, capped, b, els[name], e1, e2)) == want[name]
 
 
 def test_cover_sweep_targets_match_the_scan(geo, els, translates):
@@ -111,6 +144,32 @@ def test_second_field_B_covers_match_the_scan(second_field, translates):
     b = geo.explicit_B(e1, e2)
     for x in (ph, ph * g1, geo.spec.element(3, 1, 1)):
         assert_cover_matches(geo, translates, b, x, e1, e2)
+
+
+def edge_distance(geo, d, x, u1, u2) -> float:
+    """How far inside its real candidate range, fixed - box(D) per axis, the
+    support hit of x^-1 D nearest to an edge lies."""
+    table = _TranslateTable(geo, d, u1, u2)
+    prec, ctx = table.prec, MPContext()
+    fixed = [mpi_sub(b, p, prec) for b, p in zip(table.box, table.point(x))]
+    real = [[ctx.make_mpf(v) for v in mpi_sub(f, m, prec)] for f, m in zip(fixed, table.box)]
+    hits = geo.translation_cover(d, x, u1, u2).support
+    return float(min(min(k[i] - real[i][0], real[i][1] - k[i]) for k in hits for i in (0, 1)))
+
+
+@pytest.mark.parametrize("pair", ["B", "B1"])
+def test_point_box_covers_match_the_scan(geo, els, pihats, translates, pair):
+    """The ray C(1) has a point box, so the one hit k = (-a, -b) of the
+    target u1^a u2^b lies within 0.05 of its candidate range's edges, and a
+    box too small by any margin drops it. The bundled domains have no such
+    target: their boxes are wider than their phi images, and the nearest
+    hit of every target searched lies at least 0.47 inside its range."""
+    u1, u2 = (els["eps1"], els["eps2"]) if pair == "B" else (els["eps2"], pihats["case1"])
+    ray = geo.shintani_set([geo.cone(geo.spec.one)])
+    for a, b in ((0, 0), (1, -1), (-3, 2), (3, 3)):
+        x = u1**a * u2**b
+        assert_cover_matches(geo, translates, ray, x, u1, u2)
+        assert edge_distance(geo, ray, x, u1, u2) < 0.05
 
 
 # -- box soundness ---------------------------------------------------------
