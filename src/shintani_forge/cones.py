@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_sub, round_ceiling, round_floor, to_int
+from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_sub
 from mpmath.libmp.libmpi import mpf_min_max
 
 from .embedding import RealEmbeddings, iv_context, iv_log_fraction, iv_sign
@@ -399,7 +399,8 @@ def _mpi_dot(row, logs, prec):
 
 class _TranslateTable:
     """The translates u1^k1 u2^k2 D of one domain, each built on first use
-    and kept, with a certified box of D in the phi plane.
+    and kept, with a certified box of each cell of D in the phi plane and
+    their hull, the box of D.
 
     phi writes the trace-zero part of a log-embedding vector in the basis
     tz(Log u1), tz(Log u2). Multiplying by u1^k1 u2^k2 shifts it by exactly
@@ -413,7 +414,9 @@ class _TranslateTable:
     has, in each slot j, sigma_j(x) / sum t_i between the least and the
     greatest sigma_j(v_i). The forms applied to the logs of those slot
     intervals give the cone's certified box, and a k whose shifted box
-    misses a target's box cannot meet the target. The forms are computed up
+    misses a target's box cannot meet the target: the hull decides which k
+    a search may need and whether the window cuts them, and the cell boxes
+    decide which pairs of cells to intersect for each. The forms are computed up
     the precision ladder until their determinant is certified nonzero; a
     pair that stays undecided at the cap raises PrecisionExhausted.
     """
@@ -429,7 +432,15 @@ class _TranslateTable:
         )
         self._cells: dict = {}
         self._forms(u1, u2)
-        self.box = self.cones_box([c.gens for c in self.domain])
+        self.cell_boxes = [self.cell_box(c.gens) for c in self.domain]
+        # the hull of the cell boxes
+        self.box = tuple(
+            (
+                mpf_min_max([b[i][0] for b in self.cell_boxes])[0],
+                mpf_min_max([b[i][1] for b in self.cell_boxes])[1],
+            )
+            for i in range(2)
+        )
 
     def _forms(self, u1: FieldElement, u2: FieldElement):
         """Rows of the forms a, b with a(Log u1) = b(Log u2) = 1 and
@@ -457,41 +468,47 @@ class _TranslateTable:
         logs = [v._mpi_ for v in self.emb.log_embed(x, self.bits)]
         return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
 
-    def cones_box(self, gen_lists):
-        """Certified phi box, one raw interval per axis, of the union of the
-        open cones spanned by each list of integer generators."""
+    def cell_box(self, gens):
+        """Certified phi box, one raw interval per axis, of the open cone
+        spanned by the integer generators `gens`."""
         emb, bits = self.emb, self.bits
-        boxes = []
-        for gens in gen_lists:
-            encs = [
-                emb.embed_positive(FieldElement(emb.spec, tuple(map(Fraction, g))), bits)
-                for g in gens
-            ]
-            logs = [
-                iv_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)._mpi_
-                for j in range(3)
-            ]
-            boxes.append([_mpi_dot(row, logs, self.prec) for row in self.rows])
-        return tuple(
-            (mpf_min_max([b[i][0] for b in boxes])[0], mpf_min_max([b[i][1] for b in boxes])[1])
-            for i in range(2)
-        )
+        encs = [
+            emb.embed_positive(FieldElement(emb.spec, tuple(map(Fraction, g))), bits)
+            for g in gens
+        ]
+        logs = [
+            iv_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)._mpi_
+            for j in range(3)
+        ]
+        return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
 
     def candidates(self, fixed):
         """The k with |k1|, |k2| <= WINDOW, ascending, whose shifted box of D
-        meets the box `fixed`: per axis the certified range ceil(lo) ..
-        floor(hi) of fixed - box(D), clipped. Also the cuts: (axis, lo, hi)
+        meets the box `fixed`: per axis the range ceil(lo) .. floor(hi) of
+        fixed - box(D) (`_k_ranges`), clipped. Also the cuts: (axis, lo, hi)
         for each range the clip shortens, none when a range is empty."""
         ranges, cuts = [], []
-        for axis, (f, m) in enumerate(zip(fixed, self.box)):
-            lo, hi = mpi_sub(f, m, self.prec)
-            lo, hi = to_int(lo, round_ceiling), to_int(hi, round_floor)
+        for axis, (lo, hi) in enumerate(_k_ranges([self.box], [fixed])[0][0]):
             if lo > hi:
                 return [], []
             if lo < -WINDOW or hi > WINDOW:
                 cuts.append((axis, lo, hi))
             ranges.append(range(max(-WINDOW, lo), min(WINDOW, hi) + 1))
         return [(k1, k2) for k1 in ranges[0] for k2 in ranges[1]], cuts
+
+    def pairs(self, targets) -> dict:
+        """k -> the (i, j), i-major, for which the shifted box of cell i of D
+        meets the box targets[j]: per pair, the k in the range ceil(lo) ..
+        floor(hi) of targets[j] - box(cell i) on both axes (`_k_ranges`),
+        clipped to |k| <= WINDOW. Cell i of the k-translate can meet a set
+        inside box j only for those k."""
+        out: dict = {}
+        for i, row in enumerate(_k_ranges(self.cell_boxes, targets)):
+            for j, ((lo1, hi1), (lo2, hi2)) in enumerate(row):
+                for k1 in range(max(-WINDOW, lo1), min(WINDOW, hi1) + 1):
+                    for k2 in range(max(-WINDOW, lo2), min(WINDOW, hi2) + 1):
+                        out.setdefault((k1, k2), []).append((i, j))
+        return out
 
     def _power(self, axis: int, k: int):
         powers = self._powers[axis]
@@ -507,6 +524,26 @@ class _TranslateTable:
             m = _matmul(self._power(0, k[0]), self._power(1, k[1]))
             cells = self._cells[k] = [c.translate(m) for c in self.domain]
         return cells
+
+
+def _k_ranges(moving, fixed):
+    """For each box m of `moving` and each box f of `fixed` (boxes of raw
+    interval pairs), rows by m: per axis the integer range ceil(lo),
+    floor(hi) of f - m, unclipped and empty when lo > hi. The range is
+    exact for the boxes: every endpoint is taken as an integer over one
+    power of two 2^s, s >= 0."""
+    raws = [v for box in (*moving, *fixed) for iv in box for v in iv]
+    s = max([0] + [-exp for _, man, exp, _ in raws if man])
+    nums = [(-man if sign else man) << (exp + s) for sign, man, exp, _ in raws]
+    boxes = [nums[n : n + 4] for n in range(0, len(nums), 4)]
+    # ceil((fl - mh) / 2^s) and floor((fh - ml) / 2^s)
+    return [
+        [
+            ((-((mh1 - fl1) >> s), (fh1 - ml1) >> s), (-((mh2 - fl2) >> s), (fh2 - ml2) >> s))
+            for fl1, fh1, fl2, fh2 in boxes[len(moving) :]
+        ]
+        for ml1, mh1, ml2, mh2 in boxes[: len(moving)]
+    ]
 
 
 def _cut_message(cuts) -> str:
@@ -554,6 +591,8 @@ class Geometry:
         # (cell generators, u1, u2) -> the _TranslateTable of
         # _overlap_support; fdcheck tables stay out (never shared)
         self._tables: dict = {}
+        # (eps1, eps2) coordinates -> explicit_B(eps1, eps2)
+        self._b_domains: dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -679,8 +718,14 @@ class Geometry:
         return self.shintani_set(cells)
 
     def explicit_B(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:
-        self._check_unit_pair(eps1, eps2)
-        return self._six_cells(eps1, eps2, self.spec.one)
+        """B for the unit pair, built once per pair; a pair that fails its
+        sign check raises each time and is not kept."""
+        key = (eps1.coords, eps2.coords)
+        b = self._b_domains.get(key)
+        if b is None:
+            self._check_unit_pair(eps1, eps2)
+            b = self._b_domains[key] = self._six_cells(eps1, eps2, self.spec.one)
+        return b
 
     def explicit_B1(self, eps2: FieldElement, pi: FieldElement) -> ShintaniSet:
         return self._mixed_domain(eps2, pi, "e2")
@@ -720,7 +765,9 @@ class Geometry:
     def _overlap_support(self, d, x, u1, u2):
         """All k with u1^k1 u2^k2 D meeting x^-1 D, sorted: only the k whose
         shifted box of D meets box(D) - phi(x) can, and WINDOW must not cut
-        their range. Only those are built and tested."""
+        their range. For each such k, cell i of the translate is intersected
+        with cell j of x^-1 D only when its shifted box meets box(cell j) -
+        phi(x); a translate with no such pair is not built."""
         if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("translate target must be totally positive")
         key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords)
@@ -729,11 +776,22 @@ class Geometry:
             table = self._tables[key] = _TranslateTable(self, d, u1, u2)
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
-        fixed = [mpi_sub(b, p, table.prec) for b, p in zip(table.box, table.point(x))]
+        point = table.point(x)
+        fixed = [mpi_sub(b, p, table.prec) for b, p in zip(table.box, point)]
         ks, cuts = table.candidates(fixed)
         if cuts:
             raise WindowExceeded(_cut_message(cuts))
-        return [k for k in ks if self.overlap(table.cells(k), target)]
+        # cell j of x^-1 D lies in box(cell j) - phi(x)
+        pairs = table.pairs(
+            [[mpi_sub(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
+        )
+        hits = []
+        for k in ks:
+            if k in pairs:
+                cells = table.cells(k)
+                if self._first_meeting((cells[i], target[j]) for i, j in pairs[k]):
+                    hits.append(k)
+        return hits
 
     def error_support(
         self, d: ShintaniSet, pi: FieldElement, u1: FieldElement, u2: FieldElement
@@ -769,10 +827,11 @@ class Geometry:
         spans. A translate cell that misses S holds no point, so each point
         is tested only against the cells that meet S, found once by exact
         intersection; its hit set is still exact. The translate table's phi
-        boxes choose the translates to intersect: only the k with
-        box(D) + k meeting box(S) are built, since no other translate can
-        meet S; a hit on an end of that range that WINDOW cuts fails the
-        check as a boundary hit. The table is not kept.
+        boxes choose the cells to intersect: only the k with box(D) + k
+        meeting box(S) are searched, and of their translates only the cells
+        whose box + k meets box(S), since no other cell can meet S; a k with
+        no such cell is not built. A hit on an end of that range that WINDOW
+        cuts fails the check as a boundary hit. The table is not kept.
 
         A PASS is evidence about S only. Each bundled domain has S as one of
         its cells, so a PASS there shows that no other translate meets that
@@ -785,15 +844,20 @@ class Geometry:
         w = _int_matrix([v.coords for v in triple])
         s_cells = decompose_rays(w, self.trace_form)
         table = _TranslateTable(self, d, u1, u2)
-        ks, cuts = table.candidates(table.cones_box([w]))
+        s_box = table.cell_box(w)
+        ks, cuts = table.candidates(s_box)
         ends = [(axis, -WINDOW) for axis, lo, _ in cuts if lo < -WINDOW]
         ends += [(axis, WINDOW) for axis, _, hi in cuts if hi > WINDOW]
+        pairs = table.pairs([s_box])
         candidates = {}
         for k in ks:
+            if k not in pairs:
+                continue
+            cells = table.cells(k)
             kept = [
-                c
-                for c in table.cells(k)
-                if any(intersect_cells(s, c, self.trace_form) for s in s_cells)
+                cells[i]
+                for i, _ in pairs[k]
+                if any(intersect_cells(s, cells[i], self.trace_form) for s in s_cells)
             ]
             if kept:
                 candidates[k] = kept

@@ -2,7 +2,12 @@
 
 Roots of the defining polynomial are isolated with Sturm counts and refined
 by dyadic bisection; embeddings are evaluated in exact rational interval
-arithmetic, so every enclosure is sound by construction. Logarithms are the
+arithmetic, so every enclosure is sound by construction. The bisection and
+the embedding Horner run on integers: a refined root is a pair of numerators
+over 2^e, an element's coordinates are numerators over their common
+denominator D, and each enclosure endpoint is one numerator over D 2^(2e),
+chosen as the rational interval product would choose it and turned into a
+`Fraction` once. Logarithms are the
 only transcendental step and are delegated to mpmath, one interval context
 per working precision. The interval helpers below and the plane kernels run
 `mpmath.libmp` directly on raw (lo, hi) endpoints at their context's
@@ -37,7 +42,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NotTotallyPositive, PrecisionExhausted
-from .field import FieldElement, FieldSpec, count_real_roots, det3
+from .field import FieldElement, FieldSpec, _scaled, count_real_roots, det3
 
 Rat = Fraction
 
@@ -158,8 +163,9 @@ class RealEmbeddings:
         self.order = tuple(order)
         self.cfg = cfg
         self._initial: list[RatInterval] = self._isolate_initial()
-        # bits -> the intervals of refine_roots(bits), in ascending-root order
-        self._snapshots: dict[int, list[RatInterval]] = {}
+        # bits -> the intervals of refine_roots(bits) and their dyadic
+        # numerators (a, b, e), both in ascending-root order
+        self._snapshots: dict[int, tuple[list[RatInterval], list]] = {}
         # (coordinates, bits) -> the embedding enclosures, shared by every
         # call, so each interval's per-precision conversions are shared too
         self._embedded: dict = {}
@@ -204,11 +210,11 @@ class RealEmbeddings:
         initial isolation that crosses the width target, so nested
         refinement and determinism across request orders both follow. Every
         endpoint of the chain is dyadic, so an interval is bisected as
-        integer numerators (a, b) over 2^e.
+        integer numerators (a, b) over 2^e, which the snapshot keeps too.
         """
         snap = self._snapshots.get(bits)
         if snap is None:
-            snap = []
+            intervals, dyadic = [], []
             for start in self._initial:
                 e = max(start.lo.denominator, start.hi.denominator).bit_length() - 1
                 a, b = int(start.lo * 2**e), int(start.hi * 2**e)
@@ -216,26 +222,44 @@ class RealEmbeddings:
                 while (b - a) << bits > 1 << e:
                     m, e = a + b, e + 1
                     a, b = (m, 2 * b) if self._dyadic_sign(m, e) == slo else (2 * a, m)
-                snap.append(RatInterval(Fraction(a, 1 << e), Fraction(b, 1 << e)))
-            self._snapshots[bits] = snap
-        return [snap[i] for i in self.order]
+                intervals.append(RatInterval(Fraction(a, 1 << e), Fraction(b, 1 << e)))
+                dyadic.append((a, b, e))
+            snap = self._snapshots[bits] = (intervals, dyadic)
+        return [snap[0][i] for i in self.order]
 
     # -- embeddings ---------------------------------------------------------
 
     def embed(self, x: FieldElement, bits: int) -> list[RatInterval]:
         """Certified enclosures of the three real embeddings, in slot order,
         computed once per (coordinates, bits); each call returns a new list
-        of the same intervals, which no caller changes."""
+        of the same intervals, which no caller changes.
+
+        The Horner steps (a2 t + a1) t + a0 run on integer numerators: with
+        the coordinates a_i = n_i / D and t = [l, h] / 2^e, the first step's
+        ends are min and max of n2 l, n2 h, plus n1 2^e, over D 2^e, and the
+        second's are min and max of their products with l and h, plus
+        n0 2^(2e), over D 2^(2e), the ends the rational interval product
+        picks."""
         key = (x.coords, bits)
         enc = self._embedded.get(key)
         if enc is None:
-            a0, a1, a2 = x.coords
+            (n0, n1, n2), den = _scaled(x.coords)
+            self.refine_roots(bits)  # makes the snapshot
+            dyadic = self._snapshots[bits][1]
             enc = []
-            for t in self.refine_roots(bits):
-                acc = RatInterval.point(a2)
-                acc = acc * t + RatInterval.point(a1)
-                acc = acc * t + RatInterval.point(a0)
-                enc.append(acc)
+            for slot in self.order:
+                lo, hi, e = dyadic[slot]
+                p, q = n2 * lo, n2 * hi
+                shift = n1 << e
+                p, q = min(p, q) + shift, max(p, q) + shift
+                products = (p * lo, p * hi, q * lo, q * hi)
+                shift, scale = n0 << 2 * e, den << 2 * e
+                enc.append(
+                    RatInterval(
+                        Fraction(min(products) + shift, scale),
+                        Fraction(max(products) + shift, scale),
+                    )
+                )
             self._embedded[key] = enc
         return list(enc)
 

@@ -5,6 +5,12 @@ Elements are stored as exact rational coordinates (a0, a1, a2) with respect
 to the power basis 1, y, y^2 of the generator y itself; no rescaling to an
 algebraic integer is performed, so the coordinates of published data can be
 used verbatim.
+
+Products, multiplication matrices and inverses are computed on integer
+numerators over one common denominator: y^3 and y^4 are reduced with the
+integer coefficients scaled by c3^2, and each result coordinate becomes a
+`Fraction` once, at the end. The coordinates are therefore the same
+canonical fractions that rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -28,12 +34,16 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"not an exact rational: {v!r}")
 
 
+def _scaled(coords) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of rational coordinates over the lcm of their
+    denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
 def _int_vec(coords) -> tuple[int, ...]:
     """Scale rational coordinates by the lcm of their denominators."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return tuple(int(c * den) for c in coords)
+    return _scaled(coords)[0]
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -145,11 +155,12 @@ class FieldSpec:
         self.int_coeffs = int_coeffs
         self.sturm = chain
         self.root_bound = bound
+        c0, c1, c2, c3 = int_coeffs
+        # c3^2 y^3 and c3^2 y^4 reduced to the power basis, in integers
+        self._c3sq = c3 * c3
+        self._red3 = (-c3 * c0, -c3 * c1, -c3 * c2)
+        self._red4 = (c2 * c0, c2 * c1 - c0 * c3, c2 * c2 - c1 * c3)
         c0, c1, c2, c3 = coeffs
-        # y^3 and y^4 reduced to the power basis
-        self._red3 = (-c0 / c3, -c1 / c3, -c2 / c3)
-        r = self._red3
-        self._red4 = (r[2] * r[0], r[0] + r[2] * r[1], r[1] + r[2] * r[2])
         # traces of 1, y, y^2 via Newton power sums
         e1 = -c2 / c3
         e2 = c1 / c3
@@ -236,41 +247,48 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        a, b = self.coords, other.coords
-        p = [Fraction(0)] * 5
-        for i in range(3):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(3):
-                p[i + j] += ai * b[j]
-        r3, r4 = self.spec._red3, self.spec._red4
+        (a0, a1, a2), da = _scaled(self.coords)
+        (b0, b1, b2), db = _scaled(other.coords)
+        p3 = a1 * b2 + a2 * b1
+        p4 = a2 * b2
+        spec = self.spec
+        c, r3, r4 = spec._c3sq, spec._red3, spec._red4
+        den = da * db * c
         return FieldElement(
-            self.spec,
+            spec,
             (
-                p[0] + p[3] * r3[0] + p[4] * r4[0],
-                p[1] + p[3] * r3[1] + p[4] * r4[1],
-                p[2] + p[3] * r3[2] + p[4] * r4[2],
+                Fraction(c * a0 * b0 + p3 * r3[0] + p4 * r4[0], den),
+                Fraction(c * (a0 * b1 + a1 * b0) + p3 * r3[1] + p4 * r4[1], den),
+                Fraction(c * (a0 * b2 + a1 * b1 + a2 * b0) + p3 * r3[2] + p4 * r4[2], den),
             ),
         )
+
+    def _int_columns(self):
+        """Integer numerators of x, x*y and x*y^2 over one common denominator
+        s > 0, and s: the columns of the multiplication matrix of x = self."""
+        (a0, a1, a2), d = _scaled(self.coords)
+        c0, c1, c2, c3 = self.spec.int_coeffs
+        # x*y over d*c3, then x*y^2 = (x*y)*y over d*c3^2
+        b = (-a2 * c0, a0 * c3 - a2 * c1, a1 * c3 - a2 * c2)
+        e = (-b[2] * c0, b[0] * c3 - b[2] * c1, b[1] * c3 - b[2] * c2)
+        c3sq = c3 * c3
+        return (a0 * c3sq, a1 * c3sq, a2 * c3sq), tuple(v * c3 for v in b), e, d * c3sq
 
     def mul_matrix(self) -> list[list[Fraction]]:
         """Matrix of multiplication by self on the power basis (columns are
         the images of 1, y, y^2)."""
-        spec = self.spec
-        cols = [
-            (self * FieldElement(spec, (Fraction(1), Fraction(0), Fraction(0)))).coords,
-            (self * FieldElement(spec, (Fraction(0), Fraction(1), Fraction(0)))).coords,
-            (self * FieldElement(spec, (Fraction(0), Fraction(0), Fraction(1)))).coords,
-        ]
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
+        *cols, s = self._int_columns()
+        return [[Fraction(col[i], s) for col in cols] for i in range(3)]
 
     def inverse(self) -> "FieldElement":
+        """The first column of the inverse multiplication matrix: with the
+        integer matrix m = s * M, M^-1 e1 = s * adj(m) e1 / det(m)."""
         if self.is_zero():
             raise ZeroInversion("cannot invert zero")
-        m = self.mul_matrix()
-        sol = solve3(m, (Fraction(1), Fraction(0), Fraction(0)))
-        return FieldElement(self.spec, tuple(sol))
+        (a, d, g), (b, e, h), (c, f, i), s = self._int_columns()
+        adj = (e * i - f * h, f * g - d * i, d * h - e * g)
+        det = a * adj[0] + b * adj[1] + c * adj[2]
+        return FieldElement(self.spec, tuple(Fraction(v * s, det) for v in adj))
 
     def __pow__(self, k: int) -> "FieldElement":
         if not isinstance(k, int):

@@ -151,7 +151,6 @@ def curve_sample(
     emb: RealEmbeddings,
     n_points: int = 512,
     bits: int = PLANE_BITS,
-    translate: tuple = (0, 0),
 ) -> CurveSample:
     """phi image of the segment from (1,1,1) to the embeddings of g_i^l,
     sampled on a uniform parameter grid; the endpoints are the exact lattice
@@ -163,23 +162,32 @@ def curve_sample(
     basis = PhiBasis(emb, g1, g2, bits)
     e_to = emb.embed_positive((g1 if i == 1 else g2) ** l, bits)
     e_one = [RatInterval.point(1)] * 3
-    dx, dy = float(translate[0]), float(translate[1])
     pts = []
     ts = []
     for j in range(n_points):
         t = Fraction(j, n_points - 1)
         ts.append(t)
         if j == 0:
-            pts.append(PlanePoint(dx, dy, 0.0))
+            pts.append(PlanePoint(0.0, 0.0, 0.0))
             continue
         if j == n_points - 1:
-            ex = l if i == 1 else 0
-            ey = l if i == 2 else 0
-            pts.append(PlanePoint(ex + dx, ey + dy, 0.0))
+            pts.append(PlanePoint(float(l if i == 1 else 0), float(l if i == 2 else 0), 0.0))
             continue
         p = basis.point(_segment_logs(e_one, e_to, iv_fraction(t, t, bits)._mpi_, bits))
-        pts.append(PlanePoint(p.x + dx, p.y + dy, p.err))
-    return CurveSample(curve_id=(i, l, tuple(translate)), ts=tuple(ts), points=tuple(pts))
+        pts.append(PlanePoint(p.x + 0.0, p.y + 0.0, p.err))  # a -0.0 reads 0.0
+    return CurveSample(curve_id=(i, l, (0, 0)), ts=tuple(ts), points=tuple(pts))
+
+
+def shifted(cs: CurveSample, translate: tuple) -> CurveSample:
+    """The curve sample `cs` of `curve_sample` moved by the lattice vector
+    `translate`, the curve of the unit translate; tagged with it."""
+    dx, dy = float(translate[0]), float(translate[1])
+    i, l, _ = cs.curve_id
+    return CurveSample(
+        curve_id=(i, l, tuple(translate)),
+        ts=cs.ts,
+        points=tuple(PlanePoint(p.x + dx, p.y + dy, p.err) for p in cs.points),
+    )
 
 
 def _endpoint_ratio(e_g, logs1, logs2, bits: int):

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec
 from .figures import FIGURE_BITS, Scene, materialize_scene, render_svg_csv
-from .plane import check_direction_bounds, curve_sample
+from .plane import check_direction_bounds, curve_sample, shifted
 
 SCHEMA_VERSION = 1
 
@@ -424,12 +424,10 @@ def _run_figures(rt: Runtime, p: dict, outdir, seed):
         scene = Scene()
         if fig == "fig1":
             basis = (e1, e2)
-            curves = [
-                curve_sample(1, 1, e1, e2, rt.emb, n_points=n_points, bits=bits),
-                curve_sample(2, 1, e1, e2, rt.emb, n_points=n_points, bits=bits),
-                curve_sample(1, 1, e1, e2, rt.emb, n_points=n_points, bits=bits, translate=(0, 1)),
-                curve_sample(2, 1, e1, e2, rt.emb, n_points=n_points, bits=bits, translate=(1, 0)),
-            ]
+            c1, c2 = (
+                curve_sample(i, 1, e1, e2, rt.emb, n_points=n_points, bits=bits) for i in (1, 2)
+            )
+            curves = [c1, c2, shifted(c1, (0, 1)), shifted(c2, (1, 0))]
             scene.add_curves(curves, color="#1f4e9c", width=1.2)
         elif fig in ("fig2", "fig3"):
             pihat = rt.normalized_pi(p["case1_pi"] if fig == "fig2" else p["case2_pi"], e1, e2)

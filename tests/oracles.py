@@ -2,13 +2,17 @@
 pieces: the rational matrix of each power u1^k1 u2^k2, `Cone.translate` and
 `Geometry.overlap`. They share no code with the pruned translate table, so
 tests hold the table's results to them. Also the Fraction rank and ray
-decomposition that the integer cell kernels replace, and the Fraction
-bisection that the integer root refinement replaces."""
+decomposition that the integer cell kernels replace, the Fraction bisection
+that the integer root refinement replaces, and the Fraction field products,
+multiplication matrices, inverses and embedding Horner that the integer
+field and embedding kernels replace."""
 
 from fractions import Fraction
 
 from shintani_forge.cones import Cone, primitive_vector
+from shintani_forge.embedding import RatInterval
 from shintani_forge.errors import EmptySet
+from shintani_forge.field import FieldElement, solve3
 
 
 def window_translates(d, u1, u2, window) -> dict:
@@ -138,4 +142,74 @@ def fraction_refine_roots(emb, bits):
             else:
                 hi = m
         out.append((lo, hi))
+    return out
+
+
+# Field arithmetic and the embedding Horner in Fraction arithmetic: the
+# integer kernels of `field` and `embedding` must give the same canonical
+# fractions.
+
+
+# the fields the kernel comparisons run on: the bundled 2x^3 - 4x^2 - x + 1,
+# x^3 - x^2 - 2x + 1 and the non-monic 3x^3 - 9x + 1 (coefficients c0 first)
+KERNEL_FIELDS = [(1, -1, -4, 2), (1, -2, -1, 1), (1, -9, 0, 3)]
+
+
+def random_element(spec, rng):
+    """An element whose coordinates have 1- to 1000-bit numerators, over
+    denominators 1, 2 or of the same size."""
+    bits = rng.choice([1, 8, 64, 1000])
+
+    def coord():
+        den = rng.randint(1, 2 ** rng.choice([1, bits]))
+        return Fraction(rng.randint(-(2**bits), 2**bits), den)
+
+    return spec.element(coord(), coord(), coord())
+
+
+def fraction_mul(x, y):
+    """x * y by the schoolbook product and the reductions of y^3 and y^4."""
+    c0, c1, c2, c3 = x.spec.poly_coeffs
+    r3 = (-c0 / c3, -c1 / c3, -c2 / c3)
+    r4 = (r3[2] * r3[0], r3[0] + r3[2] * r3[1], r3[1] + r3[2] * r3[2])
+    a, b = x.coords, y.coords
+    p = [Fraction(0)] * 5
+    for i in range(3):
+        for j in range(3):
+            p[i + j] += a[i] * b[j]
+    return FieldElement(x.spec, tuple(p[i] + p[3] * r3[i] + p[4] * r4[i] for i in range(3)))
+
+
+def fraction_mul_matrix(x):
+    """Columns x * 1, x * y and x * y^2, each a full product."""
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cols = [fraction_mul(x, FieldElement(x.spec, tuple(map(Fraction, e)))).coords for e in basis]
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+
+def fraction_inverse(x):
+    """x^-1 by Cramer's rule on the multiplication matrix."""
+    return FieldElement(x.spec, tuple(solve3(fraction_mul_matrix(x), (1, 0, 0))))
+
+
+def fraction_pow(x, k):
+    """x^k by square-and-multiply, through the inverse when k < 0."""
+    if k < 0:
+        x, k = fraction_inverse(x), -k
+    result, base = x.spec.one, x
+    while k:
+        if k & 1:
+            result = fraction_mul(result, base)
+        base = fraction_mul(base, base)
+        k >>= 1
+    return result
+
+
+def fraction_embed(emb, x, bits):
+    """Interval Horner of x's coordinates on the refined roots, in slot order."""
+    a0, a1, a2 = x.coords
+    out = []
+    for t in emb.refine_roots(bits):
+        acc = RatInterval.point(a2) * t + RatInterval.point(a1)
+        out.append(acc * t + RatInterval.point(a0))
     return out

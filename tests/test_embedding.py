@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ from shintani_forge.errors import NotTotallyReal, PrecisionExhausted
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
 
-from oracles import fraction_refine_roots
+from oracles import KERNEL_FIELDS, fraction_embed, fraction_refine_roots, random_element
 
 coord = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 coords = st.tuples(coord, coord, coord)
@@ -61,6 +62,19 @@ class TestRootIsolation:
 
 
 class TestEmbed:
+    @pytest.mark.parametrize("coeffs", KERNEL_FIELDS)
+    def test_integer_horner_matches_the_fraction_horner(self, coeffs):
+        # enclosures of random elements at 64, 128 and 4096 bits, with every
+        # endpoint the canonical fraction of the rational interval Horner
+        spec = FieldSpec(list(coeffs))
+        emb = RealEmbeddings(spec, (1, 2, 0), cfg=SignConfig())
+        rng = random.Random(sum(coeffs))
+        for bits in (64, 128, 4096):
+            for _ in range(20):
+                x = random_element(spec, rng)
+                want = [(e.lo, e.hi) for e in fraction_embed(emb, x, bits)]
+                assert [(e.lo, e.hi) for e in emb.embed(x, bits)] == want
+
     def test_embed_one(self, emb):
         enc = emb.embed(emb.spec.one, 64)
         for e in enc:

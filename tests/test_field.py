@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,15 @@ from hypothesis import given, strategies as st
 
 from shintani_forge.errors import NotTotallyReal, ZeroInversion
 from shintani_forge.field import FieldSpec
+
+from oracles import (
+    KERNEL_FIELDS,
+    fraction_inverse,
+    fraction_mul,
+    fraction_mul_matrix,
+    fraction_pow,
+    random_element,
+)
 
 coord = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -185,3 +195,24 @@ class TestRingProperties:
     def test_trace_linear(self, spec, a):
         x = spec.element(*a)
         assert (x + x).trace() == 2 * x.trace()
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_FIELDS)
+def test_integer_kernels_match_the_fraction_oracles(coeffs):
+    """Products, multiplication matrices, inverses and negative powers give
+    the same canonical fractions as Fraction arithmetic, on a monic and two
+    non-monic fields (c3 = 2 and c3 = 3)."""
+    spec = FieldSpec(list(coeffs))
+    rng = random.Random(sum(coeffs))
+    for _ in range(60):
+        x, y = random_element(spec, rng), random_element(spec, rng)
+        for got, want in (
+            ((x * y).coords, fraction_mul(x, y).coords),
+            (x.mul_matrix(), fraction_mul_matrix(x)),
+            (x.inverse().coords, fraction_inverse(x).coords),
+        ):
+            assert got == want
+        assert all(type(c) is Fraction for c in (x * y).coords + x.inverse().coords)
+    for k in (-1, -2, -5):
+        x = random_element(spec, rng)
+        assert (x**k).coords == fraction_pow(x, k).coords

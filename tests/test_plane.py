@@ -73,9 +73,16 @@ class TestCurves:
         assert (cs.points[-1].x, cs.points[-1].y) == (3.0, 0.0)
 
     def test_translate_tag(self, emb, els):
-        cs = plane.curve_sample(1, 1, els["eps1"], els["eps2"], emb, n_points=5, translate=(0, 1))
+        base = plane.curve_sample(1, 1, els["eps1"], els["eps2"], emb, n_points=5)
+        cs = plane.shifted(base, (0, 1))
+        assert base.curve_id == (1, 1, (0, 0))
         assert cs.curve_id == (1, 1, (0, 1))
+        assert cs.ts == base.ts
         assert (cs.points[0].x, cs.points[0].y) == (0.0, 1.0)
+        assert (cs.points[-1].x, cs.points[-1].y) == (1.0, 1.0)
+        assert [(p.x, p.y, p.err) for p in cs.points] == [
+            (p.x, p.y + 1.0, p.err) for p in base.points
+        ]
 
     def test_interior_strictly_convex_side(self, emb, els):
         # every interior sample lies strictly on one side of the chord

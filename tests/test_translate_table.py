@@ -1,8 +1,9 @@
 """The pruned translate table: its supports and covers against a scan of
 every |k| <= cones.WINDOW, its verdicts under smaller caps, the soundness of
-its phi boxes, how few translates it builds, and a translate pair whose phi
-basis cannot be certified."""
+its phi boxes and of its cell-pair pruning, how few translates it builds,
+and a translate pair whose phi basis cannot be certified."""
 
+import copy
 import functools
 import itertools
 import random
@@ -10,10 +11,17 @@ import time
 
 import pytest
 from mpmath import MPContext
-from mpmath.libmp import mpi_sub
+from mpmath.libmp import from_rational, mpf_add, mpf_sub, mpi_sub
 
 from shintani_forge import cones
-from shintani_forge.cones import Cone, Geometry, _TranslateTable
+from shintani_forge.cones import (
+    Cone,
+    Geometry,
+    _int_matrix,
+    _TranslateTable,
+    decompose_rays,
+    intersect_cells,
+)
 from shintani_forge.embedding import RealEmbeddings, SignConfig
 from shintani_forge.errors import PrecisionExhausted, ShintaniError
 from shintani_forge.field import FieldSpec
@@ -228,7 +236,7 @@ def test_box_soundness(geo, els, pihats, second_field):
         table = _TranslateTable(g, d, u1, u2)
         phi = Phi256(g.emb, u1, u2)
         for i, cell in enumerate(d.cones):
-            box = table.cones_box([cell.gens])
+            box = table.cell_box(cell.gens)
             for _ in range(2):
                 t = [rng.randint(1, 99) for _ in cell.gens]
                 v = [sum(c * gen[j] for c, gen in zip(t, cell.gens)) for j in range(3)]
@@ -240,7 +248,115 @@ def test_box_soundness(geo, els, pihats, second_field):
                     image = table.cells(k)[i]
                     assert image.contains_vec(y.coords), (name, cell, k)
                     phi.assert_inside(y, box, k)
-                    phi.assert_inside(y, table.cones_box([image.gens]))
+                    phi.assert_inside(y, table.cell_box(image.gens))
+
+
+# -- cell-pair pruning ------------------------------------------------------
+
+
+def bundled_searches(config, monkeypatch, tmp_path):
+    """(d, x, u1, u2) of every overlap support the bundled config runs."""
+    seen = []
+    original = Geometry._overlap_support
+
+    def recording(geo, d, x, u1, u2):
+        seen.append((d, x, u1, u2))
+        return original(geo, d, x, u1, u2)
+
+    monkeypatch.setattr(Geometry, "_overlap_support", recording)
+    rt = Runtime(config)
+    for sc in config.scenarios:
+        if sc["kind"] not in ("fdcheck", "direction", "figures"):
+            run_scenario(rt, sc["id"], tmp_path)
+    monkeypatch.undo()
+    keys = {}
+    for d, x, u1, u2 in seen:
+        keys.setdefault((d.cones, x.coords, u1.coords, u2.coords), (d, x, u1, u2))
+    return rt.geo, list(keys.values())
+
+
+def meeting_triples(geo, translates, targets):
+    """Every (i, j, k) whose cell i of the k-translate meets targets[j],
+    found by exact intersection."""
+    return [
+        (i, j, k)
+        for k, cells in translates.items()
+        for i, c in enumerate(cells)
+        for j, t in enumerate(targets)
+        if intersect_cells(c, t, geo.trace_form)
+    ]
+
+
+def shrunk(box, by):
+    return tuple((mpf_add(lo, by, 80), mpf_sub(hi, by, 80)) for lo, hi in box)
+
+
+def missed(table, targets, triples, shrink=False):
+    """The meeting triples outside their pair's range, with the table's cell
+    boxes and the target boxes, or, with `shrink`, both shrunk by 0.1 per
+    side on a copy of the table."""
+    if shrink:
+        tenth = from_rational(1, 10, 80)
+        table = copy.copy(table)
+        table.cell_boxes = [shrunk(b, tenth) for b in table.cell_boxes]
+        targets = [shrunk(b, tenth) for b in targets]
+    pairs = table.pairs(targets)
+    return [(i, j, k) for i, j, k in triples if (i, j) not in pairs.get(k, ())]
+
+
+def support_targets(table, x):
+    """The boxes of the cells of x^-1 D: box(cell) - phi(x)."""
+    point = table.point(x)
+    return [[mpi_sub(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
+
+
+def check_supports(geo, translates, searches):
+    """Every meeting triple of each search lies in its pair range; with the
+    boxes shrunk some triple falls outside."""
+    missed_when_shrunk = 0
+    for d, x, u1, u2 in searches:
+        table = _TranslateTable(geo, d, u1, u2)
+        targets = [c.translate(x.inverse().mul_matrix()) for c in d.cones]
+        triples = meeting_triples(geo, translates(geo, d, u1, u2), targets)
+        assert triples
+        boxes = support_targets(table, x)
+        assert missed(table, boxes, triples) == []
+        missed_when_shrunk += len(missed(table, boxes, triples, shrink=True))
+    assert missed_when_shrunk
+
+
+def test_pair_ranges_hold_every_bundled_meeting(config, translates, monkeypatch, tmp_path):
+    geo, searches = bundled_searches(config, monkeypatch, tmp_path)
+    assert len(searches) >= 5
+    check_supports(geo, translates, searches)
+
+
+def test_pair_ranges_hold_every_cover_sweep_meeting(geo, els, translates):
+    e1, e2 = els["eps1"], els["eps2"]
+    b = geo.explicit_B(e1, e2)
+    searches = [
+        (b, els["pi1"] * els["g1"] ** a * els["g2"] ** c, e1, e2)
+        for a, c in itertools.product(range(-3, 4), repeat=2)
+    ]
+    check_supports(geo, translates, searches)
+
+
+def test_fdcheck_pair_ranges_hold_every_meeting(geo, els, pihats, translates):
+    """Each translate cell meeting the sampling cone S lies in the range of
+    box(S) - box(cell), for D, B, B1 and B2. These ranges are loose: every
+    meeting lies at least 1.27 inside its range, so boxes shrunk by 0.1
+    still hold them, unlike those of the supports above."""
+    bundled = (els["g1"], els["g2"], els["eps1"], els["eps2"], pihats["case1"])
+    for name, d, u1, u2 in domains(geo, *bundled):
+        table = _TranslateTable(geo, d, u1, u2)
+        w = _int_matrix([v.coords for v in (geo.spec.one, u1, u1 * u2)])
+        triples = meeting_triples(
+            geo, translates(geo, d, u1, u2), decompose_rays(w, geo.trace_form)
+        )
+        # every S cell shares the one box of S
+        triples = [(i, 0, k) for i, _, k in triples]
+        assert triples, name
+        assert missed(table, [table.cell_box(w)], triples) == [], name
 
 
 # -- translates built --------------------------------------------------------
