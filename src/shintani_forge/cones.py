@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_sub
-from mpmath.libmp.libmpi import mpf_min_max
 
 from .embedding import RealEmbeddings, iv_context, iv_log_fraction, iv_sign
 from .errors import (
@@ -399,8 +398,7 @@ def _mpi_dot(row, logs, prec):
 
 class _TranslateTable:
     """The translates u1^k1 u2^k2 D of one domain, each built on first use
-    and kept, with a certified box of each cell of D in the phi plane and
-    their hull, the box of D.
+    and kept, with a certified box of each cell of D in the phi plane.
 
     phi writes the trace-zero part of a log-embedding vector in the basis
     tz(Log u1), tz(Log u2). Multiplying by u1^k1 u2^k2 shifts it by exactly
@@ -414,9 +412,9 @@ class _TranslateTable:
     has, in each slot j, sigma_j(x) / sum t_i between the least and the
     greatest sigma_j(v_i). The forms applied to the logs of those slot
     intervals give the cone's certified box, and a k whose shifted box
-    misses a target's box cannot meet the target: the hull decides which k
-    a search may need and whether the window cuts them, and the cell boxes
-    decide which pairs of cells to intersect for each. The forms are computed up
+    misses a target's box cannot meet the target, so the cell boxes decide
+    which pairs of cells to intersect for each k, and the hull of those
+    ranges whether the window cuts a search. The forms are computed up
     the precision ladder until their determinant is certified nonzero; a
     pair that stays undecided at the cap raises PrecisionExhausted.
     """
@@ -433,14 +431,6 @@ class _TranslateTable:
         self._cells: dict = {}
         self._forms(u1, u2)
         self.cell_boxes = [self.cell_box(c.gens) for c in self.domain]
-        # the hull of the cell boxes
-        self.box = tuple(
-            (
-                mpf_min_max([b[i][0] for b in self.cell_boxes])[0],
-                mpf_min_max([b[i][1] for b in self.cell_boxes])[1],
-            )
-            for i in range(2)
-        )
 
     def _forms(self, u1: FieldElement, u2: FieldElement):
         """Rows of the forms a, b with a(Log u1) = b(Log u2) = 1 and
@@ -482,31 +472,29 @@ class _TranslateTable:
         ]
         return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
 
-    def candidates(self, fixed):
-        """The k with |k1|, |k2| <= WINDOW, ascending, whose shifted box of D
-        meets the box `fixed`: per axis the range ceil(lo) .. floor(hi) of
-        fixed - box(D) (`_k_ranges`), clipped. Also the cuts: (axis, lo, hi)
-        for each range the clip shortens, none when a range is empty."""
-        ranges, cuts = [], []
-        for axis, (lo, hi) in enumerate(_k_ranges([self.box], [fixed])[0][0]):
-            if lo > hi:
-                return [], []
-            if lo < -WINDOW or hi > WINDOW:
-                cuts.append((axis, lo, hi))
-            ranges.append(range(max(-WINDOW, lo), min(WINDOW, hi) + 1))
-        return [(k1, k2) for k1 in ranges[0] for k2 in ranges[1]], cuts
-
     def pairs(self, targets) -> dict:
         """k -> the (i, j), i-major, for which the shifted box of cell i of D
         meets the box targets[j]: per pair, the k in the range ceil(lo) ..
-        floor(hi) of targets[j] - box(cell i) on both axes (`_k_ranges`),
-        clipped to |k| <= WINDOW. Cell i of the k-translate can meet a set
-        inside box j only for those k."""
+        floor(hi) of targets[j] - box(cell i) on both axes (`_k_ranges`).
+        Cell i of the k-translate can meet a set inside box j only for those
+        k. The search is complete unless `WINDOW` cuts the hull of the
+        ranges, per axis the least lo and the greatest hi, and then it
+        raises WindowExceeded; an empty hull gives no k."""
+        ranges = _k_ranges(self.cell_boxes, targets)
+        flat = [r for row in ranges for r in row]
+        hull = [(min(r[a][0] for r in flat), max(r[a][1] for r in flat)) for a in range(2)]
+        if any(lo > hi for lo, hi in hull):
+            return {}
+        cuts = [
+            (axis, lo, hi) for axis, (lo, hi) in enumerate(hull) if lo < -WINDOW or hi > WINDOW
+        ]
+        if cuts:
+            raise WindowExceeded(_cut_message(cuts))
         out: dict = {}
-        for i, row in enumerate(_k_ranges(self.cell_boxes, targets)):
+        for i, row in enumerate(ranges):
             for j, ((lo1, hi1), (lo2, hi2)) in enumerate(row):
-                for k1 in range(max(-WINDOW, lo1), min(WINDOW, hi1) + 1):
-                    for k2 in range(max(-WINDOW, lo2), min(WINDOW, hi2) + 1):
+                for k1 in range(lo1, hi1 + 1):
+                    for k2 in range(lo2, hi2 + 1):
                         out.setdefault((k1, k2), []).append((i, j))
         return out
 
@@ -576,7 +564,6 @@ class FDReport:
     passed: bool
     samples: int
     bad_samples: list
-    boundary_hits: list
     seed: int
 
 
@@ -763,11 +750,11 @@ class Geometry:
     # -- translates, covers, supports -----------------------------------------
 
     def _overlap_support(self, d, x, u1, u2):
-        """All k with u1^k1 u2^k2 D meeting x^-1 D, sorted: only the k whose
-        shifted box of D meets box(D) - phi(x) can, and WINDOW must not cut
-        their range. For each such k, cell i of the translate is intersected
-        with cell j of x^-1 D only when its shifted box meets box(cell j) -
-        phi(x); a translate with no such pair is not built."""
+        """All k with u1^k1 u2^k2 D meeting x^-1 D, sorted: cell i of the
+        k-translate is intersected with cell j of x^-1 D only when its
+        shifted box meets box(cell j) - phi(x) (`_TranslateTable.pairs`,
+        which raises WindowExceeded when the window cuts those k), and a
+        translate with no such pair is not built."""
         if not self.emb.is_totally_positive(x):
             raise NotTotallyPositive("translate target must be totally positive")
         key = (tuple(c.gens for c in d.cones), u1.coords, u2.coords)
@@ -777,20 +764,15 @@ class Geometry:
         xinv_m = x.inverse().mul_matrix()
         target = [c.translate(xinv_m) for c in d.cones]
         point = table.point(x)
-        fixed = [mpi_sub(b, p, table.prec) for b, p in zip(table.box, point)]
-        ks, cuts = table.candidates(fixed)
-        if cuts:
-            raise WindowExceeded(_cut_message(cuts))
         # cell j of x^-1 D lies in box(cell j) - phi(x)
         pairs = table.pairs(
             [[mpi_sub(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
         )
         hits = []
-        for k in ks:
-            if k in pairs:
-                cells = table.cells(k)
-                if self._first_meeting((cells[i], target[j]) for i, j in pairs[k]):
-                    hits.append(k)
+        for k in sorted(pairs):
+            cells = table.cells(k)
+            if self._first_meeting((cells[i], target[j]) for i, j in pairs[k]):
+                hits.append(k)
         return hits
 
     def error_support(
@@ -827,11 +809,10 @@ class Geometry:
         spans. A translate cell that misses S holds no point, so each point
         is tested only against the cells that meet S, found once by exact
         intersection; its hit set is still exact. The translate table's phi
-        boxes choose the cells to intersect: only the k with box(D) + k
-        meeting box(S) are searched, and of their translates only the cells
+        boxes choose the cells to intersect: of each translate only the cells
         whose box + k meets box(S), since no other cell can meet S; a k with
-        no such cell is not built. A hit on an end of that range that WINDOW
-        cuts fails the check as a boundary hit. The table is not kept.
+        no such cell is not built. As in every translate search, a range of
+        those k that WINDOW cuts raises WindowExceeded. The table is not kept.
 
         A PASS is evidence about S only. Each bundled domain has S as one of
         its cells, so a PASS there shows that no other translate meets that
@@ -845,14 +826,9 @@ class Geometry:
         s_cells = decompose_rays(w, self.trace_form)
         table = _TranslateTable(self, d, u1, u2)
         s_box = table.cell_box(w)
-        ks, cuts = table.candidates(s_box)
-        ends = [(axis, -WINDOW) for axis, lo, _ in cuts if lo < -WINDOW]
-        ends += [(axis, WINDOW) for axis, _, hi in cuts if hi > WINDOW]
         pairs = table.pairs([s_box])
         candidates = {}
-        for k in ks:
-            if k not in pairs:
-                continue
+        for k in sorted(pairs):
             cells = table.cells(k)
             kept = [
                 cells[i]
@@ -863,7 +839,6 @@ class Geometry:
                 candidates[k] = kept
         rng = random.Random(seed)
         bad = []
-        boundary = []
         for _ in range(samples):
             coeffs = [(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(3)]
             (a0, b0), (a1, b1), (a2, b2) = coeffs
@@ -875,22 +850,13 @@ class Geometry:
                 for k, cells in candidates.items()
                 if any(c.contains_vec(xv) for c in cells)
             ]
-            edge = [k for k in hits if any(k[axis] == end for axis, end in ends)]
-            if len(hits) == 1 and not edge:
+            if len(hits) == 1:
                 continue
             x = self.spec.zero
             for (a, b), v in zip(coeffs, triple):
                 x = x + v.scalar_mul(Fraction(a, b))
-            if len(hits) != 1:
-                bad.append((x.coords, sorted(hits)))
-            boundary += [(k, x.coords) for k in edge]
-        return FDReport(
-            passed=not bad and not boundary,
-            samples=samples,
-            bad_samples=bad,
-            boundary_hits=boundary,
-            seed=seed,
-        )
+            bad.append((x.coords, sorted(hits)))
+        return FDReport(passed=not bad, samples=samples, bad_samples=bad, seed=seed)
 
     # -- the explicit Shintani-set identities -----------------------------------
 

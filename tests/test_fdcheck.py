@@ -1,8 +1,10 @@
 """The pruned tiling check against a brute-force oracle that tests every
 cell of every translate with |k1|, |k2| <= cones.WINDOW, on the bundled
-domains, on a second field and on tampered copies of B."""
+domains, on a second field and on tampered copies of B, and its
+WindowExceeded when the window cuts the range it samples."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from shintani_forge.cones import (
     split_cell,
 )
 from shintani_forge.embedding import RealEmbeddings, SignConfig
+from shintani_forge.errors import WindowExceeded
 from shintani_forge.field import FieldSpec
 from shintani_forge.scenario import _checked_params
 
@@ -26,15 +29,11 @@ from oracles import window_translates
 
 def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
     """The tiling check without pruning: each Fraction sample is tested
-    against every cell of all (2 WINDOW + 1)^2 translates. Its boundary
-    hits are all hits on the edge |k1| or |k2| = WINDOW, where the pruned
-    check counts only those on an edge that cuts the certified range."""
-    window = cones.WINDOW
-    translates = window_translates(d, u1, u2, window)
+    against every cell of all (2 WINDOW + 1)^2 translates."""
+    translates = window_translates(d, u1, u2, cones.WINDOW)
     rng = random.Random(seed)
     triple = (geo.spec.one, u1, u1 * u2)
     bad = []
-    boundary = []
     for _ in range(samples):
         coeffs = [Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(3)]
         x = geo.spec.zero
@@ -46,24 +45,14 @@ def brute_force_check(geo, d, u1, u2, samples, seed) -> FDReport:
         ]
         if len(hits) != 1:
             bad.append((x.coords, sorted(hits)))
-        for k1, k2 in hits:
-            if abs(k1) == window or abs(k2) == window:
-                boundary.append(((k1, k2), x.coords))
-    return FDReport(
-        passed=not bad and not boundary,
-        samples=samples,
-        bad_samples=bad,
-        boundary_hits=boundary,
-        seed=seed,
-    )
+    return FDReport(passed=not bad, samples=samples, bad_samples=bad, seed=seed)
 
 
 def check_both(geo, d, u1, u2, samples=200, seed=0) -> FDReport:
     rep = geo.fundamental_domain_check(d, u1, u2, samples=samples, seed=seed)
     want = brute_force_check(geo, d, u1, u2, samples, seed)
     assert (rep.samples, rep.bad_samples, rep.seed) == (want.samples, want.bad_samples, want.seed)
-    assert all(hit in want.boundary_hits for hit in rep.boundary_hits)
-    assert rep.passed == (not rep.bad_samples and not rep.boundary_hits)
+    assert rep.passed == (not rep.bad_samples)
     return rep
 
 
@@ -120,17 +109,37 @@ def test_added_translate_of_sampled_cell_hits_twice(geo, geo_at, els, B):
     assert all(hits == [(-1, 0), (0, 0)] for _, hits in rep.bad_samples)
 
 
-def test_translated_domain_hits_only_the_window_boundary(geo, geo_at, els, B):
+def test_translated_domain_cut_range_is_window_exceeded(geo, geo_at, els, B):
     # every sample hits eps1 B once, at k = (-1, 0); the S-box range of k1
-    # is -2..0, so the cap |k| <= 1 cuts it at -1 and each hit lies on the
-    # cut, while under |k| <= 2 the range is whole and the check passes
+    # is -2..0, so the cap |k| <= 1 cuts it, while under |k| <= 2 the range
+    # is whole and the check passes
     e1, e2 = els["eps1"], els["eps2"]
     moved = geo.scale(B, e1)
-    rep = check_both(geo_at(1), moved, e1, e2, seed=5)
-    assert rep.bad_samples == []
-    assert len(rep.boundary_hits) == 200
-    assert all(k == (-1, 0) for k, _ in rep.boundary_hits)
+    cut = "k1 range [-2, 0] cut by the window |k| <= 1 (1 below)"
+    with pytest.raises(WindowExceeded, match=re.escape(cut) + "$"):
+        geo_at(1).fundamental_domain_check(moved, e1, e2, samples=200, seed=5)
     assert check_both(geo_at(2), moved, e1, e2, seed=5).passed
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_double_cover_seen_only_outside_the_cap_is_window_exceeded(geo, geo_at, els, B, window):
+    # B u eps1^2 S, S the sampled cell: each sample lies in S and in eps1^2 S,
+    # hit at k = (0, 0) and (-2, 0). Under |k| <= 1 the second hit lies
+    # outside the cap, so a check that searched only the cap would pass;
+    # the S-box range of k1, -3..1, is cut there and under |k| <= 2
+    e1, e2 = els["eps1"], els["eps2"]
+    moved = geo.scale(ShintaniSet.from_cones([sampled_cell(geo, e1, e2)]), e1**2)
+    doubled = ShintaniSet.from_cones(list(B.cones) + list(moved.cones))
+    capped = geo_at(window)
+    if window < 3:
+        cut = f"k1 range [-3, 1] cut by the window |k| <= {window} ({3 - window} below)"
+        with pytest.raises(WindowExceeded, match=re.escape(cut) + "$"):
+            capped.fundamental_domain_check(doubled, e1, e2, samples=200, seed=5)
+        return
+    rep = check_both(capped, doubled, e1, e2, seed=5)
+    assert not rep.passed
+    assert len(rep.bad_samples) == 200
+    assert all(hits == [(-2, 0), (0, 0)] for _, hits in rep.bad_samples)
 
 
 def test_only_cells_meeting_the_sampling_cone_are_tested(geo, els, B, monkeypatch):

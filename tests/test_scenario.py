@@ -679,6 +679,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sid",
+        ["sub/dir", "../x", "..", "", "a\x00b"],
+        ids=["slash", "parent", "dotdot", "empty", "nul"],
+    )
+    def test_scenario_id_that_is_no_file_name_is_config_error(self, tmp_path, capsys, sid):
+        # a report is written to <out>/<id>.report.json
+        raw = json.loads(bundled_config_path().read_text())
+        next(sc for sc in raw["scenarios"] if sc["kind"] == "case")["id"] = sid
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="scenario id"):
+            load_config(cfgp)
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: scenario id ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
     def test_unusable_out_exits_two(self, tmp_path, capsys, sub):
         blocker = tmp_path / "taken"

@@ -12,6 +12,7 @@ import time
 import pytest
 from mpmath import MPContext
 from mpmath.libmp import from_rational, mpf_add, mpf_sub, mpi_sub
+from mpmath.libmp.libmpi import mpf_min_max
 
 from shintani_forge import cones
 from shintani_forge.cones import (
@@ -155,12 +156,20 @@ def test_second_field_B_covers_match_the_scan(second_field, translates):
 
 
 def edge_distance(geo, d, x, u1, u2) -> float:
-    """How far inside its real candidate range, fixed - box(D) per axis, the
-    support hit of x^-1 D nearest to an edge lies."""
+    """How far inside its real candidate range, box(D) - phi(x) - box(D) per
+    axis with box(D) the hull of the cell boxes, the support hit of x^-1 D
+    nearest to an edge lies."""
     table = _TranslateTable(geo, d, u1, u2)
     prec, ctx = table.prec, MPContext()
-    fixed = [mpi_sub(b, p, prec) for b, p in zip(table.box, table.point(x))]
-    real = [[ctx.make_mpf(v) for v in mpi_sub(f, m, prec)] for f, m in zip(fixed, table.box)]
+    box = [
+        (
+            mpf_min_max([b[i][0] for b in table.cell_boxes])[0],
+            mpf_min_max([b[i][1] for b in table.cell_boxes])[1],
+        )
+        for i in range(2)
+    ]
+    fixed = [mpi_sub(b, p, prec) for b, p in zip(box, table.point(x))]
+    real = [[ctx.make_mpf(v) for v in mpi_sub(f, m, prec)] for f, m in zip(fixed, box)]
     hits = geo.translation_cover(d, x, u1, u2).support
     return float(min(min(k[i] - real[i][0], real[i][1] - k[i]) for k in hits for i in (0, 1)))
 
