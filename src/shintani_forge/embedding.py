@@ -10,12 +10,17 @@ chosen as the rational interval product would choose it and turned into a
 `Fraction` once. Logarithms are the
 only transcendental step and are delegated to mpmath, one interval context
 per working precision. The interval helpers below and the plane kernels run
-`mpmath.libmp` directly on raw (lo, hi) endpoints at their context's
-precision, with the operations and roundings the context would apply, so
-their intervals are bit-identical to the context arithmetic without its
-conversion overhead; float read-outs round each endpoint to the nearest
-double. Every interval computes at its own context's precision, so no
-global mpmath state is set or read.
+on raw (lo, hi) endpoints at their context's precision, with the
+operations and roundings the context would apply, so their intervals are
+bit-identical to the context arithmetic without its conversion overhead.
+The plane kernels' additions, products and quotients go through the exact
+directed-rounding kernels below, which compute on the raw mpf tuples
+(sign, man, exp, bc) and give the tuple `mpmath.libmp` gives; zeros,
+zero-straddling intervals and additions across exponent gaps over 100 that
+mpmath rounds by perturbing go to `mpmath.libmp` itself. Float read-outs
+round each endpoint to the nearest double, with `math.ldexp` when the
+result is a normal double. Every interval computes at its own context's
+precision, so no global mpmath state is set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -25,6 +30,7 @@ coordinate-indexed conditions read the permuted labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,9 +38,16 @@ from functools import lru_cache
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
     mpf_pos,
+    mpi_add,
     mpi_div,
     mpi_log,
+    mpi_mul,
+    mpi_sub,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -370,6 +383,131 @@ def iv_int(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
+# -- exact directed-rounding kernels on raw mpfs ------------------------------
+#
+# A raw mpf is mpmath's tuple (sign, man, exp, bc) for (-1)^sign man 2^exp; a
+# nonzero finite one has an odd mantissa and its exact bit count, zero is
+# `fzero`, and the special values have man 0 and exp != 0. mpmath's add, mul
+# and div round the exact result in the floor and ceiling modes, and a
+# canonical tuple is unique, so each kernel below, which rounds the exact
+# result once, returns the very tuple mpmath returns. `ceil` is 0 for
+# round_floor and 1 for round_ceiling. A zero or special operand goes to
+# mpmath itself, and so does an addition whose exponents differ by over 100
+# while its magnitudes lie over prec + 4 bits apart: there mpmath rounds a
+# perturbed operand instead of the sum.
+
+_RND = (round_floor, round_ceiling)
+
+
+def _rounded(sign: int, man: int, exp: int, prec: int, up: int):
+    """The canonical mpf of (-1)^sign man 2^exp, man > 0, rounded to `prec`
+    bits away from zero when `up`, else toward zero."""
+    n = man.bit_length() - prec
+    if n > 0:
+        man = -(-man >> n) if up else man >> n
+        exp += n
+    if man & 1:
+        return sign, man, exp, man.bit_length()
+    z = (man & -man).bit_length() - 1
+    man >>= z
+    return sign, man, exp + z, man.bit_length()
+
+
+def add_rounded(s, t, prec: int, ceil: int, sub: int = 0):
+    """s + t, or s - t when `sub`, as `mpf_add(s, t, prec, rnd, sub)` gives it."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    d = sexp - texp
+    if not (sman and tman) or ((d > 100 or d < -100) and abs(d + sbc - tbc) > prec + 4):
+        return mpf_add(s, t, prec, _RND[ceil], sub)
+    if d > 0:
+        sman <<= d
+        exp = texp
+    else:
+        tman <<= -d
+        exp = sexp
+    if ssign == tsign ^ sub:
+        return _rounded(ssign, sman + tman, exp, prec, ssign ^ ceil)
+    m = sman - tman
+    if m > 0:
+        return _rounded(ssign, m, exp, prec, ssign ^ ceil)
+    if m < 0:
+        return _rounded(ssign ^ 1, -m, exp, prec, ssign ^ ceil ^ 1)
+    return fzero
+
+
+def mul_rounded(s, t, prec: int, ceil: int):
+    """s * t as `mpf_mul(s, t, prec, rnd)` gives it."""
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    if not (sman and tman):
+        return mpf_mul(s, t, prec, _RND[ceil])
+    sign = ssign ^ tsign
+    return _rounded(sign, sman * tman, sexp + texp, prec, sign ^ ceil)
+
+
+def div_rounded(s, t, prec: int, ceil: int):
+    """s / t as `mpf_div(s, t, prec, rnd)` gives it: the quotient to at least
+    prec + 4 bits, with a sticky bit for a nonzero remainder."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman):
+        return mpf_div(s, t, prec, _RND[ceil])
+    sign = ssign ^ tsign
+    extra = max(prec - sbc + tbc + 5, 5)
+    q, r = divmod(sman << extra, tman)
+    if r:
+        q = q << 1 | 1
+        extra += 1
+    return _rounded(sign, q, sexp - texp - extra, prec, sign ^ ceil)
+
+
+def iv_add(s, t, prec: int):
+    """The raw interval `mpi_add(s, t, prec)`."""
+    (sa, sb), (ta, tb) = s, t
+    if sa[1] and sb[1] and ta[1] and tb[1]:
+        return add_rounded(sa, ta, prec, 0), add_rounded(sb, tb, prec, 1)
+    return mpi_add(s, t, prec)
+
+
+def iv_sub(s, t, prec: int):
+    """The raw interval `mpi_sub(s, t, prec)`."""
+    (sa, sb), (ta, tb) = s, t
+    if sa[1] and sb[1] and ta[1] and tb[1]:
+        return add_rounded(sa, tb, prec, 0, 1), add_rounded(sb, ta, prec, 1, 1)
+    return mpi_sub(s, t, prec)
+
+
+def iv_mul(s, t, prec: int):
+    """The raw interval `mpi_mul(s, t, prec)`; the endpoint products are
+    picked by sign when each operand is of one strict sign."""
+    (sa, sb), (ta, tb) = s, t
+    if not (sa[1] and sb[1] and ta[1] and tb[1] and sa[0] == sb[0] and ta[0] == tb[0]):
+        return mpi_mul(s, t, prec)
+    if sa[0]:
+        if ta[0]:
+            return mul_rounded(sb, tb, prec, 0), mul_rounded(sa, ta, prec, 1)
+        return mul_rounded(sa, tb, prec, 0), mul_rounded(sb, ta, prec, 1)
+    if ta[0]:
+        return mul_rounded(sb, ta, prec, 0), mul_rounded(sa, tb, prec, 1)
+    return mul_rounded(sa, ta, prec, 0), mul_rounded(sb, tb, prec, 1)
+
+
+def iv_div(s, t, prec: int):
+    """The raw interval `mpi_div(s, t, prec)`; the endpoint quotients are
+    picked by sign when each operand is of one strict sign."""
+    (sa, sb), (ta, tb) = s, t
+    if not (sa[1] and sb[1] and ta[1] and tb[1] and sa[0] == sb[0] and ta[0] == tb[0]):
+        return mpi_div(s, t, prec)
+    if ta[0]:
+        if sa[0]:
+            return div_rounded(sb, ta, prec, 0), div_rounded(sa, tb, prec, 1)
+        return div_rounded(sb, tb, prec, 0), div_rounded(sa, ta, prec, 1)
+    if sa[0]:
+        return div_rounded(sa, ta, prec, 0), div_rounded(sb, tb, prec, 1)
+    return div_rounded(sa, tb, prec, 0), div_rounded(sb, ta, prec, 1)
+
+
 def iv_fraction(lo: Fraction, hi: Fraction, bits: int):
     """mpmath interval enclosing the rational interval [lo, hi]."""
     iv = iv_context(bits)
@@ -391,7 +529,15 @@ def trace_zero(logs):
 
 
 def _float(x) -> float:
-    """A raw mpf rounded to the nearest double (53 bits, ties to even)."""
+    """A raw mpf rounded to the nearest double (53 bits, ties to even), as
+    `to_float(mpf_pos(x, 53, round_nearest))` gives it. When the magnitude
+    man 2^exp, in [2^(exp+bc-1), 2^(exp+bc)] once rounded, is a normal double,
+    `float(man)` rounds the mantissa the same way and `ldexp` scales it
+    exactly; zero, special values and the rest go to mpmath."""
+    sign, man, exp, bc = x
+    if man and bc < 1024 and -1021 <= exp + bc <= 1023:
+        f = math.ldexp(float(man), exp)
+        return -f if sign else f
     return to_float(mpf_pos(x, 53, round_nearest))
 
 

@@ -4,6 +4,13 @@ unit pair's logarithms. Curves are images of straight segments in the
 positive octant; their endpoint derivatives admit closed forms and the
 construction's direction bounds are certified on sampled points with
 interval margins.
+
+Sampling a curve point mixes the segment's endpoint embeddings, takes
+their interval logs and projects them on the basis. The mixes and the
+projection run on `embedding`'s exact directed-rounding kernels (`iv_add`,
+`iv_sub`, `iv_mul`, `iv_div`), which give the raw endpoints `mpmath.libmp`
+gives and hand it zeros, zero-straddling intervals and the additions it
+rounds by perturbing; the logs are `mpi_log`.
 """
 
 from __future__ import annotations
@@ -11,17 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
+from mpmath.libmp import mpi_log
 
 from .embedding import (
     RatInterval,
     RealEmbeddings,
+    iv_add,
     iv_context,
+    iv_div,
     iv_fraction,
     iv_int,
     iv_lower,
     iv_mid_err,
+    iv_mul,
     iv_sign,
+    iv_sub,
 )
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
@@ -85,8 +96,8 @@ class PhiBasis:
         # raw endpoints of Log g1, Log g2, their 2x2 determinant and 3
         self.l1 = [v._mpi_ for v in emb.log_embed(g1, bits)]
         self.l2 = [v._mpi_ for v in emb.log_embed(g2, bits)]
-        self.det = mpi_sub(
-            mpi_mul(self.l1[0], self.l2[1], prec), mpi_mul(self.l1[1], self.l2[0], prec), prec
+        self.det = iv_sub(
+            iv_mul(self.l1[0], self.l2[1], prec), iv_mul(self.l1[1], self.l2[0], prec), prec
         )
         self.three = iv_int(3, prec)
         if iv_sign(self.iv.make_mpf(self.det)) is None:
@@ -102,11 +113,11 @@ class PhiBasis:
         p0, p1, _ = self.l1
         q0, q1, _ = self.l2
         v0, v1, v2 = (v._mpi_ for v in logs)
-        t = mpi_div(mpi_add(mpi_add(v0, v1, prec), v2, prec), self.three, prec)
-        h0 = mpi_sub(v0, t, prec)
-        h1 = mpi_sub(v1, t, prec)
-        a = mpi_div(mpi_sub(mpi_mul(h0, q1, prec), mpi_mul(h1, q0, prec), prec), det, prec)
-        b = mpi_div(mpi_sub(mpi_mul(p0, h1, prec), mpi_mul(p1, h0, prec), prec), det, prec)
+        t = iv_div(iv_add(iv_add(v0, v1, prec), v2, prec), self.three, prec)
+        h0 = iv_sub(v0, t, prec)
+        h1 = iv_sub(v1, t, prec)
+        a = iv_div(iv_sub(iv_mul(h0, q1, prec), iv_mul(h1, q0, prec), prec), det, prec)
+        b = iv_div(iv_sub(iv_mul(p0, h1, prec), iv_mul(p1, h0, prec), prec), det, prec)
         return self.iv.make_mpf(a), self.iv.make_mpf(b)
 
     def point(self, logs) -> PlanePoint:
@@ -133,12 +144,10 @@ def _segment_logs(e_from, e_to, ti, bits: int):
     a caller sampling a grid converts each grid value once."""
     iv = iv_context(bits)
     prec = iv.prec
-    si = mpi_sub(iv_int(1, prec), ti, prec)
+    si = iv_sub(iv_int(1, prec), ti, prec)
     out = []
     for a, b in zip(e_from, e_to):
-        mix = mpi_add(
-            mpi_mul(si, a.iv(bits)._mpi_, prec), mpi_mul(ti, b.iv(bits)._mpi_, prec), prec
-        )
+        mix = iv_add(iv_mul(si, a.iv(bits)._mpi_, prec), iv_mul(ti, b.iv(bits)._mpi_, prec), prec)
         out.append(iv.make_mpf(mpi_log(mix, prec)))
     return out
 

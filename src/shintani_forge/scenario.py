@@ -423,6 +423,8 @@ def _run_cover(rt: Runtime, p: dict, outdir, seed):
 def _run_figures(rt: Runtime, p: dict, outdir, seed):
     e1, e2, g1, g2 = p["eps1"], p["eps2"], p["g1"], p["g2"]
     n_points, bits = p["n_points"], FIGURE_BITS
+    if n_points < 2:
+        raise ValueError("figures needs n_points >= 2 (the two ends of each curve)")
     artifacts = []
     evidence = []
     sampled = {}  # face curves, shared by the four figures (fig3 redraws fig2's B)

@@ -5,12 +5,15 @@ tests hold the table's results to them. Also the Fraction rank and ray
 decomposition that the integer cell kernels replace, the Fraction bisection
 that the integer root refinement replaces, and the Fraction field products,
 multiplication matrices, inverses and embedding Horner that the integer
-field and embedding kernels replace."""
+field and embedding kernels replace, and the `mpmath.libmp` interval
+compositions that the plane's directed-rounding kernels replace."""
 
 from fractions import Fraction
 
+from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
+
 from shintani_forge.cones import Cone, primitive_vector
-from shintani_forge.embedding import RatInterval
+from shintani_forge.embedding import RatInterval, iv_context, iv_int
 from shintani_forge.errors import EmptySet
 from shintani_forge.field import FieldElement, solve3
 
@@ -213,3 +216,39 @@ def fraction_embed(emb, x, bits):
         acc = RatInterval.point(a2) * t + RatInterval.point(a1)
         out.append(acc * t + RatInterval.point(a0))
     return out
+
+
+# The sampled segment's interval logs and their projection on a basis, each
+# operation an `mpmath.libmp` interval one at the working precision. The
+# kernels of `plane._segment_logs` and `PhiBasis.project_logs` must give the
+# same raw endpoints.
+
+
+def libmpi_segment_logs(e_from, e_to, ti, bits):
+    """Interval logs of (1-t) v + t w, with t the raw interval `ti`."""
+    iv = iv_context(bits)
+    prec = iv.prec
+    si = mpi_sub(iv_int(1, prec), ti, prec)
+    out = []
+    for a, b in zip(e_from, e_to):
+        mix = mpi_add(
+            mpi_mul(si, a.iv(bits)._mpi_, prec), mpi_mul(ti, b.iv(bits)._mpi_, prec), prec
+        )
+        out.append(iv.make_mpf(mpi_log(mix, prec)))
+    return out
+
+
+def libmpi_project_logs(basis, logs):
+    """The (Log g1, Log g2) coordinates of the trace-zero part of `logs`, at
+    the precision of the `PhiBasis` `basis`, from its basis logs alone."""
+    prec = basis.prec
+    p0, p1, _ = basis.l1
+    q0, q1, _ = basis.l2
+    det = mpi_sub(mpi_mul(p0, q1, prec), mpi_mul(p1, q0, prec), prec)
+    v0, v1, v2 = (v._mpi_ for v in logs)
+    t = mpi_div(mpi_add(mpi_add(v0, v1, prec), v2, prec), iv_int(3, prec), prec)
+    h0 = mpi_sub(v0, t, prec)
+    h1 = mpi_sub(v1, t, prec)
+    a = mpi_div(mpi_sub(mpi_mul(h0, q1, prec), mpi_mul(h1, q0, prec), prec), det, prec)
+    b = mpi_div(mpi_sub(mpi_mul(p0, h1, prec), mpi_mul(p1, h0, prec), prec), det, prec)
+    return basis.iv.make_mpf(a), basis.iv.make_mpf(b)

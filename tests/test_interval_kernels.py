@@ -1,26 +1,66 @@
-"""The interval kernels run `mpmath.libmp` on raw (lo, hi) endpoints. They are
-held here to a reference written with mpmath's interval-context operations,
-the formulas they replace: every interval must have the same endpoints, in
-the same context, and every float read-out the same value."""
+"""The interval kernels run on raw (lo, hi) endpoints. They are held here to a
+reference written with mpmath's interval-context operations, the formulas
+they replace: every interval must have the same endpoints, in the same
+context, and every float read-out the same value. The directed-rounding
+kernels under them are held to `mpmath.libmp` itself, operation by
+operation on seeded random operands, and the plane kernels to the libmp
+compositions of `oracles`."""
 
+import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, mpf_add
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_float,
+)
 
 from shintani_forge.embedding import (
     RatInterval,
+    SignConfig,
+    _float,
+    add_rounded,
+    div_rounded,
+    iv_add,
     iv_context,
+    iv_div,
     iv_fraction,
     iv_log_fraction,
     iv_lower,
     iv_mid_err,
+    iv_mul,
     iv_sign,
+    iv_sub,
+    mul_rounded,
 )
 from shintani_forge.field import FieldElement
 from shintani_forge.figures import set_boundary_faces
 from shintani_forge.plane import PhiBasis, _segment_logs
+from shintani_forge.scenario import Runtime, run_scenario
+
+from oracles import libmpi_project_logs, libmpi_segment_logs
 
 BITS = (96, 128, 256)
 TS = (Fraction(0), Fraction(1, 127), Fraction(1, 3), Fraction(64, 127), Fraction(1))
@@ -179,6 +219,38 @@ def test_cross_precision_projection(emb, els, face_pairs):
             assert_all_same(got, ref.project_logs(ref_segment_logs(e_from, e_to, t, 256)))
 
 
+@pytest.mark.parametrize("log_bits", (256, 512))
+def test_finer_logs_on_a_128_bit_basis(emb, els, face_pairs, log_bits):
+    """`check_direction_bounds` climbs from 128 bits while its basis stays at
+    128: the kernels give the segment logs of a finer rung, and their
+    projection at the basis precision, as the libmp compositions do."""
+    g1, g2 = els["eps1"], els["eps2"]
+    basis = PhiBasis(emb, g1, g2, 128)
+    e_one = [RatInterval.point(1)] * 3
+    segments = [(e_one, emb.embed_positive(g**l, log_bits)) for g in (g1, g2) for l in (1, 2)]
+    segments += [
+        [emb.embed_positive(element(emb, v), log_bits) for v in pair] for pair in face_pairs[:4]
+    ]
+    for e_from, e_to in segments:
+        for t in TS:
+            ti = iv_fraction(t, t, log_bits)._mpi_
+            logs = _segment_logs(e_from, e_to, ti, log_bits)
+            assert_all_same(logs, libmpi_segment_logs(e_from, e_to, ti, log_bits))
+            assert_all_same(basis.project_logs(logs), libmpi_project_logs(basis, logs))
+
+
+def test_direction_under_a_64_bit_cap_is_inconclusive(config, tmp_path):
+    """Below the basis precision the ladder is empty: the basis logs stay
+    uncertified and the report is INCONCLUSIVE, before any kernel runs."""
+    capped = dataclasses.replace(config, sign_config=SignConfig(start_bits=64, max_bits=64))
+    report = run_scenario(Runtime(capped), "direction", tmp_path)
+    assert report["outcome"] == "INCONCLUSIVE"
+    assert report["evidence"] == [
+        {"name": "error", "value": "embeddings not separated from zero at 64 bits"}
+    ]
+    assert report["artifacts"] == []
+
+
 # -- float read-outs ----------------------------------------------------------
 
 
@@ -235,3 +307,176 @@ def test_read_outs_agree_with_iv_sign():
             assert iv_sign(v) is None
             assert iv_lower(v) < 0 < iv_mid_err(v)[0] + iv_mid_err(v)[1]
             assert_same(v, ref_fraction(lo, hi, bits))
+
+
+# -- directed-rounding kernels ------------------------------------------------
+
+PRECS = (80, 112, 144, 272)
+DIRECTIONS = ((0, round_floor), (1, round_ceiling))
+INTERVAL_KERNELS = ((iv_add, mpi_add), (iv_sub, mpi_sub), (iv_mul, mpi_mul), (iv_div, mpi_div))
+
+
+def random_mpf(rng, prec, exp=None):
+    """A nonzero canonical mpf of 1 to 2 prec bits: a random mantissa, or one
+    of all ones (a rounding away from zero carries it to a power of two) or
+    a power of two."""
+    bits = rng.choice((1, 2, 3, prec // 2, prec - 1, prec, prec + 1, prec + 2, 2 * prec))
+    shape = rng.random()
+    if shape < 0.15:
+        man = (1 << bits) - 1
+    elif shape < 0.2:
+        man = 1 << (bits - 1)
+    else:
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+    if exp is None:
+        exp = rng.randint(-2 * prec, prec)
+    return from_man_exp(-man if rng.random() < 0.5 else man, exp)
+
+
+def operand_pairs(rng, prec, n):
+    """Pairs whose exponents differ by nothing, a few bits or over 100, with
+    exact negatives and copies, so that sums and differences cancel, and
+    zeros."""
+    gaps = (0, 1, -1, 7, -7, 60, -60, 101, -101, 150, -150, 2 * prec, -2 * prec, 500, -500)
+    for _ in range(n):
+        s = random_mpf(rng, prec)
+        shape = rng.random()
+        if shape < 0.08:
+            t = s
+        elif shape < 0.16:
+            t = mpf_neg(s)
+        elif shape < 0.2:
+            s, t = rng.choice(((fzero, s), (s, fzero), (fzero, fzero)))
+        else:
+            t = random_mpf(rng, prec, s[2] + rng.choice(gaps))
+        yield s, t
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_kernels_round_as_mpmath(prec):
+    """Every scalar kernel gives the tuple of mpf_add, mpf_sub, mpf_mul and
+    mpf_div at round_floor and round_ceiling."""
+    rng = random.Random(prec)
+    seen = Counter()
+    for s, t in operand_pairs(rng, prec, 600):
+        results = {}
+        for ceil, rnd in DIRECTIONS:
+            for sub, ref in ((0, mpf_add), (1, mpf_sub)):
+                got = results[sub, ceil] = add_rounded(s, t, prec, ceil, sub)
+                assert got == ref(s, t, prec, rnd), (s, t, prec, rnd, sub)
+            got = results["mul", ceil] = mul_rounded(s, t, prec, ceil)
+            assert got == mpf_mul(s, t, prec, rnd), (s, t, prec, rnd)
+            got = outcome(div_rounded, s, t, prec, ceil)
+            assert got == outcome(mpf_div, s, t, prec, rnd), (s, t, prec, rnd)
+        if s[1] and t[1]:
+            d = s[2] - t[2]
+            if abs(d) > 100:
+                far = abs(d + s[3] - t[3]) > prec + 4
+                seen["gap, magnitudes far apart" if far else "gap, magnitudes close"] += 1
+            if fzero in (results[0, 0], results[1, 0]):
+                seen["cancellation"] += 1
+            for op in (0, 1, "mul"):
+                lo, hi = results[op, 0], results[op, 1]
+                away = lo if lo[0] else hi
+                if lo != hi and away[1] == 1:
+                    seen["carry to a power of two"] += 1
+        else:
+            seen["zero operand"] += 1
+    assert set(seen) == {
+        "gap, magnitudes far apart",
+        "gap, magnitudes close",
+        "cancellation",
+        "carry to a power of two",
+        "zero operand",
+    }
+
+
+def random_interval(rng, prec, shape):
+    x, y = (mpf_abs(random_mpf(rng, prec)) for _ in range(2))
+    if mpf_lt(y, x):
+        x, y = y, x
+    return {
+        "positive": (x, y),
+        "negative": (mpf_neg(y), mpf_neg(x)),
+        "point": (x, x),
+        "straddling": (mpf_neg(x), y),
+        "zero lower": (fzero, y),
+        "zero upper": (mpf_neg(x), fzero),
+        "zero": (fzero, fzero),
+    }[shape]
+
+
+SHAPES = ("positive", "negative", "point", "straddling", "zero lower", "zero upper", "zero")
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_interval_kernels_match_libmpi(prec):
+    """iv_add, iv_sub, iv_mul and iv_div give the raw intervals of mpi_add,
+    mpi_sub, mpi_mul and mpi_div for every pair of shapes: one strict sign
+    (negative denominators too), zero endpoints and zero-straddling."""
+    rng = random.Random(1000 + prec)
+    for _ in range(12):
+        for s_shape in SHAPES:
+            for t_shape in SHAPES:
+                s = random_interval(rng, prec, s_shape)
+                t = random_interval(rng, prec, t_shape)
+                for kernel, ref in INTERVAL_KERNELS:
+                    got = outcome(kernel, s, t, prec)
+                    assert got == outcome(ref, s, t, prec), (kernel.__name__, s, t, prec)
+
+
+# -- the nearest double of a raw mpf -----------------------------------------
+
+
+def float_cases():
+    """Raw mpfs around every branch of the double conversion."""
+    k = 1 << 52
+    return {
+        # 54-bit mantissas halfway between two doubles: ties go to even
+        "tie down to even": from_man_exp(2 * (k + 2) + 1, -60),
+        "tie up to even": from_man_exp(2 * (k + 1) + 1, -60),
+        "tie carries to 2^53": from_man_exp((1 << 54) - 1, 3),
+        "carry to 2^60": from_man_exp((1 << 61) - 1, -61),
+        "above half": from_man_exp(4 * (k + 2) + 3, 10),
+        "exact 53 bits": from_man_exp(2 * k - 1, -52),
+        "smallest normal": from_man_exp(1, -1022),
+        "just below smallest normal": from_man_exp((1 << 53) - 1, -1075),
+        "long below smallest normal": from_man_exp((1 << 90) - 1, -1112),
+        "subnormal": from_man_exp(3, -1074),
+        "smallest subnormal": from_man_exp(1, -1074),
+        "long subnormal": from_man_exp((1 << 60) + 1, -1130),
+        "underflow": from_man_exp(1, -1080),
+        "largest double": from_man_exp((1 << 53) - 1, 971),
+        "rounds past the largest double": from_man_exp((1 << 60) - 1, 964),
+        "2^1023": from_man_exp(1, 1023),
+        "overflow": from_man_exp(1, 1024),
+        "1100-bit mantissa": from_man_exp((1 << 1100) + 1, -1100),
+        "zero": fzero,
+        "inf": finf,
+        "-inf": fninf,
+        "nan": fnan,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(float_cases()))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_float_rounds_as_mpmath(name, sign):
+    x = float_cases()[name]
+    if sign < 0:
+        x = mpf_neg(x)
+    assert exact(_float(x)) == exact(to_float(mpf_pos(x, 53, round_nearest)))
+
+
+def test_float_of_random_mpfs():
+    rng = random.Random(53)
+    for _ in range(3000):
+        x = random_mpf(rng, rng.choice((53, 60, 144)), rng.randint(-1200, 1100))
+        assert exact(_float(x)) == exact(to_float(mpf_pos(x, 53, round_nearest))), x

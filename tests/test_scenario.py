@@ -300,8 +300,10 @@ class TestReports:
             ("direction", "n_points", 2, "n_points >= 3"),
             ("direction", "l", 0, "l >= 1"),
             ("direction", "l", -1, "l >= 1"),
+            ("figures", "n_points", 1, "figures needs n_points >= 2"),
+            ("figures", "n_points", 0, "figures needs n_points >= 2"),
         ],
-        ids=["samples=0", "n_points=2", "l=0", "l=-1"],
+        ids=["samples=0", "n_points=2", "l=0", "l=-1", "figures n_points=1", "figures n_points=0"],
     )
     def test_sample_counts_that_check_nothing_are_errors(
         self, tmp_path, sid, param, value, bound
@@ -316,6 +318,23 @@ class TestReports:
         assert report["outcome"] == "ERROR"
         assert report["evidence"][0]["value"].startswith("ValueError: ")
         assert bound in report["evidence"][0]["value"]
+
+    def test_figures_need_two_points_per_curve(self, tmp_path):
+        """The ERROR names `n_points`, the only count `figures` takes, and
+        two points, the ends of each curve, draw all four figures."""
+        (tmp_path / "one").mkdir()
+        (tmp_path / "two").mkdir()
+        report = _run_altered(tmp_path / "one", "figures", "n_points", 1)
+        assert report["evidence"] == [
+            {
+                "name": "error",
+                "value": "ValueError: figures needs n_points >= 2 (the two ends of each curve)",
+            }
+        ]
+        assert not list((tmp_path / "one" / "out").iterdir())
+        report = _run_altered(tmp_path / "two", "figures", "n_points", 2)
+        assert report["outcome"] == "PASS"
+        assert len(report["artifacts"]) == 8
 
     @pytest.mark.parametrize(
         "sid, param, value, drop",
