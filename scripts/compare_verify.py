@@ -2,12 +2,16 @@
 """Compare the output of a bundled `verify` in two checkouts.
 
 Runs `python -m shintani_forge.cli verify` on each checkout's `src/` with
-its bundled config, each into its own temporary directory, and prints every
-file that the second run added, removed or changed against the first.
+its bundled config, or with the one config given by `--config`, each into
+its own temporary directory, and prints every file that the second run
+added, removed or changed against the first.
 
 Usage, from anywhere:
 
-    python3 scripts/compare_verify.py PARENT_DIR CHANGE_DIR
+    python3 scripts/compare_verify.py PARENT_DIR CHANGE_DIR [--config CONFIG]
+
+For example, `--config tests/second_field.json` compares the second-field
+config, which an older checkout may not have, in both checkouts.
 
 Exit status: 0 when the outputs are byte-identical, 1 when they differ and
 2 when a run fails (exits nonzero).
@@ -15,6 +19,7 @@ Exit status: 0 when the outputs are byte-identical, 1 when they differ and
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -22,11 +27,11 @@ import tempfile
 from pathlib import Path
 
 
-def verify(checkout: Path, out: Path) -> dict | None:
-    """relative path -> bytes of every file a bundled verify writes, or
-    None when the run fails."""
+def verify(checkout: Path, out: Path, config: Path | None) -> dict | None:
+    """relative path -> bytes of every file a verify of `config`, by
+    default the checkout's bundled one, writes, or None when the run fails."""
     src = checkout.resolve() / "src"
-    config = src / "shintani_forge" / "data" / "appendix.json"
+    config = config or src / "shintani_forge" / "data" / "appendix.json"
     cmd = [sys.executable, "-m", "shintani_forge.cli", "verify"]
     cmd += ["--config", str(config), "--out", str(out)]
     proc = subprocess.run(
@@ -40,13 +45,16 @@ def verify(checkout: Path, out: Path) -> dict | None:
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
-        print("usage: compare_verify.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(description="Compare a verify in two checkouts.")
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--config", type=Path, help="one config for both runs")
+    args = ap.parse_args()
+    config = args.config.resolve() if args.config else None
     outputs = []
-    for checkout in sys.argv[1:]:
+    for checkout in (args.parent, args.change):
         with tempfile.TemporaryDirectory() as tmp:
-            outputs.append(verify(Path(checkout), Path(tmp) / "out"))
+            outputs.append(verify(checkout, Path(tmp) / "out", config))
     parent, change = outputs
     if parent is None or change is None:
         return 2

@@ -690,12 +690,15 @@ class Geometry:
         """C([x1 | x2]) = C(1, x1, x1*x2)."""
         return self.cone(self.spec.one, x1, x1 * x2)
 
-    def _check_unit_pair(self, eps1: FieldElement, eps2: FieldElement):
+    def _check_unit_pair(self, eps1: FieldElement, eps2: FieldElement, names=("e1", "e2")):
+        """delta([eps1|eps2]) = +1 and delta([eps2|eps1]) = -1, or a
+        SignConditionFailed that reads the pair by `names`."""
         d12 = self.emb.delta_bracket(eps1, eps2)
         d21 = self.emb.delta_bracket(eps2, eps1)
         if d12 != 1 or d21 != -1:
+            n1, n2 = names
             raise SignConditionFailed(
-                f"delta([e1|e2])={d12}, delta([e2|e1])={d21}; need +1, -1"
+                f"delta([{n1}|{n2}])={d12}, delta([{n2}|{n1}])={d21}; need +1, -1"
             )
 
     def colmez_domain(self, eps1: FieldElement, eps2: FieldElement) -> ShintaniSet:

@@ -9,12 +9,12 @@ and element order following the scene and canonical cell order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .cones import ShintaniSet
-from .embedding import RealEmbeddings, iv_fraction
+from .embedding import RealEmbeddings
 from .field import FieldElement
-from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs
+from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs, grid
 from fractions import Fraction
 
 # working precision of every figure curve and marker
@@ -23,21 +23,9 @@ FIGURE_BITS = 96
 
 @dataclass
 class Layer:
-    kind: str  # "set" | "curves"
-    payload: object
+    payload: object  # a ShintaniSet, drawn as faces and rays, or a list of curves
     color: str = "#1f4e9c"
     width: float = 1.0
-
-
-@dataclass
-class Scene:
-    layers: list = dc_field(default_factory=list)
-
-    def add_set(self, s: ShintaniSet, **kw):
-        self.layers.append(Layer(kind="set", payload=s, **kw))
-
-    def add_curves(self, curves, **kw):
-        self.layers.append(Layer(kind="curves", payload=list(curves), **kw))
 
 
 def set_boundary_faces(s: ShintaniSet):
@@ -56,15 +44,15 @@ def set_boundary_faces(s: ShintaniSet):
     return sorted(faces), sorted(rays)
 
 
-def sample_face_curve(pair, basis: PhiBasis, grid) -> CurveSample:
+def sample_face_curve(pair, basis: PhiBasis, sampling) -> CurveSample:
     """phi image of the embedded segment between two generator rays, at the
-    basis precision; `grid` holds the parameter values t and their raw
-    intervals at that precision. The curve id is the face."""
+    basis precision, on `sampling`, the `grid` at that precision. The curve
+    id is the face."""
     emb, bits = basis.emb, basis.bits
     e_from = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[0])), bits)
     e_to = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[1])), bits)
-    ts, tis = grid
-    pts = tuple(basis.point(_segment_logs(e_from, e_to, ti, bits)) for ti in tis)
+    ts, weights = sampling
+    pts = tuple(basis.point(_segment_logs(e_from, e_to, w, bits)) for w in weights)
     return CurveSample(curve_id=pair, ts=ts, points=pts)
 
 
@@ -75,43 +63,39 @@ def ray_point(ray, basis: PhiBasis) -> PlanePoint:
 
 
 def materialize_scene(
-    scene: Scene,
+    layers: list,
     emb: RealEmbeddings,
     basis_pair,
     n_points: int = 33,
     sampled: dict | None = None,
 ):
-    """Expand set layers into concrete curves/markers at FIGURE_BITS;
-    returns a list of (layer, curves, markers).
+    """Expand a scene, a list of `Layer`s, into concrete curves and markers
+    at FIGURE_BITS; returns a list of (layer, curves, markers). A
+    `ShintaniSet` payload gives its face curves, sampled on one `grid` of
+    `n_points`, and its ray markers; any other payload is its curves.
 
     `sampled` maps (basis coords, n_points, face) to a sampled face curve;
     scenes that share it sample each distinct face curve once."""
     basis = PhiBasis(emb, basis_pair[0], basis_pair[1], FIGURE_BITS)
     basis_key = (basis_pair[0].coords, basis_pair[1].coords)
     sampled = {} if sampled is None else sampled
-    grid = None  # built on the first face this call samples
+    sampling = None  # built on the first face this call samples
     out = []
-    for li, layer in enumerate(scene.layers):
+    for li, layer in enumerate(layers):
+        if not isinstance(layer.payload, ShintaniSet):
+            out.append((layer, list(layer.payload), []))
+            continue
+        faces, rays = set_boundary_faces(layer.payload)
         curves = []
-        markers = []
-        if layer.kind == "set":
-            faces, rays = set_boundary_faces(layer.payload)
-            for fi, pair in enumerate(faces):
-                key = (basis_key, n_points, pair)
-                if key not in sampled:
-                    if grid is None:
-                        ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
-                        grid = ts, tuple(iv_fraction(t, t, basis.bits)._mpi_ for t in ts)
-                    sampled[key] = sample_face_curve(pair, basis, grid)
-                hit = sampled[key]
-                curves.append(CurveSample((f"layer{li}/face{fi}",), hit.ts, hit.points))
-            for ray in rays:
-                markers.append(ray_point(ray, basis))
-        elif layer.kind == "curves":
-            curves.extend(layer.payload)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
-        out.append((layer, curves, markers))
+        for fi, pair in enumerate(faces):
+            key = (basis_key, n_points, pair)
+            if key not in sampled:
+                if sampling is None:
+                    sampling = grid(n_points, basis.bits)
+                sampled[key] = sample_face_curve(pair, basis, sampling)
+            hit = sampled[key]
+            curves.append(CurveSample((f"layer{li}/face{fi}",), hit.ts, hit.points))
+        out.append((layer, curves, [ray_point(ray, basis) for ray in rays]))
     return out
 
 

@@ -5,8 +5,9 @@ positive octant; their endpoint derivatives admit closed forms and the
 construction's direction bounds are certified on sampled points with
 interval margins.
 
-Sampling a curve point mixes the segment's endpoint embeddings, takes
-their interval logs and projects them on the basis. The mixes and the
+Sampling a curve point mixes the segment's endpoint embeddings with the
+raw intervals (1 - t, t) of one `grid` point, takes their interval logs
+and projects them on the basis. The mixes and the
 projection run on `embedding`'s exact directed-rounding kernels (`iv_add`,
 `iv_sub`, `iv_mul`, `iv_div`), which give the raw endpoints `mpmath.libmp`
 gives and hand it zeros, zero-straddling intervals and the additions it
@@ -138,13 +139,26 @@ def phi(
     return PhiBasis(emb, g1, g2, PLANE_BITS).point(emb.log_embed(x, PLANE_BITS))
 
 
-def _segment_logs(e_from, e_to, ti, bits: int):
+def grid(n_points: int, bits: int):
+    """The uniform parameter grid t = j/(n_points - 1), j = 0..n_points-1,
+    and for each t the raw intervals (1 - t, t) at `bits` that
+    `_segment_logs` mixes with: a caller converts each grid value once."""
+    prec = iv_context(bits).prec
+    one = iv_int(1, prec)
+    ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
+    weights = []
+    for t in ts:
+        ti = iv_fraction(t, t, bits)._mpi_
+        weights.append((iv_sub(one, ti, prec), ti))
+    return ts, tuple(weights)
+
+
+def _segment_logs(e_from, e_to, weights, bits: int):
     """Interval logs of (1-t)*v + t*w for positive interval 3-vectors, with
-    t given as its raw interval at `bits` (`iv_fraction(t, t, bits)._mpi_`):
-    a caller sampling a grid converts each grid value once."""
+    `weights` the raw intervals (1 - t, t) at `bits` of a `grid` point."""
     iv = iv_context(bits)
     prec = iv.prec
-    si = iv_sub(iv_int(1, prec), ti, prec)
+    si, ti = weights
     out = []
     for a, b in zip(e_from, e_to):
         mix = iv_add(iv_mul(si, a.iv(bits)._mpi_, prec), iv_mul(ti, b.iv(bits)._mpi_, prec), prec)
@@ -162,7 +176,7 @@ def curve_sample(
     bits: int = PLANE_BITS,
 ) -> CurveSample:
     """phi image of the segment from (1,1,1) to the embeddings of g_i^l,
-    sampled on a uniform parameter grid; the endpoints are the exact lattice
+    sampled on the `grid` of `n_points`; the endpoints are the exact lattice
     values (0,0) and l*e_i."""
     if i not in (1, 2):
         raise ValueError("curve index must be 1 or 2")
@@ -171,20 +185,13 @@ def curve_sample(
     basis = PhiBasis(emb, g1, g2, bits)
     e_to = emb.embed_positive((g1 if i == 1 else g2) ** l, bits)
     e_one = [RatInterval.point(1)] * 3
-    pts = []
-    ts = []
-    for j in range(n_points):
-        t = Fraction(j, n_points - 1)
-        ts.append(t)
-        if j == 0:
-            pts.append(PlanePoint(0.0, 0.0, 0.0))
-            continue
-        if j == n_points - 1:
-            pts.append(PlanePoint(float(l if i == 1 else 0), float(l if i == 2 else 0), 0.0))
-            continue
-        p = basis.point(_segment_logs(e_one, e_to, iv_fraction(t, t, bits)._mpi_, bits))
+    ts, weights = grid(n_points, bits)
+    pts = [PlanePoint(0.0, 0.0, 0.0)]
+    for w in weights[1:-1]:
+        p = basis.point(_segment_logs(e_one, e_to, w, bits))
         pts.append(PlanePoint(p.x + 0.0, p.y + 0.0, p.err))  # a -0.0 reads 0.0
-    return CurveSample(curve_id=(i, l, (0, 0)), ts=tuple(ts), points=tuple(pts))
+    pts.append(PlanePoint(float(l if i == 1 else 0), float(l if i == 2 else 0), 0.0))
+    return CurveSample(curve_id=(i, l, (0, 0)), ts=ts, points=tuple(pts))
 
 
 def shifted(cs: CurveSample, translate: tuple) -> CurveSample:
@@ -332,16 +339,9 @@ def check_direction_bounds(
     if l < 1 or n_points < 3:
         raise ValueError("direction check needs l >= 1 and n_points >= 3 (one interior sample)")
     basis = PhiBasis(emb, g1, g2, PLANE_BITS)
-    bounds = {
-        "y1 >= 0": [],
-        "x1 >= 0": [],
-        "x1 <= l": [],
-        "x2 <= 0": [],
-        "y2 >= 0": [],
-        "y2 <= l": [],
-    }
+    bounds = {n: [] for n in ("y1 >= 0", "x1 >= 0", "x1 <= l", "x2 <= 0", "y2 >= 0", "y2 <= l")}
     passed = True
-    t_ivs = {}  # (j, rung) -> the interval of t, shared by the two curves
+    grids = {}  # rung -> the grid's (1 - t, t), shared by the two curves
     for i in (1, 2):
         gpow = (g1 if i == 1 else g2) ** l
         e_to = emb.embed_positive(gpow, PLANE_BITS)
@@ -349,25 +349,16 @@ def check_direction_bounds(
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
             for work in emb.cfg.ladder(PLANE_BITS):
-                ti = t_ivs.get((j, work))
-                if ti is None:
-                    ti = t_ivs[j, work] = iv_fraction(t, t, work)._mpi_
-                logs = _segment_logs(e_one, e_to, ti, work)
+                if work not in grids:
+                    grids[work] = grid(n_points, work)[1]
+                logs = _segment_logs(e_one, e_to, grids[work][j], work)
                 a, b = basis.project_logs(logs)
                 # l - a and l - b at the rung's precision, not the basis's
                 lv = iv_context(work).mpf(l)
                 if i == 1:
-                    checks = {
-                        "y1 >= 0": b,
-                        "x1 >= 0": a,
-                        "x1 <= l": lv - a,
-                    }
+                    checks = {"y1 >= 0": b, "x1 >= 0": a, "x1 <= l": lv - a}
                 else:
-                    checks = {
-                        "x2 <= 0": -a,
-                        "y2 >= 0": b,
-                        "y2 <= l": lv - b,
-                    }
+                    checks = {"x2 <= 0": -a, "y2 >= 0": b, "y2 <= l": lv - b}
                 signs = {n: iv_sign(v) for n, v in checks.items()}
                 if all(s is not None for s in signs.values()):
                     for n, v in checks.items():

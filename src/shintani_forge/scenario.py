@@ -26,7 +26,7 @@ from .errors import (
     UnknownScenario,
 )
 from .field import FieldElement, FieldSpec
-from .figures import FIGURE_BITS, Scene, materialize_scene, render_svg_csv
+from .figures import FIGURE_BITS, Layer, materialize_scene, render_svg_csv
 from .plane import check_direction_bounds, curve_sample, shifted
 
 SCHEMA_VERSION = 1
@@ -66,6 +66,15 @@ def _tokenize(expr: str):
         pos = m.end()
     out.append(("end", None, len(expr)))
     return out
+
+
+def _check_power(k: int, bases, what: str = "power"):
+    """Refuse the k-th powers of `bases`, by a ValueError naming `what`,
+    when |k| times the greatest coordinate bit height among them exceeds
+    MAX_POWER_BITS."""
+    height = max(n.bit_length() for b in bases for c in b.coords for n in c.as_integer_ratio())
+    if abs(k) * height > MAX_POWER_BITS:
+        raise ValueError(f"{what} {k} of a {height}-bit base exceeds {MAX_POWER_BITS} bits")
 
 
 class _Parser:
@@ -133,11 +142,10 @@ class _Parser:
         if kind == "op" and val == "^":
             self.take()
             k = self.int_exponent()
-            height = max(n.bit_length() for c in base.coords for n in c.as_integer_ratio())
-            if abs(k) * height > MAX_POWER_BITS:
-                raise ParseError(
-                    f"power {k} of a {height}-bit base exceeds {MAX_POWER_BITS} bits", pos
-                )
+            try:
+                _check_power(k, [base])
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
             return base**k
         return base
 
@@ -335,6 +343,9 @@ def _run_counterexample(rt: Runtime, p: dict, outdir, seed):
 
 
 def _run_construction(rt: Runtime, p: dict, outdir, seed):
+    # choose_power raises the eps pair, or else (g1, g2), to powers up to l_max
+    pair = (p["eps1"], p["eps2"]) if "eps1" in p else (p["g1"], p["g2"])
+    _check_power(p["l_max"], pair, "param 'l_max': power")
     res = unit_ops.build_construction(
         p["g1"],
         p["g2"],
@@ -397,6 +408,7 @@ def _run_fdcheck(rt: Runtime, p: dict, outdir, seed):
 
 
 def _run_direction(rt: Runtime, p: dict, outdir, seed):
+    _check_power(p["l"], (p["g1"], p["g2"]), "param 'l': power")
     rep = check_direction_bounds(p["l"], p["g1"], p["g2"], rt.emb, n_points=p["n_points"])
     evidence = [
         {"name": "passed", "ok": rep.passed},
@@ -429,32 +441,25 @@ def _run_figures(rt: Runtime, p: dict, outdir, seed):
     evidence = []
     sampled = {}  # face curves, shared by the four figures (fig3 redraws fig2's B)
     for fig in ("fig1", "fig2", "fig3", "fig4"):
-        scene = Scene()
+        basis = (g1, g2) if fig == "fig4" else (e1, e2)
         if fig == "fig1":
-            basis = (e1, e2)
             c1, c2 = (
                 curve_sample(i, 1, e1, e2, rt.emb, n_points=n_points, bits=bits) for i in (1, 2)
             )
-            curves = [c1, c2, shifted(c1, (0, 1)), shifted(c2, (1, 0))]
-            scene.add_curves(curves, color="#1f4e9c", width=1.2)
-        elif fig in ("fig2", "fig3"):
-            pihat = rt.normalized_pi(p["case1_pi"] if fig == "fig2" else p["case2_pi"], e1, e2)
-            basis = (e1, e2)
-            b = rt.geo.explicit_B(e1, e2)
-            k2max = 1 if fig == "fig2" else 2
-            for k1 in range(2):
-                for k2 in range(k2max + 1):
-                    scene.add_set(
-                        rt.geo.scale(b, e1**k1 * e2**k2), color="#1f4e9c", width=1.0
-                    )
-            scene.add_set(rt.geo.scale(b, pihat.inverse()), color="#c41111", width=1.2)
+            layers = [Layer([c1, c2, shifted(c1, (0, 1)), shifted(c2, (1, 0))], width=1.2)]
         else:
-            basis = (g1, g2)
-            d = rt.geo.colmez_domain(g1, g2)
-            for u in (rt.config.spec.one, g1, g2, g1 * g2):
-                scene.add_set(rt.geo.scale(d, u), color="#1f4e9c", width=1.0)
-            scene.add_set(rt.geo.scale(d, p["pi"].inverse()), color="#c41111", width=1.2)
-        mat = materialize_scene(scene, rt.emb, basis, n_points=min(n_points, 129), sampled=sampled)
+            if fig == "fig4":  # the counterexample: D, g1 D, g2 D, g1g2 D and pi^-1 D
+                red = p["pi"]
+                d = rt.geo.colmez_domain(g1, g2)
+                blue = (rt.config.spec.one, g1, g2, g1 * g2)
+            else:  # e1^k1 e2^k2 B for k1 <= 1, k2 <= 1 (fig2) or 2 (fig3), and pihat^-1 B
+                red = rt.normalized_pi(p["case1_pi"] if fig == "fig2" else p["case2_pi"], e1, e2)
+                d = rt.geo.explicit_B(e1, e2)
+                k2s = range(2 if fig == "fig2" else 3)
+                blue = [e1**k1 * e2**k2 for k1 in range(2) for k2 in k2s]
+            layers = [Layer(rt.geo.scale(d, u)) for u in blue]
+            layers.append(Layer(rt.geo.scale(d, red.inverse()), color="#c41111", width=1.2))
+        mat = materialize_scene(layers, rt.emb, basis, n_points=min(n_points, 129), sampled=sampled)
         svg = Path(outdir) / f"{fig}.svg"
         csv = Path(outdir) / f"{fig}.csv"
         render_svg_csv(mat, svg, csv)

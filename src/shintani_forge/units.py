@@ -220,13 +220,14 @@ def triangle_search(
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
 
     omega ranges over the group generated by `unit_basis` (the full unit
-    group; defaults to (eps1, eps2)). Candidates are enumerated by phi image
-    inside the corner wedge T(theta, Q, (l,l)) n T(gamma, (l,l)) with Q
-    doubling up to 64; every candidate is verified by exact cone
-    membership plus the certified sign suite, which are the binding
-    contracts. If the wedge never captures a valid point (the wedge argument
-    is asymptotic in the power), a bounded sweep of coset points near the
-    domain's phi square runs the same exact verification.
+    group; defaults to (eps1, eps2)). One loop walks a list of plane boxes:
+    the corner wedge T(theta, Q, (l,l)) n T(gamma, (l,l)) with Q doubling
+    from 1 to 64, then a sweep of the square [-1, l+1]^2 around the
+    domain's phi square, for when the wedge never captures a valid point
+    (the wedge argument is asymptotic in the power). Per box, the
+    candidates whose phi image it holds and that no earlier box tried are
+    verified nearest to (l, l) first, by exact cone membership plus the
+    certified sign suite, which are the binding contracts.
     """
     union = Geometry(emb).prop4_union(eps1, eps2)
     u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
@@ -254,49 +255,29 @@ def triangle_search(
         raise SignConditionFailed("unit basis does not span the phi plane")
     pad = 1e-9
 
-    def in_wedge(x: float, y: float, q: float) -> bool:
-        if y > l + pad or y < -pad or x > l + pad or x < l - q - pad:
-            return False
-        if y < l + tan_theta * (x - l) - pad:
-            return False
-        if x < l - y * tan_gamma - pad:
-            return False
-        return True
+    def in_wedge(x: float, y: float) -> bool:
+        """The two slope tests of the corner wedge; the box filter applies
+        its box half."""
+        return not (y < l + tan_theta * (x - l) - pad or x < l - y * tan_gamma - pad)
 
-    def candidates_in_box(x_lo, x_hi, y_lo, y_hi):
-        """Unit exponents whose phi shift lands p inside the given box."""
-        out = []
+    q_max = 64
+    # the wedge levels q = 1, 2, ..., q_max, then the sweep box
+    boxes = [(l - 2.0**e, l, -0.0, l, True) for e in range(7)]
+    boxes.append((-1.0, l + 1.0, -1.0, l + 1.0, False))
+    tried = set()
+    for x_lo, x_hi, y_lo, y_hi, wedge in boxes:
+        ordered = []
         for m1, m2 in _exponent_box(p, s1, s2, x_lo, x_hi, y_lo, y_hi):
             x = p[0] + m1 * s1[0] + m2 * s2[0]
             y = p[1] + m1 * s1[1] + m2 * s2[1]
-            if x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad:
-                out.append((x, y, m1, m2))
-        return out
-
-    q_max = 64
-    tried = set()
-    q = 1.0
-    while q <= q_max:
-        ordered = []
-        for x, y, m1, m2 in candidates_in_box(l - q, l, -0.0, l):
-            if (m1, m2) in tried or not in_wedge(x, y, q):
-                continue
-            ordered.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
+            inside = x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad
+            if inside and (m1, m2) not in tried and (not wedge or in_wedge(x, y)):
+                ordered.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
         for _, m1, m2 in sorted(ordered):
             tried.add((m1, m2))
             hit = verified(u1**m1 * u2**m2)
             if hit is not None:
                 return hit
-        q *= 2
-    sweep = []
-    for x, y, m1, m2 in candidates_in_box(-1.0, l + 1.0, -1.0, l + 1.0):
-        if (m1, m2) in tried:
-            continue
-        sweep.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
-    for _, m1, m2 in sorted(sweep):
-        hit = verified(u1**m1 * u2**m2)
-        if hit is not None:
-            return hit
     raise Exhausted("triangle search", q_max)
 
 
@@ -329,8 +310,7 @@ def build_construction(
                 raise ValueError(f"{name} is not a unit (|norm| != 1)")
             if not emb.is_totally_positive(u):
                 raise NotTotallyPositive(f"{name} is not totally positive")
-        if emb.delta_bracket(a, b) != 1 or emb.delta_bracket(b, a) != -1:
-            raise SignConditionFailed(f"delta([{n1}|{n2}]) = -delta([{n2}|{n1}]) = 1 required")
+        geo._check_unit_pair(a, b, (n1, n2))
     c1, c2 = eps_pair if eps_pair is not None else (g1, g2)
 
     evidence = {}

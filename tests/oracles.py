@@ -5,17 +5,20 @@ tests hold the table's results to them. Also the Fraction rank and ray
 decomposition that the integer cell kernels replace, the Fraction bisection
 that the integer root refinement replaces, and the Fraction field products,
 multiplication matrices, inverses and embedding Horner that the integer
-field and embedding kernels replace, and the `mpmath.libmp` interval
-compositions that the plane's directed-rounding kernels replace."""
+field and embedding kernels replace, the `mpmath.libmp` interval
+compositions that the plane's directed-rounding kernels replace, and the
+two-loop normalization search that `units.triangle_search` folds into one."""
 
 from fractions import Fraction
 
 from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
-from shintani_forge.cones import Cone, primitive_vector
-from shintani_forge.embedding import RatInterval, iv_context, iv_int
-from shintani_forge.errors import EmptySet
+from shintani_forge.cones import Cone, Geometry, _int_vec, primitive_vector
+from shintani_forge.embedding import RatInterval, iv_context, iv_fraction, iv_int
+from shintani_forge.errors import EmptySet, Exhausted, SignConditionFailed
 from shintani_forge.field import FieldElement, solve3
+from shintani_forge.plane import limit_derivative, phi
+from shintani_forge.units import _exponent_box, check_sign_suite
 
 
 def window_translates(d, u1, u2, window) -> dict:
@@ -224,6 +227,14 @@ def fraction_embed(emb, x, bits):
 # same raw endpoints.
 
 
+def libmpi_weights(t, bits):
+    """The raw intervals (1 - t, t) at `bits` that `plane.grid` gives a
+    grid point t, here for any rational t."""
+    prec = iv_context(bits).prec
+    ti = iv_fraction(t, t, bits)._mpi_
+    return mpi_sub(iv_int(1, prec), ti, prec), ti
+
+
 def libmpi_segment_logs(e_from, e_to, ti, bits):
     """Interval logs of (1-t) v + t w, with t the raw interval `ti`."""
     iv = iv_context(bits)
@@ -252,3 +263,83 @@ def libmpi_project_logs(basis, logs):
     a = mpi_div(mpi_sub(mpi_mul(h0, q1, prec), mpi_mul(h1, q0, prec), prec), det, prec)
     b = mpi_div(mpi_sub(mpi_mul(p0, h1, prec), mpi_mul(p1, h0, prec), prec), det, prec)
     return basis.iv.make_mpf(a), basis.iv.make_mpf(b)
+
+
+# The normalization search as two loops, the wedge levels and then the
+# sweep, each enumerating, sorting and verifying its own candidates.
+# `units.triangle_search` walks the same boxes in one loop and must pick the
+# same omega, or raise the same error.
+
+
+def wedge_sweep_search(eps1, eps2, pi, l, emb, unit_basis=None):
+    """(alpha, omega) of the first verified candidate: the wedge levels
+    with q doubling to 64, then the sweep of [-1, l+1]^2."""
+    union = Geometry(emb).prop4_union(eps1, eps2)
+    u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
+
+    def verified(u):
+        alpha = u * pi.inverse()
+        if not union.contains_vec(_int_vec(alpha.coords)):
+            return None
+        omega = u.inverse()
+        if not check_sign_suite(eps1, eps2, omega * pi, emb).passed:
+            return None
+        return alpha, omega
+
+    hit = verified(eps1.spec.one)
+    if hit is not None:
+        return hit
+
+    d1 = limit_derivative(1, 1, eps1, eps2, emb)
+    d2 = limit_derivative(2, 1, eps1, eps2, emb)
+    tan_theta = d2.value / 2
+    tan_gamma = -d1.value / 2
+    p, s1, s2 = (phi(w, eps1, eps2, emb) for w in (pi.inverse(), u1, u2))
+    p, s1, s2 = (p.x, p.y), (s1.x, s1.y), (s2.x, s2.y)
+    if abs(s1[0] * s2[1] - s1[1] * s2[0]) < 1e-12:
+        raise SignConditionFailed("unit basis does not span the phi plane")
+    pad = 1e-9
+
+    def in_wedge(x, y, q):
+        if y > l + pad or y < -pad or x > l + pad or x < l - q - pad:
+            return False
+        if y < l + tan_theta * (x - l) - pad:
+            return False
+        if x < l - y * tan_gamma - pad:
+            return False
+        return True
+
+    def candidates_in_box(x_lo, x_hi, y_lo, y_hi):
+        out = []
+        for m1, m2 in _exponent_box(p, s1, s2, x_lo, x_hi, y_lo, y_hi):
+            x = p[0] + m1 * s1[0] + m2 * s2[0]
+            y = p[1] + m1 * s1[1] + m2 * s2[1]
+            if x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad:
+                out.append((x, y, m1, m2))
+        return out
+
+    q_max = 64
+    tried = set()
+    q = 1.0
+    while q <= q_max:
+        ordered = []
+        for x, y, m1, m2 in candidates_in_box(l - q, l, -0.0, l):
+            if (m1, m2) in tried or not in_wedge(x, y, q):
+                continue
+            ordered.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
+        for _, m1, m2 in sorted(ordered):
+            tried.add((m1, m2))
+            hit = verified(u1**m1 * u2**m2)
+            if hit is not None:
+                return hit
+        q *= 2
+    sweep = []
+    for x, y, m1, m2 in candidates_in_box(-1.0, l + 1.0, -1.0, l + 1.0):
+        if (m1, m2) in tried:
+            continue
+        sweep.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
+    for _, m1, m2 in sorted(sweep):
+        hit = verified(u1**m1 * u2**m2)
+        if hit is not None:
+            return hit
+    raise Exhausted("triangle search", q_max)

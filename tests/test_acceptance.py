@@ -17,6 +17,8 @@ from shintani_forge import plane, units
 from shintani_forge.field import det3
 from shintani_forge.scenario import run_scenario
 
+from oracles import libmpi_weights
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -136,8 +138,7 @@ def test_criterion_6_numerical_analysis(rt, els):
                 ts = (h, 2 * h) if t_end == 0 else (1 - 2 * h, 1 - h)
                 pts = []
                 for t in ts:
-                    ti = plane.iv_fraction(t, t, 256)._mpi_
-                    logs = plane._segment_logs(e_one, e_to, ti, 256)
+                    logs = plane._segment_logs(e_one, e_to, libmpi_weights(t, 256), 256)
                     a, b = basis.project_logs(logs)
                     mid = lambda v: (mpmath.mpf(v.a) + mpmath.mpf(v.b)) / 2
                     pts.append((mid(a), mid(b)))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from shintani_forge import figures
-from shintani_forge.figures import Scene, materialize_scene, render_svg_csv
+from shintani_forge.figures import Layer, materialize_scene, render_svg_csv
 from shintani_forge.scenario import run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -12,9 +12,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestRenderBasics:
     def test_empty_scene_has_viewport(self, rt, tmp_path):
-        mat = materialize_scene(
-            Scene(), rt.emb, (rt.config.elements["eps1"], rt.config.elements["eps2"])
-        )
+        mat = materialize_scene([], rt.emb, (rt.config.elements["eps1"], rt.config.elements["eps2"]))
         svg, csv = render_svg_csv(mat, tmp_path / "e.svg", tmp_path / "e.csv")
         text = Path(svg).read_text()
         assert 'viewBox="0 0 640 640"' in text
@@ -22,9 +20,8 @@ class TestRenderBasics:
         assert Path(csv).read_text().splitlines() == ["curve_id,t,x,y,err"]
 
     def test_set_layer_draws_faces_and_rays(self, rt, geo, els, tmp_path):
-        scene = Scene()
-        scene.add_set(geo.explicit_B(els["eps1"], els["eps2"]))
-        mat = materialize_scene(scene, rt.emb, (els["eps1"], els["eps2"]), n_points=9)
+        layers = [Layer(geo.explicit_B(els["eps1"], els["eps2"]))]
+        mat = materialize_scene(layers, rt.emb, (els["eps1"], els["eps2"]), n_points=9)
         _, curves, markers = mat[0]
         assert len(curves) == 5  # distinct 2-faces of the six cells
         assert len(markers) == 1  # the single boundary ray

@@ -60,7 +60,7 @@ from shintani_forge.figures import set_boundary_faces
 from shintani_forge.plane import PhiBasis, _segment_logs
 from shintani_forge.scenario import Runtime, run_scenario
 
-from oracles import libmpi_project_logs, libmpi_segment_logs
+from oracles import libmpi_project_logs, libmpi_segment_logs, libmpi_weights
 
 BITS = (96, 128, 256)
 TS = (Fraction(0), Fraction(1, 127), Fraction(1, 3), Fraction(64, 127), Fraction(1))
@@ -178,7 +178,7 @@ def test_face_segments(emb, els, face_pairs, bits):
         e_from = emb.embed_positive(element(emb, pair[0]), bits)
         e_to = emb.embed_positive(element(emb, pair[1]), bits)
         for t in TS:
-            logs = _segment_logs(e_from, e_to, iv_fraction(t, t, bits)._mpi_, bits)
+            logs = _segment_logs(e_from, e_to, libmpi_weights(t, bits), bits)
             want = ref_segment_logs(e_from, e_to, t, bits)
             assert_all_same(logs, want)
             for k, basis in bases.items():
@@ -195,7 +195,7 @@ def test_curve_sample_segments(emb, els, bits):
         for l in (1, 2):
             e_to = emb.embed_positive(g**l, bits)
             for t in TS[1:-1]:
-                logs = _segment_logs(e_one, e_to, iv_fraction(t, t, bits)._mpi_, bits)
+                logs = _segment_logs(e_one, e_to, libmpi_weights(t, bits), bits)
                 want = ref_segment_logs(e_one, e_to, t, bits)
                 assert_all_same(logs, want)
                 assert_all_same(basis.project_logs(logs), ref.project_logs(want))
@@ -213,7 +213,7 @@ def test_cross_precision_projection(emb, els, face_pairs):
     ]
     for e_from, e_to in segments:
         for t in TS[1:-1]:
-            logs = _segment_logs(e_from, e_to, iv_fraction(t, t, 256)._mpi_, 256)
+            logs = _segment_logs(e_from, e_to, libmpi_weights(t, 256), 256)
             got = basis.project_logs(logs)
             assert all(type(v) is type(iv_context(128).mpf(0)) for v in got)
             assert_all_same(got, ref.project_logs(ref_segment_logs(e_from, e_to, t, 256)))
@@ -233,9 +233,9 @@ def test_finer_logs_on_a_128_bit_basis(emb, els, face_pairs, log_bits):
     ]
     for e_from, e_to in segments:
         for t in TS:
-            ti = iv_fraction(t, t, log_bits)._mpi_
-            logs = _segment_logs(e_from, e_to, ti, log_bits)
-            assert_all_same(logs, libmpi_segment_logs(e_from, e_to, ti, log_bits))
+            weights = libmpi_weights(t, log_bits)
+            logs = _segment_logs(e_from, e_to, weights, log_bits)
+            assert_all_same(logs, libmpi_segment_logs(e_from, e_to, weights[1], log_bits))
             assert_all_same(basis.project_logs(logs), libmpi_project_logs(basis, logs))
 
 

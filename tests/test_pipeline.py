@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,11 @@ from shintani_forge.errors import (
     NotTotallyPositive,
     SignConditionFailed,
 )
+from shintani_forge.scenario import Runtime, load_config
+
+from oracles import wedge_sweep_search
+
+SECOND_FIELD = Path(__file__).parent / "second_field.json"
 
 
 class TestFixgi:
@@ -160,6 +167,39 @@ class TestTriangleSearch:
             units.triangle_search(els["eps1"], els["eps2"], els["pi"], 1, emb)
 
 
+def _search_outcome(search, *args):
+    """(alpha, omega) coordinates, or the error's type name and message."""
+    try:
+        alpha, omega = search(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return alpha.coords, omega.coords
+
+
+@pytest.mark.parametrize("field", ["bundled", "second"])
+def test_search_order_matches_the_wedge_and_sweep_loops(field, rt):
+    """On seeded totally positive pi of each field, over (eps1, eps2) and
+    over the unit basis, the one box loop picks the omega of the wedge
+    levels and sweep run as two loops, or raises the same error."""
+    if field == "second":
+        rt = Runtime(load_config(SECOND_FIELD))
+    els, emb = rt.config.elements, rt.emb
+    rng = random.Random(21)
+    pis = []
+    while len(pis) < 24:
+        pi = rt.config.spec.element(*(rng.randint(-4, 4) for _ in range(3)))
+        if any(pi.coords) and emb.is_totally_positive(pi):
+            pis.append(pi)
+    kinds = set()
+    for pi in pis:
+        for basis in (None, (els["g1"], els["g2"])):
+            args = (els["eps1"], els["eps2"], pi, 1, emb, basis)
+            got = _search_outcome(units.triangle_search, *args)
+            assert got == _search_outcome(wedge_sweep_search, *args)
+            kinds.add(got[0] if isinstance(got[0], str) else "found")
+    assert kinds == {"found", "Exhausted"}  # both outcomes are compared
+
+
 class TestBuildConstruction:
     def test_appendix_scenario(self, emb, geo, els):
         res = units.build_construction(
@@ -185,6 +225,17 @@ class TestBuildConstruction:
     def test_non_positive_pi_rejected(self, geo, els, spec):
         with pytest.raises(NotTotallyPositive):
             units.build_construction(els["g1"], els["g2"], -els["pi"], geo)
+
+    @pytest.mark.parametrize("swapped", ["g", "eps"])
+    def test_unit_pair_delta_rule_names_the_pair(self, geo, els, swapped):
+        """A pair in the wrong order fails `Geometry._check_unit_pair` under
+        its own labels."""
+        pairs = {n: (els[f"{n}1"], els[f"{n}2"]) for n in ("g", "eps")}
+        pairs[swapped] = pairs[swapped][::-1]
+        a, b = f"{swapped}1", f"{swapped}2"
+        with pytest.raises(SignConditionFailed) as exc:
+            units.build_construction(*pairs["g"], els["pi"], geo, eps_pair=pairs["eps"])
+        assert str(exc.value) == f"delta([{a}|{b}])=-1, delta([{b}|{a}])=1; need +1, -1"
 
 
 class TestClassifyCase:

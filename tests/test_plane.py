@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from shintani_forge import plane
 from shintani_forge.errors import FixgiViolated
 
+from oracles import libmpi_weights
+
 small_pow = st.integers(min_value=-3, max_value=3)
 
 
@@ -61,6 +63,12 @@ class TestPhiErrors:
 
 
 class TestCurves:
+    @pytest.mark.parametrize("bits", [96, 128, 256])
+    def test_grid_gives_each_point_its_weights(self, bits):
+        ts, weights = plane.grid(9, bits)
+        assert ts == tuple(Fraction(j, 8) for j in range(9))
+        assert weights == tuple(libmpi_weights(t, bits) for t in ts)
+
     def test_endpoints(self, emb, els):
         e1, e2 = els["eps1"], els["eps2"]
         for i, expected in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
@@ -119,8 +127,7 @@ class TestDerivatives:
                     ts = (h, 2 * h) if t_end == 0 else (1 - 2 * h, 1 - h)
                     pts = []
                     for t in ts:
-                        ti = plane.iv_fraction(t, t, 256)._mpi_
-                        logs = plane._segment_logs(e_one, e_to, ti, 256)
+                        logs = plane._segment_logs(e_one, e_to, libmpi_weights(t, 256), 256)
                         a, b = basis.project_logs(logs)
                         mid = lambda v: (mpmath.mpf(v.a) + mpmath.mpf(v.b)) / 2
                         pts.append((mid(a), mid(b)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,6 +319,24 @@ class TestReports:
         assert report["outcome"] == "ERROR"
         assert report["evidence"][0]["value"].startswith("ValueError: ")
         assert bound in report["evidence"][0]["value"]
+
+    @pytest.mark.parametrize(("sid", "param"), [("direction", "l"), ("construction", "l_max")])
+    def test_power_params_obey_the_power_bound(self, tmp_path, sid, param):
+        """The parser's MAX_POWER_BITS rule holds for a power param too,
+        against the pair the scenario raises to powers (eps2 has 44 bits):
+        past 65536 // 44 = 1489 the ERROR names the param at once, and at
+        1489 the scenario runs."""
+        for name in ("far", "past", "at"):
+            (tmp_path / name).mkdir()
+        start = time.perf_counter()
+        report = _run_altered(tmp_path / "far", sid, param, 100_000)
+        assert time.perf_counter() - start < 1.0
+        too_big = f"ValueError: param '{param}': power {{}} of a 44-bit base exceeds 65536 bits"
+        assert report["evidence"] == [{"name": "error", "value": too_big.format(100000)}]
+        report = _run_altered(tmp_path / "past", sid, param, 1490)
+        assert report["evidence"] == [{"name": "error", "value": too_big.format(1490)}]
+        report = _run_altered(tmp_path / "at", sid, param, 1489)
+        assert report["outcome"] in ("PASS", "INCONCLUSIVE")
 
     def test_figures_need_two_points_per_curve(self, tmp_path):
         """The ERROR names `n_points`, the only count `figures` takes, and

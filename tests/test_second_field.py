@@ -2,13 +2,18 @@
 wired to the bundled instance): x^3 - x^2 - 2x + 1, ascending embedding
 order."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from shintani_forge.cli import main
 from shintani_forge.cones import Geometry, ShintaniSet
 from shintani_forge.embedding import RealEmbeddings, SignConfig
 from shintani_forge.field import FieldSpec
+
+CONFIG = Path(__file__).parent / "second_field.json"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +79,26 @@ def test_perturbed_closure_on_second_field(geo2, spec2):
     closed = geo2.perturbed_closure(c)
     assert c in closed.cones
     assert all(cell.dim <= 3 for cell in closed.cones)
+
+
+def test_second_field_config_verifies(tmp_path):
+    """Every scenario of `second_field.json` PASSes. No golden pins its
+    figures, so they are checked by structure: the curve and marker counts
+    of the bundled figures, 16 CSV rows and one polyline per curve, and one
+    circle per marker."""
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(CONFIG), "--out", str(out)]) == 0
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.report.json"))]
+    assert len(reports) == 13
+    assert all(r["outcome"] == "PASS" for r in reports)
+    figures = next(r for r in reports if r["kind"] == "figures")
+    counts = {e["name"]: (e["curves"], e["markers"]) for e in figures["evidence"]}
+    assert counts == {"fig1": (4, 0), "fig2": (25, 5), "fig3": (35, 7), "fig4": (25, 5)}
+    for name, (curves, markers) in counts.items():
+        rows = (out / f"{name}.csv").read_text().splitlines()
+        assert rows[0] == "curve_id,t,x,y,err" and len(rows) == 1 + 16 * curves
+        svg = (out / f"{name}.svg").read_text()
+        assert svg.count("<polyline") == curves and svg.count("<circle") == markers
+    fig1 = [row.split(",") for row in (out / "fig1.csv").read_text().splitlines()[1:]]
+    ends = {(float(x), float(y)) for _, t, x, y, _ in fig1 if t in ("0", "1")}
+    assert ends == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
