@@ -22,6 +22,11 @@ lower in at least nine of ten pairs and by more than that spread, with
 every run correct and no more failed operations on the change side than on
 the parent side. Each run takes BENCHMARK.json's run length, the default of
 `perfbench/run.py`.
+
+A run that exits nonzero or prints no result ends the session: the pairs
+completed before it are written to `--out` as usual, the workload's block
+names the failing side, seed and exit code under `failure`, the claim is
+not met, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -34,6 +39,15 @@ import sys
 from pathlib import Path
 
 
+class RunFailed(Exception):
+    """A benchmark run that exited nonzero or printed no result line."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(f"exit {exit_code}")
+        self.exit_code = exit_code
+        self.stderr = stderr
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result line of one benchmark run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -41,11 +55,13 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     return json.loads(lines[-1])
 
 
 def side_summary(runs: list) -> dict:
+    if len(runs) < 2:  # a session cut after its first pair
+        return {"q1": runs[0], "median": runs[0], "q3": runs[0], "runs": runs}
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3, "runs": runs}
 
@@ -83,6 +99,7 @@ def claim_block(workload: str, metric: str, run: dict) -> dict:
             and gap > iqr
             and run["correct"]
             and run["failed"]["change"] <= run["failed"]["parent"]
+            and "failure" not in run
         ),
     }
 
@@ -104,18 +121,28 @@ def main() -> int:
     sides = {"parent": args.parent, "change": args.change}
     results: dict = {"parent": [], "change": []}
     first, seeds = [], []
+    failure = None
     for n in range(args.pairs):
         seed = args.seeds[n % len(args.seeds)]
         order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
+        pair = {}
+        try:
+            for side in order:
+                pair[side] = run_once(sides[side], args.workload, seed)
+        except RunFailed as exc:
+            failure = {"pair": n + 1, "side": side, "seed": seed, "exit_code": exc.exit_code}
+            print(f"pair {n + 1}: {side} run failed, exit {exc.exit_code}", file=sys.stderr)
+            print(exc.stderr, file=sys.stderr)
+            break
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, seed))
+            results[side].append(pair[side])
         first.append(order[0])
         seeds.append(seed)
         print(f"pair {n + 1}/{args.pairs} seed {seed} done", file=sys.stderr)
 
     every = results["parent"] + results["change"]
     block = {
-        "pairs": args.pairs,
+        "pairs": len(seeds),
         "correct": all(r["correct"] for r in every),
         "failed": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
         "first": first,
@@ -126,15 +153,22 @@ def main() -> int:
                 [r["metrics"][s["name"]]["value"] for r in results["parent"]],
                 [r["metrics"][s["name"]]["value"] for r in results["change"]],
             )
-            for s in specs
+            for s in (specs if seeds else ())
         },
     }
+    if failure is not None:
+        block["failure"] = failure
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("workloads", {})[args.workload] = block
     if args.claim:
-        data["claim"] = claim_block(args.workload, args.claim, block)
+        data["claim"] = (
+            claim_block(args.workload, args.claim, block)
+            if seeds
+            else {"workload": args.workload, "metric": args.claim, "pairs": 0, "met": False}
+        )
     args.out.write_text(json.dumps(data, indent=1) + "\n")
-    return 0 if block["correct"] and not any(block["failed"].values()) else 1
+    ok = failure is None and block["correct"] and not any(block["failed"].values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

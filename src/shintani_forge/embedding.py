@@ -9,18 +9,17 @@ denominator D, and each enclosure endpoint is one numerator over D 2^(2e),
 chosen as the rational interval product would choose it and turned into a
 `Fraction` once. Logarithms are the
 only transcendental step and are delegated to mpmath, one interval context
-per working precision. The interval helpers below and the plane kernels run
-on raw (lo, hi) endpoints at their context's precision, with the
-operations and roundings the context would apply, so their intervals are
-bit-identical to the context arithmetic without its conversion overhead.
-The plane kernels' additions, products and quotients go through the exact
-directed-rounding kernels below, which compute on the raw mpf tuples
-(sign, man, exp, bc) and give the tuple `mpmath.libmp` gives; zeros,
-zero-straddling intervals and additions across exponent gaps over 100 that
-mpmath rounds by perturbing go to `mpmath.libmp` itself. Float read-outs
-round each endpoint to the nearest double, with `math.ldexp` when the
-result is a normal double. Every interval computes at its own context's
-precision, so no global mpmath state is set or read.
+per working precision. The plane kernels below run on signed integer
+endpoints: an endpoint is a pair (m, e) of ints for m 2^e, whose mantissa
+carries the sign and is not normalized, and an interval is a pair of them.
+Each addition, product, quotient and log rounds as the interval context
+would, so every interval is bit-identical to the context arithmetic without
+its conversion overhead; zero operands, products and quotients with zero in
+an operand, and the additions mpmath rounds by perturbing go to
+`mpmath.libmp` itself, and a log is `mpf_log` of the endpoint's canonical
+mpf. Float read-outs round each endpoint to the nearest double, with
+`math.ldexp(float(m), e)` when the result is a normal double. Every interval
+computes at its own precision, so no global mpmath state is set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -38,16 +37,14 @@ from functools import lru_cache
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
     from_int,
-    fzero,
+    from_man_exp,
     mpf_add,
     mpf_div,
+    mpf_log,
     mpf_mul,
-    mpf_pos,
-    mpi_add,
     mpi_div,
     mpi_log,
     mpi_mul,
-    mpi_sub,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -383,129 +380,166 @@ def iv_int(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-# -- exact directed-rounding kernels on raw mpfs ------------------------------
+# -- signed integer endpoints -------------------------------------------------
 #
-# A raw mpf is mpmath's tuple (sign, man, exp, bc) for (-1)^sign man 2^exp; a
-# nonzero finite one has an odd mantissa and its exact bit count, zero is
-# `fzero`, and the special values have man 0 and exp != 0. mpmath's add, mul
-# and div round the exact result in the floor and ceiling modes, and a
-# canonical tuple is unique, so each kernel below, which rounds the exact
-# result once, returns the very tuple mpmath returns. `ceil` is 0 for
-# round_floor and 1 for round_ceiling. A zero or special operand goes to
-# mpmath itself, and so does an addition whose exponents differ by over 100
-# while its magnitudes lie over prec + 4 bits apart: there mpmath rounds a
-# perturbed operand instead of the sum.
+# An endpoint is a pair (m, e) of ints for m 2^e: the mantissa m carries the
+# sign and need not be odd, and every (0, e) is zero. An interval is a pair
+# (lo, hi) of endpoints; the endpoint kernels take each operand as its m and
+# its e. mpmath's add, mul and div round the exact result in the floor and
+# ceiling modes, so each kernel below, which rounds the exact result once,
+# gives the value mpmath gives. Rounding to `prec` bits drops the
+# n = m.bit_length() - prec low bits: m >> n rounds down and -(-m >> n) up,
+# for either sign, since >> floors and bit_length ignores the sign. `ceil`
+# is 0 for round_floor and 1 for round_ceiling. mpmath itself takes a zero
+# operand, an interval product or quotient with a zero endpoint or a
+# zero-straddling operand, and an addition whose exponents differ by over
+# 100 while its magnitudes lie over prec + 4 bits apart: there mpmath rounds
+# a perturbed operand instead of the sum. That test reads mpmath's
+# exponents, those of the odd mantissas.
 
 _RND = (round_floor, round_ceiling)
 
 
-def _rounded(sign: int, man: int, exp: int, prec: int, up: int):
-    """The canonical mpf of (-1)^sign man 2^exp, man > 0, rounded to `prec`
-    bits away from zero when `up`, else toward zero."""
-    n = man.bit_length() - prec
+def signed(x):
+    """The endpoint of a finite raw mpf (sign, man, exp, bc)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def raw(p):
+    """The canonical raw mpf of an endpoint."""
+    return from_man_exp(p[0], p[1])
+
+
+def signed_iv(v):
+    """The interval of signed endpoints of a finite raw interval."""
+    return signed(v[0]), signed(v[1])
+
+
+def raw_iv(s):
+    """The raw interval of an interval of signed endpoints."""
+    return raw(s[0]), raw(s[1])
+
+
+def _perturbs(xm: int, xe: int, ym: int, ye: int, prec: int) -> bool:
+    """Whether `mpf_add` rounds x + y, both nonzero, by perturbing: the top
+    bits lie over prec + 4 apart and the exponents of the odd mantissas
+    (m & -m is the lowest set bit of m) over 100."""
+    gap = xe + xm.bit_length() - ye - ym.bit_length()
+    if -4 - prec <= gap <= prec + 4:
+        return False
+    d = xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length()
+    return d > 100 or d < -100
+
+
+def add_ep(xm: int, xe: int, ym: int, ye: int, prec: int, ceil: int):
+    """xm 2^xe + ym 2^ye rounded to `prec` bits, the endpoint of the value
+    `mpf_add` gives. A sum that mpmath perturbs has over prec + 4 bits, so
+    only such a sum is tested."""
+    if xm and ym:
+        if xe > ye:
+            m, e = (xm << xe - ye) + ym, ye
+        else:
+            m, e = xm + (ym << ye - xe), xe
+        n = m.bit_length() - prec
+        if n <= 0:
+            return m, e
+        if n <= 4 or not _perturbs(xm, xe, ym, ye, prec):
+            return (-(-m >> n) if ceil else m >> n), e + n
+    return signed(mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND[ceil]))
+
+
+def mul_ep(xm: int, xe: int, ym: int, ye: int, prec: int, ceil: int):
+    """xm 2^xe * ym 2^ye rounded to `prec` bits, the endpoint of the value
+    `mpf_mul` gives."""
+    if not (xm and ym):
+        return signed(mpf_mul(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND[ceil]))
+    m = xm * ym
+    n = m.bit_length() - prec
     if n > 0:
-        man = -(-man >> n) if up else man >> n
-        exp += n
-    if man & 1:
-        return sign, man, exp, man.bit_length()
-    z = (man & -man).bit_length() - 1
-    man >>= z
-    return sign, man, exp + z, man.bit_length()
+        return (-(-m >> n) if ceil else m >> n), xe + ye + n
+    return m, xe + ye
 
 
-def add_rounded(s, t, prec: int, ceil: int, sub: int = 0):
-    """s + t, or s - t when `sub`, as `mpf_add(s, t, prec, rnd, sub)` gives it."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    d = sexp - texp
-    if not (sman and tman) or ((d > 100 or d < -100) and abs(d + sbc - tbc) > prec + 4):
-        return mpf_add(s, t, prec, _RND[ceil], sub)
-    if d > 0:
-        sman <<= d
-        exp = texp
-    else:
-        tman <<= -d
-        exp = sexp
-    if ssign == tsign ^ sub:
-        return _rounded(ssign, sman + tman, exp, prec, ssign ^ ceil)
-    m = sman - tman
-    if m > 0:
-        return _rounded(ssign, m, exp, prec, ssign ^ ceil)
-    if m < 0:
-        return _rounded(ssign ^ 1, -m, exp, prec, ssign ^ ceil ^ 1)
-    return fzero
-
-
-def mul_rounded(s, t, prec: int, ceil: int):
-    """s * t as `mpf_mul(s, t, prec, rnd)` gives it."""
-    ssign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
-    if not (sman and tman):
-        return mpf_mul(s, t, prec, _RND[ceil])
-    sign = ssign ^ tsign
-    return _rounded(sign, sman * tman, sexp + texp, prec, sign ^ ceil)
-
-
-def div_rounded(s, t, prec: int, ceil: int):
-    """s / t as `mpf_div(s, t, prec, rnd)` gives it: the quotient to at least
-    prec + 4 bits, with a sticky bit for a nonzero remainder."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not (sman and tman):
-        return mpf_div(s, t, prec, _RND[ceil])
-    sign = ssign ^ tsign
-    extra = max(prec - sbc + tbc + 5, 5)
-    q, r = divmod(sman << extra, tman)
+def div_ep(xm: int, xe: int, ym: int, ye: int, prec: int, ceil: int):
+    """xm 2^xe / ym 2^ye rounded to `prec` bits, the endpoint of the value
+    `mpf_div` gives: the floored quotient to at least prec + 4 bits, then
+    one sticky bit for a nonzero remainder, which keeps the exact
+    quotient's side of every rounding boundary."""
+    if not (xm and ym):
+        return signed(mpf_div(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND[ceil]))
+    extra = max(prec - xm.bit_length() + ym.bit_length() + 5, 5)
+    q, r = divmod(xm << extra, ym)
     if r:
         q = q << 1 | 1
         extra += 1
-    return _rounded(sign, q, sexp - texp - extra, prec, sign ^ ceil)
+    n = q.bit_length() - prec
+    return (-(-q >> n) if ceil else q >> n), xe - ye - extra + n
 
 
-def iv_add(s, t, prec: int):
-    """The raw interval `mpi_add(s, t, prec)`."""
-    (sa, sb), (ta, tb) = s, t
-    if sa[1] and sb[1] and ta[1] and tb[1]:
-        return add_rounded(sa, ta, prec, 0), add_rounded(sb, tb, prec, 1)
-    return mpi_add(s, t, prec)
+def add_iv(s, t, prec: int):
+    """The interval sum, as `mpi_add` gives it."""
+    (am, ae), (bm, be) = s
+    (cm, ce), (dm, de) = t
+    return add_ep(am, ae, cm, ce, prec, 0), add_ep(bm, be, dm, de, prec, 1)
 
 
-def iv_sub(s, t, prec: int):
-    """The raw interval `mpi_sub(s, t, prec)`."""
-    (sa, sb), (ta, tb) = s, t
-    if sa[1] and sb[1] and ta[1] and tb[1]:
-        return add_rounded(sa, tb, prec, 0, 1), add_rounded(sb, ta, prec, 1, 1)
-    return mpi_sub(s, t, prec)
+def sub_iv(s, t, prec: int):
+    """The interval difference, as `mpi_sub` gives it."""
+    (am, ae), (bm, be) = s
+    (cm, ce), (dm, de) = t
+    return add_ep(am, ae, -dm, de, prec, 0), add_ep(bm, be, -cm, ce, prec, 1)
 
 
-def iv_mul(s, t, prec: int):
-    """The raw interval `mpi_mul(s, t, prec)`; the endpoint products are
-    picked by sign when each operand is of one strict sign."""
-    (sa, sb), (ta, tb) = s, t
-    if not (sa[1] and sb[1] and ta[1] and tb[1] and sa[0] == sb[0] and ta[0] == tb[0]):
-        return mpi_mul(s, t, prec)
-    if sa[0]:
-        if ta[0]:
-            return mul_rounded(sb, tb, prec, 0), mul_rounded(sa, ta, prec, 1)
-        return mul_rounded(sa, tb, prec, 0), mul_rounded(sb, ta, prec, 1)
-    if ta[0]:
-        return mul_rounded(sb, ta, prec, 0), mul_rounded(sa, tb, prec, 1)
-    return mul_rounded(sa, ta, prec, 0), mul_rounded(sb, tb, prec, 1)
+def mul_iv(s, t, prec: int):
+    """The interval product, as `mpi_mul` gives it; the endpoint products
+    are picked by sign when each operand is of one strict sign."""
+    (am, ae), (bm, be) = s
+    (cm, ce), (dm, de) = t
+    if am > 0:
+        if cm > 0:
+            return mul_ep(am, ae, cm, ce, prec, 0), mul_ep(bm, be, dm, de, prec, 1)
+        if dm < 0:
+            return mul_ep(bm, be, cm, ce, prec, 0), mul_ep(am, ae, dm, de, prec, 1)
+    elif bm < 0:
+        if cm > 0:
+            return mul_ep(am, ae, dm, de, prec, 0), mul_ep(bm, be, cm, ce, prec, 1)
+        if dm < 0:
+            return mul_ep(bm, be, dm, de, prec, 0), mul_ep(am, ae, cm, ce, prec, 1)
+    return signed_iv(mpi_mul(raw_iv(s), raw_iv(t), prec))
 
 
-def iv_div(s, t, prec: int):
-    """The raw interval `mpi_div(s, t, prec)`; the endpoint quotients are
-    picked by sign when each operand is of one strict sign."""
-    (sa, sb), (ta, tb) = s, t
-    if not (sa[1] and sb[1] and ta[1] and tb[1] and sa[0] == sb[0] and ta[0] == tb[0]):
-        return mpi_div(s, t, prec)
-    if ta[0]:
-        if sa[0]:
-            return div_rounded(sb, ta, prec, 0), div_rounded(sa, tb, prec, 1)
-        return div_rounded(sb, tb, prec, 0), div_rounded(sa, ta, prec, 1)
-    if sa[0]:
-        return div_rounded(sa, ta, prec, 0), div_rounded(sb, tb, prec, 1)
-    return div_rounded(sa, tb, prec, 0), div_rounded(sb, ta, prec, 1)
+def div_iv(s, t, prec: int):
+    """The interval quotient, as `mpi_div` gives it, for a denominator of
+    one strict sign; the endpoint quotients are picked by sign when the
+    numerator is of one strict sign too. A denominator with a zero endpoint
+    or across zero, which `mpi_div` answers with an infinite endpoint,
+    raises ZeroDivisionError."""
+    (am, ae), (bm, be) = s
+    (cm, ce), (dm, de) = t
+    if cm > 0:
+        if am > 0:
+            return div_ep(am, ae, dm, de, prec, 0), div_ep(bm, be, cm, ce, prec, 1)
+        if bm < 0:
+            return div_ep(am, ae, cm, ce, prec, 0), div_ep(bm, be, dm, de, prec, 1)
+    elif dm < 0:
+        if am > 0:
+            return div_ep(bm, be, dm, de, prec, 0), div_ep(am, ae, cm, ce, prec, 1)
+        if bm < 0:
+            return div_ep(bm, be, cm, ce, prec, 0), div_ep(am, ae, dm, de, prec, 1)
+    else:
+        raise ZeroDivisionError("interval quotient by an interval containing zero")
+    return signed_iv(mpi_div(raw_iv(s), raw_iv(t), prec))
+
+
+def log_ep(p, prec: int, ceil: int):
+    """log of a positive endpoint rounded to `prec` bits, the value
+    `mpf_log` gives on its canonical mpf, whose mantissa is odd."""
+    m, e = p
+    z = (m & -m).bit_length() - 1
+    m >>= z
+    sign, man, exp, _ = mpf_log((0, m, e + z, m.bit_length()), prec, _RND[ceil])
+    return (-man if sign else man), exp
 
 
 def iv_fraction(lo: Fraction, hi: Fraction, bits: int):
@@ -528,31 +562,51 @@ def trace_zero(logs):
     return [v - t for v in logs]
 
 
+def float_ep(p) -> float:
+    """An endpoint (m, e) rounded to the nearest double (53 bits, ties to
+    even), as `to_float(from_man_exp(m, e, 53, round_nearest))` gives it.
+    When m 2^e, in [2^(e+n-1), 2^(e+n)] once rounded with n the bit length
+    of m, is a normal double, `float(m)` rounds m the same way and `ldexp`
+    scales it exactly; the rest goes to mpmath."""
+    m, e = p
+    n = m.bit_length()
+    if n < 1024 and -1021 <= e + n <= 1023:
+        return math.ldexp(float(m), e)
+    return to_float(from_man_exp(m, e, 53, round_nearest))
+
+
 def _float(x) -> float:
-    """A raw mpf rounded to the nearest double (53 bits, ties to even), as
-    `to_float(mpf_pos(x, 53, round_nearest))` gives it. When the magnitude
-    man 2^exp, in [2^(exp+bc-1), 2^(exp+bc)] once rounded, is a normal double,
-    `float(man)` rounds the mantissa the same way and `ldexp` scales it
-    exactly; zero, special values and the rest go to mpmath."""
-    sign, man, exp, bc = x
-    if man and bc < 1024 and -1021 <= exp + bc <= 1023:
-        f = math.ldexp(float(man), exp)
-        return -f if sign else f
-    return to_float(mpf_pos(x, 53, round_nearest))
+    """A raw mpf rounded to the nearest double, as
+    `to_float(mpf_pos(x, 53, round_nearest))` gives it; zero and the special
+    values go to mpmath."""
+    return float_ep(signed(x)) if x[1] else to_float(x)
 
 
-def iv_lower(v) -> float:
-    """Lower endpoint of an mpmath interval, as a float."""
-    return _float(v._mpi_[0])
+def _mid_rad(fa: float, fb: float) -> tuple[float, float]:
+    """Midpoint and radius from endpoints rounded to doubles; in the normal
+    double range the float sum, difference and halving equal those of 53-bit
+    mpfs."""
+    return (fa + fb) / 2, abs((fb - fa) / 2)
+
+
+def mid_err(s) -> tuple[float, float]:
+    """Midpoint and radius of an interval of signed endpoints, as floats."""
+    return _mid_rad(float_ep(s[0]), float_ep(s[1]))
+
+
+def sign_iv(s):
+    """+1/-1 when an interval of signed endpoints excludes zero, else None."""
+    if s[0][0] > 0:
+        return 1
+    if s[1][0] < 0:
+        return -1
+    return None
 
 
 def iv_mid_err(v) -> tuple[float, float]:
-    """Midpoint and radius of an mpmath interval, as floats. The endpoints
-    are rounded to doubles first; in the normal double range the float sum,
-    difference and halving then equal those of 53-bit mpfs."""
+    """Midpoint and radius of an mpmath interval, as floats."""
     a, b = v._mpi_
-    fa, fb = _float(a), _float(b)
-    return (fa + fb) / 2, abs((fb - fa) / 2)
+    return _mid_rad(_float(a), _float(b))
 
 
 def iv_sign(v):

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import ShintaniSet
-from .embedding import RealEmbeddings
+from .embedding import RealEmbeddings, signed_iv
 from .field import FieldElement
-from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs, grid
+from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs, grid, segment_ends
 from fractions import Fraction
 
 # working precision of every figure curve and marker
@@ -51,15 +51,16 @@ def sample_face_curve(pair, basis: PhiBasis, sampling) -> CurveSample:
     emb, bits = basis.emb, basis.bits
     e_from = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[0])), bits)
     e_to = emb.embed_positive(FieldElement(emb.spec, tuple(Fraction(v) for v in pair[1])), bits)
+    ends, prec = segment_ends(e_from, e_to, bits), basis.prec
     ts, weights = sampling
-    pts = tuple(basis.point(_segment_logs(e_from, e_to, w, bits)) for w in weights)
+    pts = tuple(basis.point(_segment_logs(ends, w, prec)) for w in weights)
     return CurveSample(curve_id=pair, ts=ts, points=pts)
 
 
 def ray_point(ray, basis: PhiBasis) -> PlanePoint:
     emb = basis.emb
     x = FieldElement(emb.spec, tuple(Fraction(v) for v in ray))
-    return basis.point(emb.log_embed(x, basis.bits))
+    return basis.point([signed_iv(v._mpi_) for v in emb.log_embed(x, basis.bits)])
 
 
 def materialize_scene(

@@ -6,12 +6,11 @@ construction's direction bounds are certified on sampled points with
 interval margins.
 
 Sampling a curve point mixes the segment's endpoint embeddings with the
-raw intervals (1 - t, t) of one `grid` point, takes their interval logs
-and projects them on the basis. The mixes and the
-projection run on `embedding`'s exact directed-rounding kernels (`iv_add`,
-`iv_sub`, `iv_mul`, `iv_div`), which give the raw endpoints `mpmath.libmp`
-gives and hand it zeros, zero-straddling intervals and the additions it
-rounds by perturbing; the logs are `mpi_log`.
+intervals (1 - t, t) of one `grid` point, takes their interval logs and
+projects them on the basis. All of it runs on `embedding`'s signed integer
+endpoints, two fused steps per point: `_segment_logs` makes the three mixes
+and their logs, `PhiBasis.project_logs` the projection. Each endpoint is
+the one `mpmath.libmp` gives; the logs are `mpf_log`.
 """
 
 from __future__ import annotations
@@ -19,21 +18,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import mpi_log
-
 from .embedding import (
     RatInterval,
     RealEmbeddings,
-    iv_add,
+    add_ep,
+    add_iv,
+    div_iv,
+    float_ep,
     iv_context,
-    iv_div,
     iv_fraction,
     iv_int,
-    iv_lower,
     iv_mid_err,
-    iv_mul,
     iv_sign,
-    iv_sub,
+    log_ep,
+    mid_err,
+    mul_iv,
+    sign_iv,
+    signed_iv,
+    sub_iv,
 )
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
@@ -94,38 +96,42 @@ class PhiBasis:
         self.bits = bits
         self.iv = iv_context(bits)
         prec = self.prec = self.iv.prec
-        # raw endpoints of Log g1, Log g2, their 2x2 determinant and 3
+        # raw endpoints of Log g1 and Log g2 (the libmp oracles of the tests
+        # read them), and the signed endpoints of their first two entries,
+        # their 2x2 determinant and 3
         self.l1 = [v._mpi_ for v in emb.log_embed(g1, bits)]
         self.l2 = [v._mpi_ for v in emb.log_embed(g2, bits)]
-        self.det = iv_sub(
-            iv_mul(self.l1[0], self.l2[1], prec), iv_mul(self.l1[1], self.l2[0], prec), prec
-        )
-        self.three = iv_int(3, prec)
-        if iv_sign(self.iv.make_mpf(self.det)) is None:
+        self.p = [signed_iv(v) for v in self.l1[:2]]
+        self.q = [signed_iv(v) for v in self.l2[:2]]
+        (p0, p1), (q0, q1) = self.p, self.q
+        self.det = sub_iv(mul_iv(p0, q1, prec), mul_iv(p1, q0, prec), prec)
+        self.three = signed_iv(iv_int(3, prec))
+        if sign_iv(self.det) is None:
             raise DegenerateBasis(
                 "log images of the basis pair are not certified independent"
             )
 
     def project_logs(self, logs):
         """Coordinates in the (Log g1, Log g2) basis of the trace-zero part
-        of a log 3-vector, computed at the basis precision; logs at another
-        precision enter with their endpoints as they are."""
+        of a log 3-vector of signed intervals, as two signed intervals at the
+        basis precision; logs at another precision enter with their
+        endpoints as they are."""
         prec, det = self.prec, self.det
-        p0, p1, _ = self.l1
-        q0, q1, _ = self.l2
-        v0, v1, v2 = (v._mpi_ for v in logs)
-        t = iv_div(iv_add(iv_add(v0, v1, prec), v2, prec), self.three, prec)
-        h0 = iv_sub(v0, t, prec)
-        h1 = iv_sub(v1, t, prec)
-        a = iv_div(iv_sub(iv_mul(h0, q1, prec), iv_mul(h1, q0, prec), prec), det, prec)
-        b = iv_div(iv_sub(iv_mul(p0, h1, prec), iv_mul(p1, h0, prec), prec), det, prec)
-        return self.iv.make_mpf(a), self.iv.make_mpf(b)
+        (p0, p1), (q0, q1) = self.p, self.q
+        v0, v1, v2 = logs
+        t = div_iv(add_iv(add_iv(v0, v1, prec), v2, prec), self.three, prec)
+        h0 = sub_iv(v0, t, prec)
+        h1 = sub_iv(v1, t, prec)
+        a = div_iv(sub_iv(mul_iv(h0, q1, prec), mul_iv(h1, q0, prec), prec), det, prec)
+        b = div_iv(sub_iv(mul_iv(p0, h1, prec), mul_iv(p1, h0, prec), prec), det, prec)
+        return a, b
 
     def point(self, logs) -> PlanePoint:
-        """The plane point of a log 3-vector, with its error radius."""
+        """The plane point of a log 3-vector of signed intervals, with its
+        error radius."""
         a, b = self.project_logs(logs)
-        ax, ae = iv_mid_err(a)
-        bx, be = iv_mid_err(b)
+        ax, ae = mid_err(a)
+        bx, be = mid_err(b)
         return PlanePoint(ax, bx, max(ae, be))
 
 
@@ -136,34 +142,79 @@ def phi(
     emb: RealEmbeddings,
 ) -> PlanePoint:
     """phi_(g1,g2)(x) with the error radius of the interval evaluation."""
-    return PhiBasis(emb, g1, g2, PLANE_BITS).point(emb.log_embed(x, PLANE_BITS))
+    basis = PhiBasis(emb, g1, g2, PLANE_BITS)
+    return basis.point([signed_iv(v._mpi_) for v in emb.log_embed(x, PLANE_BITS)])
 
 
 def grid(n_points: int, bits: int):
     """The uniform parameter grid t = j/(n_points - 1), j = 0..n_points-1,
-    and for each t the raw intervals (1 - t, t) at `bits` that
-    `_segment_logs` mixes with: a caller converts each grid value once."""
+    and for each t the signed intervals (1 - t, t) at `bits` that
+    `_segment_logs` mixes with: a caller converts each grid value once. At
+    t = 0 the interval t, and at t = 1 the interval 1 - t, is zero."""
     prec = iv_context(bits).prec
-    one = iv_int(1, prec)
+    one = signed_iv(iv_int(1, prec))
     ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
     weights = []
     for t in ts:
-        ti = iv_fraction(t, t, bits)._mpi_
-        weights.append((iv_sub(one, ti, prec), ti))
+        ti = signed_iv(iv_fraction(t, t, bits)._mpi_)
+        weights.append((sub_iv(one, ti, prec), ti))
     return ts, tuple(weights)
 
 
-def _segment_logs(e_from, e_to, weights, bits: int):
-    """Interval logs of (1-t)*v + t*w for positive interval 3-vectors, with
-    `weights` the raw intervals (1 - t, t) at `bits` of a `grid` point."""
-    iv = iv_context(bits)
-    prec = iv.prec
-    si, ti = weights
-    out = []
-    for a, b in zip(e_from, e_to):
-        mix = iv_add(iv_mul(si, a.iv(bits)._mpi_, prec), iv_mul(ti, b.iv(bits)._mpi_, prec), prec)
-        out.append(iv.make_mpf(mpi_log(mix, prec)))
-    return out
+def segment_ends(e_from, e_to, bits: int):
+    """Per slot, the signed endpoints (v_lo, v_hi, w_lo, w_hi) at `bits` of
+    the interval 3-vectors v and w of a segment, which `_segment_logs`
+    mixes."""
+    return tuple(
+        (*signed_iv(a.iv(bits)._mpi_), *signed_iv(b.iv(bits)._mpi_))
+        for a, b in zip(e_from, e_to)
+    )
+
+
+def _mix_log(s, v, t, w, prec: int, ceil: int):
+    """log(s v + t w) for positive endpoints, the products, their sum and
+    the log each rounded to `prec` bits in one direction: `log_ep` of
+    `add_ep` of two `mul_ep`s."""
+    (sm, se), (vm, ve), (tm, te), (wm, we) = s, v, t, w
+    x, xe = sm * vm, se + ve
+    n = x.bit_length() - prec
+    if n > 0:
+        x = -(-x >> n) if ceil else x >> n
+        xe += n
+    y, ye = tm * wm, te + we
+    n = y.bit_length() - prec
+    if n > 0:
+        y = -(-y >> n) if ceil else y >> n
+        ye += n
+    return log_ep(add_ep(x, xe, y, ye, prec, ceil), prec, ceil)
+
+
+def _segment_logs(ends, weights, prec: int):
+    """Interval logs of (1-t) v + t w at `prec`, three signed intervals, for
+    the `segment_ends` of positive interval 3-vectors v and w and the
+    weights (1 - t, t) of a `grid` point at that precision. At t = 0 and
+    t = 1 the mix is the end's own enclosure, as 1 v + 0 w is v exactly at
+    the precision of v's endpoints. Inside, every factor is positive, so
+    each end of a mix is the sum of its two products in one direction."""
+    (s0, s1), (t0, t1) = weights
+    if not t1[0]:
+        return tuple((log_ep(v0, prec, 0), log_ep(v1, prec, 1)) for v0, v1, _, _ in ends)
+    if not s1[0]:
+        return tuple((log_ep(w0, prec, 0), log_ep(w1, prec, 1)) for _, _, w0, w1 in ends)
+    return tuple(
+        (_mix_log(s0, v0, t0, w0, prec, 0), _mix_log(s1, v1, t1, w1, prec, 1))
+        for v0, v1, w0, w1 in ends
+    )
+
+
+def _power_enclosure(emb: RealEmbeddings, g: FieldElement, l: int, bits: int):
+    """Certified enclosures of the embeddings of g^l: those of g, certified
+    positive from `bits` up, raised to the l-th power, which is sound for
+    positive intervals. At l = 1 they are g's own enclosures."""
+    enc = emb.embed_positive(g, bits)
+    if l == 1:
+        return enc
+    return [RatInterval(e.lo**l, e.hi**l) for e in enc]
 
 
 def curve_sample(
@@ -176,20 +227,21 @@ def curve_sample(
     bits: int = PLANE_BITS,
 ) -> CurveSample:
     """phi image of the segment from (1,1,1) to the embeddings of g_i^l,
-    sampled on the `grid` of `n_points`; the endpoints are the exact lattice
-    values (0,0) and l*e_i."""
+    enclosed by `_power_enclosure`, sampled on the `grid` of `n_points`; the
+    endpoints are the exact lattice values (0,0) and l*e_i."""
     if i not in (1, 2):
         raise ValueError("curve index must be 1 or 2")
     if l < 1 or n_points < 2:
         raise ValueError("need l >= 1 and at least two sample points")
     basis = PhiBasis(emb, g1, g2, bits)
-    e_to = emb.embed_positive((g1 if i == 1 else g2) ** l, bits)
-    e_one = [RatInterval.point(1)] * 3
+    e_to = _power_enclosure(emb, g1 if i == 1 else g2, l, bits)
     ts, weights = grid(n_points, bits)
     pts = [PlanePoint(0.0, 0.0, 0.0)]
-    for w in weights[1:-1]:
-        p = basis.point(_segment_logs(e_one, e_to, w, bits))
-        pts.append(PlanePoint(p.x + 0.0, p.y + 0.0, p.err))  # a -0.0 reads 0.0
+    if n_points > 2:
+        ends = segment_ends([RatInterval.point(1)] * 3, e_to, bits)
+        for w in weights[1:-1]:
+            p = basis.point(_segment_logs(ends, w, basis.prec))
+            pts.append(PlanePoint(p.x + 0.0, p.y + 0.0, p.err))  # a -0.0 reads 0.0
     pts.append(PlanePoint(float(l if i == 1 else 0), float(l if i == 2 else 0), 0.0))
     return CurveSample(curve_id=(i, l, (0, 0)), ts=ts, points=tuple(pts))
 
@@ -332,7 +384,9 @@ def check_direction_bounds(
     y_1 >= 0, x_2 <= 0, 0 <= x_1 <= l, 0 <= y_2 <= l.
 
     Interior samples must satisfy the bounds with positive interval margin
-    (the exact endpoints sit on the bounds). A certified violation yields
+    (the exact endpoints sit on the bounds). The segments end at the l-th
+    powers of the enclosures of g1 and g2 (`_power_enclosure`), so their
+    embeddings stay certified at the basis precision for every l. A certified violation yields
     passed=False; an enclosure straddling a bound escalates and then raises
     Inconclusive.
     """
@@ -343,28 +397,33 @@ def check_direction_bounds(
     passed = True
     grids = {}  # rung -> the grid's (1 - t, t), shared by the two curves
     for i in (1, 2):
-        gpow = (g1 if i == 1 else g2) ** l
-        e_to = emb.embed_positive(gpow, PLANE_BITS)
+        e_to = _power_enclosure(emb, g1 if i == 1 else g2, l, PLANE_BITS)
         e_one = [RatInterval.point(1)] * 3
+        ends = {}  # rung -> the segment's ends
         for j in range(1, n_points - 1):
             t = Fraction(j, n_points - 1)
             for work in emb.cfg.ladder(PLANE_BITS):
                 if work not in grids:
                     grids[work] = grid(n_points, work)[1]
-                logs = _segment_logs(e_one, e_to, grids[work][j], work)
-                a, b = basis.project_logs(logs)
-                # l - a and l - b at the rung's precision, not the basis's
-                lv = iv_context(work).mpf(l)
+                if work not in ends:
+                    ends[work] = segment_ends(e_one, e_to, work)
+                prec = iv_context(work).prec
+                a, b = basis.project_logs(_segment_logs(ends[work], grids[work][j], prec))
+                # l - a and l - b at the rung's precision, not the basis's;
+                # -a negates the endpoints, exactly
+                lv = signed_iv(iv_int(l, prec))
                 if i == 1:
-                    checks = {"y1 >= 0": b, "x1 >= 0": a, "x1 <= l": lv - a}
+                    checks = {"y1 >= 0": b, "x1 >= 0": a, "x1 <= l": sub_iv(lv, a, prec)}
                 else:
-                    checks = {"x2 <= 0": -a, "y2 >= 0": b, "y2 <= l": lv - b}
-                signs = {n: iv_sign(v) for n, v in checks.items()}
+                    (lm, le), (hm, he) = a
+                    neg_a = (-hm, he), (-lm, le)
+                    checks = {"x2 <= 0": neg_a, "y2 >= 0": b, "y2 <= l": sub_iv(lv, b, prec)}
+                signs = {n: sign_iv(v) for n, v in checks.items()}
                 if all(s is not None for s in signs.values()):
                     for n, v in checks.items():
                         if signs[n] < 0:
                             passed = False
-                        bounds[n].append(iv_lower(v))
+                        bounds[n].append(float_ep(v[0]))
                     break
             else:
                 raise Inconclusive(

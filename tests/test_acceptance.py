@@ -14,6 +14,7 @@ import mpmath
 import pytest
 
 from shintani_forge import plane, units
+from shintani_forge.embedding import signed_iv
 from shintani_forge.field import det3
 from shintani_forge.scenario import run_scenario
 
@@ -133,14 +134,16 @@ def test_criterion_6_numerical_analysis(rt, els):
         for i in (1, 2):
             e_to = emb.embed_positive((e1 if i == 1 else e2), 256)
             e_one = [plane.RatInterval.point(1)] * 3
+            ends = plane.segment_ends(e_one, e_to, 256)
             for t_end in (0, 1):
                 d = plane.endpoint_derivative(i, 1, t_end, e1, e2, emb, bits=256)
                 ts = (h, 2 * h) if t_end == 0 else (1 - 2 * h, 1 - h)
                 pts = []
                 for t in ts:
-                    logs = plane._segment_logs(e_one, e_to, libmpi_weights(t, 256), 256)
+                    weights = tuple(signed_iv(v) for v in libmpi_weights(t, 256))
+                    logs = plane._segment_logs(ends, weights, basis.prec)
                     a, b = basis.project_logs(logs)
-                    mid = lambda v: (mpmath.mpf(v.a) + mpmath.mpf(v.b)) / 2
+                    mid = lambda v: (mpmath.mpf(v[0]) + mpmath.mpf(v[1])) / 2
                     pts.append((mid(a), mid(b)))
                 slope = (pts[1][1] - pts[0][1]) / (pts[1][0] - pts[0][0])
                 assert abs(float(slope) - d.value) <= 1e-6 * abs(d.value)

@@ -325,7 +325,7 @@ class TestReports:
         """The parser's MAX_POWER_BITS rule holds for a power param too,
         against the pair the scenario raises to powers (eps2 has 44 bits):
         past 65536 // 44 = 1489 the ERROR names the param at once, and at
-        1489 the scenario runs."""
+        1489 the scenario PASSes."""
         for name in ("far", "past", "at"):
             (tmp_path / name).mkdir()
         start = time.perf_counter()
@@ -336,7 +336,19 @@ class TestReports:
         report = _run_altered(tmp_path / "past", sid, param, 1490)
         assert report["evidence"] == [{"name": "error", "value": too_big.format(1490)}]
         report = _run_altered(tmp_path / "at", sid, param, 1489)
-        assert report["outcome"] in ("PASS", "INCONCLUSIVE")
+        assert report["outcome"] == "PASS"
+
+    @pytest.mark.parametrize(("l", "margin"), [(64, 10.3939381), (1489, 242.454200)])
+    def test_direction_passes_at_high_powers(self, tmp_path, l, margin):
+        """The enclosures of g^l are those of g raised to the l-th power, so
+        the bounds are certified at the basis precision however large l is,
+        with a margin that grows with l (0.134 at l = 1)."""
+        start = time.perf_counter()
+        report = _run_altered(tmp_path, "direction", "l", l)
+        assert time.perf_counter() - start < 2.0
+        assert report["outcome"] == "PASS"
+        evidence = {e["name"]: e for e in report["evidence"]}
+        assert evidence["min_margin"]["value"] == pytest.approx(margin, rel=1e-6)
 
     def test_figures_need_two_points_per_curve(self, tmp_path):
         """The ERROR names `n_points`, the only count `figures` takes, and
