@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Compare the output of a bundled `verify` in two checkouts.
 
-Runs `python -m shintani_forge.cli verify` on each checkout's `src/` with
-its bundled config, or with the one config given by `--config`, each into
-its own temporary directory, and prints every file that the second run
-added, removed or changed against the first.
+Runs `python -m shintani_forge.cli verify` on each checkout's `src/`, each
+into its own temporary directory, and prints every file that the second run
+added, removed or changed against the first, then one verdict per config.
+With no `--config` it compares the bundled config and, when the second
+checkout has it, `tests/second_field.json`; `--config` compares that one
+config alone.
 
 Usage, from anywhere:
 
     python3 scripts/compare_verify.py PARENT_DIR CHANGE_DIR [--config CONFIG]
 
-For example, `--config tests/second_field.json` compares the second-field
-config, which an older checkout may not have, in both checkouts.
+An older checkout may lack the second-field config; both runs read the
+second checkout's copy.
 
-Exit status: 0 when the outputs are byte-identical, 1 when they differ and
-2 when a run fails (exits nonzero).
+Exit status: 0 when the outputs of every config are byte-identical, 1 when
+some differ and 2 when a run fails (exits nonzero).
 """
 
 from __future__ import annotations
@@ -44,19 +46,16 @@ def verify(checkout: Path, out: Path, config: Path | None) -> dict | None:
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description="Compare a verify in two checkouts.")
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--config", type=Path, help="one config for both runs")
-    args = ap.parse_args()
-    config = args.config.resolve() if args.config else None
+def compare(parent_dir: Path, change_dir: Path, config: Path | None, label: str) -> int:
+    """Print the differences of one config's outputs and its verdict; the
+    exit status of that config."""
     outputs = []
-    for checkout in (args.parent, args.change):
+    for checkout in (parent_dir, change_dir):
         with tempfile.TemporaryDirectory() as tmp:
             outputs.append(verify(checkout, Path(tmp) / "out", config))
     parent, change = outputs
     if parent is None or change is None:
+        print(f"{label}: a run failed")
         return 2
     diffs = [f"added {name}" for name in sorted(change.keys() - parent.keys())]
     diffs += [f"removed {name}" for name in sorted(parent.keys() - change.keys())]
@@ -66,11 +65,28 @@ def main() -> int:
         if parent[name] != change[name]
     ]
     for line in diffs:
-        print(line)
+        print(f"{label}: {line}")
     if diffs:
+        print(f"{label}: {len(diffs)} of {len(parent.keys() | change.keys())} files differ")
         return 1
-    print(f"{len(parent)} files identical")
+    print(f"{label}: {len(parent)} files identical")
     return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description="Compare a verify in two checkouts.")
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--config", type=Path, help="one config for both runs")
+    args = ap.parse_args()
+    if args.config:
+        configs = [(args.config.resolve(), str(args.config))]
+    else:
+        configs = [(None, "bundled")]
+        second = args.change.resolve() / "tests" / "second_field.json"
+        if second.exists():
+            configs.append((second, "tests/second_field.json"))
+    return max(compare(args.parent, args.change, config, label) for config, label in configs)
 
 
 if __name__ == "__main__":

@@ -26,9 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_mul, mpi_sub
-
-from .embedding import RealEmbeddings, iv_context, iv_log_fraction, iv_sign
+from .embedding import RealEmbeddings, div_iv, dot_iv, iv_log_fraction, iv_sign, sub_iv, work_prec
 from .errors import (
     DegenerateGeometry,
     EmptySet,
@@ -388,14 +386,6 @@ def diff_cell(a: Cone, b: Cone, trace_form) -> list[Cone]:
 # -- translate tables --------------------------------------------------------
 
 
-def _mpi_dot(row, logs, prec):
-    """The dot product of two raw interval 3-vectors."""
-    acc = mpi_mul(row[0], logs[0], prec)
-    for c, v in zip(row[1:], logs[1:]):
-        acc = mpi_add(acc, mpi_mul(c, v, prec), prec)
-    return acc
-
-
 class _TranslateTable:
     """The translates u1^k1 u2^k2 D of one domain, each built on first use
     and kept, with a certified box of each cell of D in the phi plane.
@@ -416,7 +406,9 @@ class _TranslateTable:
     which pairs of cells to intersect for each k, and the hull of those
     ranges whether the window cuts a search. The forms are computed up
     the precision ladder until their determinant is certified nonzero; a
-    pair that stays undecided at the cap raises PrecisionExhausted.
+    pair that stays undecided at the cap raises PrecisionExhausted. Rows,
+    points and boxes are `embedding`'s intervals of signed endpoints at the
+    precision of that rung.
     """
 
     def __init__(self, geo: "Geometry", d: ShintaniSet, u1: FieldElement, u2: FieldElement):
@@ -438,28 +430,27 @@ class _TranslateTable:
         det(1, Log u1, Log u2)."""
         emb = self.emb
         for bits in emb.cfg.ladder():
-            iv = iv_context(bits)
-            prec = iv.prec
-            p = [v._mpi_ for v in emb.log_embed(u1, bits)]
-            q = [v._mpi_ for v in emb.log_embed(u2, bits)]
-            a = [mpi_sub(q[(j + 1) % 3], q[(j + 2) % 3], prec) for j in range(3)]
-            b = [mpi_sub(p[(j + 2) % 3], p[(j + 1) % 3], prec) for j in range(3)]
-            det = _mpi_dot(p, a, prec)
-            if iv_sign(iv.make_mpf(det)) is not None:
+            prec = work_prec(bits)
+            p = emb.log_embed(u1, bits)
+            q = emb.log_embed(u2, bits)
+            a = [sub_iv(q[(j + 1) % 3], q[(j + 2) % 3], prec) for j in range(3)]
+            b = [sub_iv(p[(j + 2) % 3], p[(j + 1) % 3], prec) for j in range(3)]
+            det = dot_iv(p, a, prec)
+            if iv_sign(det) is not None:
                 self.bits, self.prec = bits, prec
-                self.rows = tuple([mpi_div(c, det, prec) for c in row] for row in (a, b))
+                self.rows = tuple([div_iv(c, det, prec) for c in row] for row in (a, b))
                 return
         raise PrecisionExhausted(
             f"phi basis of the translate pair not certified independent at {emb.cfg.max_bits} bits"
         )
 
     def point(self, x: FieldElement):
-        """phi(x), one raw interval per axis."""
-        logs = [v._mpi_ for v in self.emb.log_embed(x, self.bits)]
-        return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
+        """phi(x), one interval per axis."""
+        logs = self.emb.log_embed(x, self.bits)
+        return tuple(dot_iv(row, logs, self.prec) for row in self.rows)
 
     def cell_box(self, gens):
-        """Certified phi box, one raw interval per axis, of the open cone
+        """Certified phi box, one interval per axis, of the open cone
         spanned by the integer generators `gens`."""
         emb, bits = self.emb, self.bits
         encs = [
@@ -467,10 +458,10 @@ class _TranslateTable:
             for g in gens
         ]
         logs = [
-            iv_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)._mpi_
+            iv_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)
             for j in range(3)
         ]
-        return tuple(_mpi_dot(row, logs, self.prec) for row in self.rows)
+        return tuple(dot_iv(row, logs, self.prec) for row in self.rows)
 
     def pairs(self, targets) -> dict:
         """k -> the (i, j), i-major, for which the shifted box of cell i of D
@@ -515,14 +506,15 @@ class _TranslateTable:
 
 
 def _k_ranges(moving, fixed):
-    """For each box m of `moving` and each box f of `fixed` (boxes of raw
+    """For each box m of `moving` and each box f of `fixed` (boxes of
     interval pairs), rows by m: per axis the integer range ceil(lo),
     floor(hi) of f - m, unclipped and empty when lo > hi. The range is
     exact for the boxes: every endpoint is taken as an integer over one
-    power of two 2^s, s >= 0."""
-    raws = [v for box in (*moving, *fixed) for iv in box for v in iv]
-    s = max([0] + [-exp for _, man, exp, _ in raws if man])
-    nums = [(-man if sign else man) << (exp + s) for sign, man, exp, _ in raws]
+    power of two 2^s, s >= 0. A zero endpoint is 0 whatever its exponent,
+    which an exact cancellation leaves below -s."""
+    ends = [p for box in (*moving, *fixed) for iv in box for p in iv]
+    s = max([0] + [-e for m, e in ends if m])
+    nums = [m << (e + s) if m else 0 for m, e in ends]
     boxes = [nums[n : n + 4] for n in range(0, len(nums), 4)]
     # ceil((fl - mh) / 2^s) and floor((fh - ml) / 2^s)
     return [
@@ -769,7 +761,7 @@ class Geometry:
         point = table.point(x)
         # cell j of x^-1 D lies in box(cell j) - phi(x)
         pairs = table.pairs(
-            [[mpi_sub(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
+            [[sub_iv(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
         )
         hits = []
         for k in sorted(pairs):

@@ -7,19 +7,17 @@ the embedding Horner run on integers: a refined root is a pair of numerators
 over 2^e, an element's coordinates are numerators over their common
 denominator D, and each enclosure endpoint is one numerator over D 2^(2e),
 chosen as the rational interval product would choose it and turned into a
-`Fraction` once. Logarithms are the
-only transcendental step and are delegated to mpmath, one interval context
-per working precision. The plane kernels below run on signed integer
-endpoints: an endpoint is a pair (m, e) of ints for m 2^e, whose mantissa
-carries the sign and is not normalized, and an interval is a pair of them.
-Each addition, product, quotient and log rounds as the interval context
-would, so every interval is bit-identical to the context arithmetic without
-its conversion overhead; zero operands, products and quotients with zero in
-an operand, and the additions mpmath rounds by perturbing go to
-`mpmath.libmp` itself, and a log is `mpf_log` of the endpoint's canonical
-mpf. Float read-outs round each endpoint to the nearest double, with
-`math.ldexp(float(m), e)` when the result is a normal double. Every interval
-computes at its own precision, so no global mpmath state is set or read.
+`Fraction` once. Logarithms are the only transcendental step. Past the
+rational enclosures every interval has one form, owned by this module: an
+endpoint is a pair (m, e) of ints for m 2^e, whose mantissa carries the sign
+and is not normalized, and an interval is a pair of them, at the precision
+`work_prec(bits)`. Each addition, product, quotient and log rounds the exact
+result once, floor or ceiling, so every endpoint is the one `mpmath.libmp`
+gives; zero operands, products and quotients with zero in an operand, and
+the additions mpmath rounds by perturbing go to `mpmath.libmp` itself, and a
+log is `mpf_log` of the endpoint's canonical mpf. `iv_mid_err` and `iv_sign`
+read an interval out. Every interval computes at its own precision, so no
+global mpmath state is set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -32,18 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
-    from_int,
     from_man_exp,
     mpf_add,
     mpf_div,
     mpf_log,
     mpf_mul,
     mpi_div,
-    mpi_log,
+    mpi_exp,
     mpi_mul,
     round_ceiling,
     round_floor,
@@ -95,8 +90,8 @@ class RatInterval:
         self._iv = {}  # bits -> iv_fraction(lo, hi, bits)
 
     def iv(self, bits: int):
-        """The mpmath interval enclosing this one at precision `bits`,
-        converted once per precision."""
+        """The interval of signed endpoints enclosing this one at `bits`
+        (`iv_fraction`), converted once per precision."""
         v = self._iv.get(bits)
         if v is None:
             v = self._iv[bits] = iv_fraction(self.lo, self.hi, bits)
@@ -352,32 +347,21 @@ class RealEmbeddings:
         raise PrecisionExhausted(f"embeddings not separated from zero at {self.cfg.max_bits} bits")
 
     def log_embed(self, x: FieldElement, bits: int):
-        """Interval enclosures of log sigma_i(x) as mpmath iv numbers."""
+        """Enclosures of log sigma_i(x), intervals of signed endpoints at
+        `work_prec(bits)`."""
         enc = self.embed_positive(x, bits)
         return [iv_log_fraction(e.lo, e.hi, bits) for e in enc]
 
     def project_H(self, x: FieldElement, bits: int):
         """Enclosures of the embeddings of z_H = (z1 z2 z3)^(-1/3) * z."""
-        logs = trace_zero(self.log_embed(x, bits))
-        return [iv_context(bits).exp(v) for v in logs]
+        prec = work_prec(bits)
+        logs = trace_zero(self.log_embed(x, bits), prec)
+        return [signed_iv(mpi_exp(raw_iv(v), prec)) for v in logs]
 
 
-# -- mpmath interval helpers -------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def iv_context(bits: int) -> MPIntervalContext:
-    """The mpmath interval context for working precision `bits`, with guard
-    bits; a binary operation runs at its left operand's context."""
-    iv = MPIntervalContext()
-    iv.prec = max(bits, 64) + 16
-    return iv
-
-
-def iv_int(n: int, prec: int):
-    """Raw endpoints of the integer n at `prec`, rounded outward as the
-    interval context's `mpf(n)` rounds them."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+def work_prec(bits: int) -> int:
+    """The precision, with 16 guard bits, of every interval at `bits`."""
+    return max(bits, 64) + 16
 
 
 # -- signed integer endpoints -------------------------------------------------
@@ -406,19 +390,31 @@ def signed(x):
     return (-man if sign else man), exp
 
 
-def raw(p):
-    """The canonical raw mpf of an endpoint."""
-    return from_man_exp(p[0], p[1])
-
-
 def signed_iv(v):
     """The interval of signed endpoints of a finite raw interval."""
     return signed(v[0]), signed(v[1])
 
 
 def raw_iv(s):
-    """The raw interval of an interval of signed endpoints."""
-    return raw(s[0]), raw(s[1])
+    """The raw interval, canonical mpfs, of an interval of signed endpoints."""
+    return from_man_exp(*s[0]), from_man_exp(*s[1])
+
+
+def iv_int(n: int, prec: int):
+    """The interval of the integer n at `prec` bits, its ends rounded
+    outward as `from_int` rounds them at floor and ceiling."""
+    k = n.bit_length() - prec
+    if k <= 0:
+        return (n, 0), (n, 0)
+    return (n >> k, k), (-(-n >> k), k)
+
+
+def cmp_ep(p, q) -> int:
+    """The sign of p - q for endpoints p and q, exactly."""
+    (pm, pe), (qm, qe) = p, q
+    e = min(pe, qe)
+    d = (pm << pe - e) - (qm << qe - e)
+    return (d > 0) - (d < 0)
 
 
 def _perturbs(xm: int, xe: int, ym: int, ye: int, prec: int) -> bool:
@@ -532,6 +528,21 @@ def div_iv(s, t, prec: int):
     return signed_iv(mpi_div(raw_iv(s), raw_iv(t), prec))
 
 
+def neg_iv(s):
+    """The interval -s, exactly."""
+    (am, ae), (bm, be) = s
+    return (-bm, be), (-am, ae)
+
+
+def dot_iv(xs, ys, prec: int):
+    """The sum of the products x_i y_i of two interval vectors, added left to
+    right."""
+    acc = mul_iv(xs[0], ys[0], prec)
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = add_iv(acc, mul_iv(x, y, prec), prec)
+    return acc
+
+
 def log_ep(p, prec: int, ceil: int):
     """log of a positive endpoint rounded to `prec` bits, the value
     `mpf_log` gives on its canonical mpf, whose mantissa is odd."""
@@ -543,23 +554,27 @@ def log_ep(p, prec: int, ceil: int):
 
 
 def iv_fraction(lo: Fraction, hi: Fraction, bits: int):
-    """mpmath interval enclosing the rational interval [lo, hi]."""
-    iv = iv_context(bits)
-    prec = iv.prec
-    a = mpi_div(iv_int(lo.numerator, prec), iv_int(lo.denominator, prec), prec)
-    b = a if hi == lo else mpi_div(iv_int(hi.numerator, prec), iv_int(hi.denominator, prec), prec)
-    return iv.make_mpf((a[0], b[1]))
+    """The interval of signed endpoints enclosing the rational interval
+    [lo, hi] at `work_prec(bits)`: per end, the quotient of its numerator
+    and denominator, each first rounded outward to the precision."""
+    prec = work_prec(bits)
+    a = div_iv(iv_int(lo.numerator, prec), iv_int(lo.denominator, prec), prec)
+    b = a if hi == lo else div_iv(iv_int(hi.numerator, prec), iv_int(hi.denominator, prec), prec)
+    return a[0], b[1]
 
 
 def iv_log_fraction(lo: Fraction, hi: Fraction, bits: int):
-    iv = iv_context(bits)
-    return iv.make_mpf(mpi_log(iv_fraction(lo, hi, bits)._mpi_, iv.prec))
+    """The log of `iv_fraction(lo, hi, bits)`, for 0 < lo."""
+    prec = work_prec(bits)
+    a, b = iv_fraction(lo, hi, bits)
+    return log_ep(a, prec, 0), log_ep(b, prec, 1)
 
 
-def trace_zero(logs):
-    """The trace-zero part of a log 3-vector, at its entries' precision."""
-    t = (logs[0] + logs[1] + logs[2]) / 3
-    return [v - t for v in logs]
+def trace_zero(logs, prec: int):
+    """The trace-zero part of a log 3-vector at `prec`: each entry less the
+    mean of the three."""
+    t = div_iv(add_iv(add_iv(logs[0], logs[1], prec), logs[2], prec), iv_int(3, prec), prec)
+    return [sub_iv(v, t, prec) for v in logs]
 
 
 def float_ep(p) -> float:
@@ -575,44 +590,17 @@ def float_ep(p) -> float:
     return to_float(from_man_exp(m, e, 53, round_nearest))
 
 
-def _float(x) -> float:
-    """A raw mpf rounded to the nearest double, as
-    `to_float(mpf_pos(x, 53, round_nearest))` gives it; zero and the special
-    values go to mpmath."""
-    return float_ep(signed(x)) if x[1] else to_float(x)
-
-
-def _mid_rad(fa: float, fb: float) -> tuple[float, float]:
-    """Midpoint and radius from endpoints rounded to doubles; in the normal
-    double range the float sum, difference and halving equal those of 53-bit
-    mpfs."""
+def iv_mid_err(s) -> tuple[float, float]:
+    """Midpoint and radius of an interval, as floats from its ends rounded to
+    doubles: in the normal double range, those of 53-bit mpfs."""
+    fa, fb = float_ep(s[0]), float_ep(s[1])
     return (fa + fb) / 2, abs((fb - fa) / 2)
 
 
-def mid_err(s) -> tuple[float, float]:
-    """Midpoint and radius of an interval of signed endpoints, as floats."""
-    return _mid_rad(float_ep(s[0]), float_ep(s[1]))
-
-
-def sign_iv(s):
+def iv_sign(s):
     """+1/-1 when an interval of signed endpoints excludes zero, else None."""
     if s[0][0] > 0:
         return 1
     if s[1][0] < 0:
-        return -1
-    return None
-
-
-def iv_mid_err(v) -> tuple[float, float]:
-    """Midpoint and radius of an mpmath interval, as floats."""
-    a, b = v._mpi_
-    return _mid_rad(_float(a), _float(b))
-
-
-def iv_sign(v):
-    """+1/-1 when the mpmath interval excludes zero, else None."""
-    if v.a > 0:
-        return 1
-    if v.b < 0:
         return -1
     return None

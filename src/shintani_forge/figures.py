@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import ShintaniSet
-from .embedding import RealEmbeddings, signed_iv
+from .embedding import RealEmbeddings
 from .field import FieldElement
 from .plane import CurveSample, PhiBasis, PlanePoint, _segment_logs, grid, segment_ends
 from fractions import Fraction
@@ -60,7 +60,7 @@ def sample_face_curve(pair, basis: PhiBasis, sampling) -> CurveSample:
 def ray_point(ray, basis: PhiBasis) -> PlanePoint:
     emb = basis.emb
     x = FieldElement(emb.spec, tuple(Fraction(v) for v in ray))
-    return basis.point([signed_iv(v._mpi_) for v in emb.log_embed(x, basis.bits)])
+    return basis.point(emb.log_embed(x, basis.bits))
 
 
 def materialize_scene(

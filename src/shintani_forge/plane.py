@@ -25,17 +25,15 @@ from .embedding import (
     add_iv,
     div_iv,
     float_ep,
-    iv_context,
     iv_fraction,
     iv_int,
     iv_mid_err,
     iv_sign,
     log_ep,
-    mid_err,
     mul_iv,
-    sign_iv,
-    signed_iv,
+    neg_iv,
     sub_iv,
+    work_prec,
 )
 from .errors import DegenerateBasis, FixgiViolated, Inconclusive
 from .field import FieldElement
@@ -94,19 +92,14 @@ class PhiBasis:
         self.g1 = g1
         self.g2 = g2
         self.bits = bits
-        self.iv = iv_context(bits)
-        prec = self.prec = self.iv.prec
-        # raw endpoints of Log g1 and Log g2 (the libmp oracles of the tests
-        # read them), and the signed endpoints of their first two entries,
-        # their 2x2 determinant and 3
-        self.l1 = [v._mpi_ for v in emb.log_embed(g1, bits)]
-        self.l2 = [v._mpi_ for v in emb.log_embed(g2, bits)]
-        self.p = [signed_iv(v) for v in self.l1[:2]]
-        self.q = [signed_iv(v) for v in self.l2[:2]]
+        prec = self.prec = work_prec(bits)
+        # two entries each of Log g1 and Log g2, their determinant, and 3
+        self.p = emb.log_embed(g1, bits)[:2]
+        self.q = emb.log_embed(g2, bits)[:2]
         (p0, p1), (q0, q1) = self.p, self.q
         self.det = sub_iv(mul_iv(p0, q1, prec), mul_iv(p1, q0, prec), prec)
-        self.three = signed_iv(iv_int(3, prec))
-        if sign_iv(self.det) is None:
+        self.three = iv_int(3, prec)
+        if iv_sign(self.det) is None:
             raise DegenerateBasis(
                 "log images of the basis pair are not certified independent"
             )
@@ -130,8 +123,8 @@ class PhiBasis:
         """The plane point of a log 3-vector of signed intervals, with its
         error radius."""
         a, b = self.project_logs(logs)
-        ax, ae = mid_err(a)
-        bx, be = mid_err(b)
+        ax, ae = iv_mid_err(a)
+        bx, be = iv_mid_err(b)
         return PlanePoint(ax, bx, max(ae, be))
 
 
@@ -143,7 +136,7 @@ def phi(
 ) -> PlanePoint:
     """phi_(g1,g2)(x) with the error radius of the interval evaluation."""
     basis = PhiBasis(emb, g1, g2, PLANE_BITS)
-    return basis.point([signed_iv(v._mpi_) for v in emb.log_embed(x, PLANE_BITS)])
+    return basis.point(emb.log_embed(x, PLANE_BITS))
 
 
 def grid(n_points: int, bits: int):
@@ -151,12 +144,12 @@ def grid(n_points: int, bits: int):
     and for each t the signed intervals (1 - t, t) at `bits` that
     `_segment_logs` mixes with: a caller converts each grid value once. At
     t = 0 the interval t, and at t = 1 the interval 1 - t, is zero."""
-    prec = iv_context(bits).prec
-    one = signed_iv(iv_int(1, prec))
+    prec = work_prec(bits)
+    one = iv_int(1, prec)
     ts = tuple(Fraction(j, n_points - 1) for j in range(n_points))
     weights = []
     for t in ts:
-        ti = signed_iv(iv_fraction(t, t, bits)._mpi_)
+        ti = iv_fraction(t, t, bits)
         weights.append((sub_iv(one, ti, prec), ti))
     return ts, tuple(weights)
 
@@ -165,10 +158,7 @@ def segment_ends(e_from, e_to, bits: int):
     """Per slot, the signed endpoints (v_lo, v_hi, w_lo, w_hi) at `bits` of
     the interval 3-vectors v and w of a segment, which `_segment_logs`
     mixes."""
-    return tuple(
-        (*signed_iv(a.iv(bits)._mpi_), *signed_iv(b.iv(bits)._mpi_))
-        for a, b in zip(e_from, e_to)
-    )
+    return tuple((*a.iv(bits), *b.iv(bits)) for a, b in zip(e_from, e_to))
 
 
 def _mix_log(s, v, t, w, prec: int, ceil: int):
@@ -263,13 +253,14 @@ def _endpoint_ratio(e_g, logs1, logs2, bits: int):
     A = 2 s2 - s1 - s3, B = 2 s1 - s2 - s3 for interval embedding values s."""
     a_rat = RatInterval.point(2) * e_g[1] - e_g[0] - e_g[2]
     b_rat = RatInterval.point(2) * e_g[0] - e_g[1] - e_g[2]
+    prec = work_prec(bits)
     a = iv_fraction(a_rat.lo, a_rat.hi, bits)
     b = iv_fraction(b_rat.lo, b_rat.hi, bits)
-    num = a * logs1[0] - b * logs1[1]
-    den = a * logs2[0] - b * logs2[1]
+    num = sub_iv(mul_iv(a, logs1[0], prec), mul_iv(b, logs1[1], prec), prec)
+    den = sub_iv(mul_iv(a, logs2[0], prec), mul_iv(b, logs2[1], prec), prec)
     if iv_sign(den) is None:
         return None
-    return -num / den
+    return div_iv(neg_iv(num), den, prec)
 
 
 def endpoint_derivative(
@@ -353,19 +344,20 @@ def limit_derivative(
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
     expected = _LIMIT_EXPECTED[(i, t)]
     for work in emb.cfg.ladder(PLANE_BITS):
+        prec = work_prec(work)
         logs1 = emb.log_embed(g1, work)
         logs2 = emb.log_embed(g2, work)
         if (i, t) == (1, 0):
-            num = 2 * logs1[0] + logs1[1]
-            den = 2 * logs2[0] + logs2[1]
+            num = add_iv(mul_iv(iv_int(2, prec), logs1[0], prec), logs1[1], prec)
+            den = add_iv(mul_iv(iv_int(2, prec), logs2[0], prec), logs2[1], prec)
         elif (i, t) == (2, 1):
-            num = logs1[0] + 2 * logs1[1]
-            den = logs2[0] + 2 * logs2[1]
+            num = add_iv(logs1[0], mul_iv(iv_int(2, prec), logs1[1], prec), prec)
+            den = add_iv(logs2[0], mul_iv(iv_int(2, prec), logs2[1], prec), prec)
         else:
-            num = -logs1[0] + logs1[1]
-            den = -logs2[0] + logs2[1]
+            num = add_iv(neg_iv(logs1[0]), logs1[1], prec)
+            den = add_iv(neg_iv(logs2[0]), logs2[1], prec)
         if iv_sign(den) is not None:
-            ratio = -num / den
+            ratio = div_iv(neg_iv(num), den, prec)
             s = iv_sign(ratio)
             if s is not None:
                 v, e = iv_mid_err(ratio)
@@ -407,18 +399,15 @@ def check_direction_bounds(
                     grids[work] = grid(n_points, work)[1]
                 if work not in ends:
                     ends[work] = segment_ends(e_one, e_to, work)
-                prec = iv_context(work).prec
+                prec = work_prec(work)
                 a, b = basis.project_logs(_segment_logs(ends[work], grids[work][j], prec))
-                # l - a and l - b at the rung's precision, not the basis's;
-                # -a negates the endpoints, exactly
-                lv = signed_iv(iv_int(l, prec))
+                # l - a and l - b at the rung's precision, not the basis's
+                lv = iv_int(l, prec)
                 if i == 1:
                     checks = {"y1 >= 0": b, "x1 >= 0": a, "x1 <= l": sub_iv(lv, a, prec)}
                 else:
-                    (lm, le), (hm, he) = a
-                    neg_a = (-hm, he), (-lm, le)
-                    checks = {"x2 <= 0": neg_a, "y2 >= 0": b, "y2 <= l": sub_iv(lv, b, prec)}
-                signs = {n: sign_iv(v) for n, v in checks.items()}
+                    checks = {"x2 <= 0": neg_iv(a), "y2 >= 0": b, "y2 <= l": sub_iv(lv, b, prec)}
+                signs = {n: iv_sign(v) for n, v in checks.items()}
                 if all(s is not None for s in signs.values()):
                     for n, v in checks.items():
                         if signs[n] < 0:

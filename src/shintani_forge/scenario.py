@@ -223,10 +223,19 @@ def load_config(path) -> ScenarioConfig:
     for name, expr in _config_field(raw, "elements", _ELEMENTS, {}).items():
         elements[name] = parse_element(expr, elements, spec)
     prec = _config_field(raw, "precision", _OBJECT, {})
+    start_bits = _config_field(prec, "start_bits", _INT, 64)
     max_bits = _config_field(prec, "max_bits", _INT, 4096)
+    env = os.environ.get("SHINTANI_MAX_BITS")
+    if env is not None:
+        try:
+            max_bits = int(env)
+        except ValueError:
+            raise ValueError(f"SHINTANI_MAX_BITS {env!r} is not an integer") from None
+        if max_bits < start_bits:
+            raise ValueError(f"SHINTANI_MAX_BITS {env!r} is below start_bits ({start_bits})")
     cfg = SignConfig(
-        start_bits=_config_field(prec, "start_bits", _INT, 64),
-        max_bits=int(os.environ.get("SHINTANI_MAX_BITS", max_bits)),
+        start_bits=start_bits,
+        max_bits=max_bits,
         escalation_factor=_config_field(prec, "escalation_factor", _INT, 2),
     )
     config = ScenarioConfig(

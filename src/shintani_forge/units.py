@@ -16,7 +16,21 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .cones import Geometry, _int_vec
-from .embedding import RealEmbeddings, iv_fraction, iv_mid_err, trace_zero
+from .embedding import (
+    RealEmbeddings,
+    add_iv,
+    cmp_ep,
+    dot_iv,
+    iv_fraction,
+    iv_int,
+    iv_mid_err,
+    iv_sign,
+    mul_iv,
+    neg_iv,
+    sub_iv,
+    trace_zero,
+    work_prec,
+)
 from .errors import Exhausted, NotTotallyPositive, SignConditionFailed
 from .field import FieldElement
 from .plane import (
@@ -176,17 +190,18 @@ def lattice_points_in_ball(
         """Trace-zero logs of (u1, u2, offset), center and radius at `work` bits."""
         if work not in rungs:
             rungs[work] = (
-                [trace_zero(emb.log_embed(g, work)) for g in (u1, u2, offset)],
+                [trace_zero(emb.log_embed(g, work), work_prec(work)) for g in (u1, u2, offset)],
                 [iv_fraction(c, c, work) for c in center],
                 iv_fraction(radius, radius, work),
             )
         return rungs[work]
 
     (l1, l2, lo), _, _ = rung(PLANE_BITS)
-    g11 = sum(a * a for a in l1)
-    g22 = sum(a * a for a in l2)
-    g12 = sum(a * b for a, b in zip(l1, l2))
-    if not (g11 * g22 - g12 * g12).a > 0:
+    prec = work_prec(PLANE_BITS)
+    g11 = dot_iv(l1, l1, prec)
+    g22 = dot_iv(l2, l2, prec)
+    g12 = dot_iv(l1, l2, prec)
+    if iv_sign(sub_iv(mul_iv(g11, g22, prec), mul_iv(g12, g12, prec), prec)) != 1:
         raise SignConditionFailed("Log images of the lattice basis are dependent")
 
     # every point of the ball has its first two log coordinates in this box
@@ -196,12 +211,17 @@ def lattice_points_in_ball(
     undecided = []
     for k1, k2 in _exponent_box(p, s1, s2, c0 - r, c0 + r, c1 - r, c1 + r):
         for work in emb.cfg.ladder(PLANE_BITS):
-            (v1, v2, vo), ci, ri = rung(work)
-            ds = [k1 * a + k2 * b + o - c for a, b, o, c in zip(v1, v2, vo, ci)]
-            if all(d.b <= ri.a and d.a >= -ri.a for d in ds):
+            (v1, v2, vo), ci, (r_lo, r_hi) = rung(work)
+            prec = work_prec(work)
+            ks = iv_int(k1, prec), iv_int(k2, prec)
+            sums = [add_iv(dot_iv(ks, (a, b), prec), o, prec) for a, b, o in zip(v1, v2, vo)]
+            ds = [sub_iv(v, c, prec) for v, c in zip(sums, ci)]
+            # d lies in [-r, r] when d and -d lie below r, exactly
+            ends = [v for d in ds for v in (d, neg_iv(d))]
+            if all(cmp_ep(v[1], r_lo) <= 0 for v in ends):
                 inside.append((k1, k2, u1**k1 * u2**k2 * offset))
                 break
-            if any(d.a > ri.b or d.b < -ri.b for d in ds):
+            if any(cmp_ep(v[0], r_hi) > 0 for v in ends):
                 break
         else:
             undecided.append((k1, k2, u1**k1 * u2**k2 * offset))

@@ -6,15 +6,29 @@ decomposition that the integer cell kernels replace, the Fraction bisection
 that the integer root refinement replaces, and the Fraction field products,
 multiplication matrices, inverses and embedding Horner that the integer
 field and embedding kernels replace, the `mpmath.libmp` interval
-compositions that the plane's directed-rounding kernels replace, and the
-two-loop normalization search that `units.triangle_search` folds into one."""
+compositions that the plane's directed-rounding kernels replace, the
+mpmath interval-context formulas that the signed-endpoint intervals replace,
+and the two-loop normalization search that `units.triangle_search` folds
+into one."""
 
+import functools
 from fractions import Fraction
 
-from mpmath.libmp import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    from_int,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mul,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from shintani_forge.cones import Cone, Geometry, _int_vec, primitive_vector
-from shintani_forge.embedding import RatInterval, iv_context, iv_fraction, iv_int
+from shintani_forge.embedding import RatInterval
 from shintani_forge.errors import EmptySet, Exhausted, SignConditionFailed
 from shintani_forge.field import FieldElement, solve3
 from shintani_forge.plane import limit_derivative, phi
@@ -222,47 +236,186 @@ def fraction_embed(emb, x, bits):
 
 
 # The sampled segment's interval logs and their projection on a basis, each
-# operation an `mpmath.libmp` interval one at the working precision. The
-# kernels of `plane._segment_logs` and `PhiBasis.project_logs` must give the
-# same raw endpoints.
+# operation an `mpmath.libmp` interval one at the working precision, from
+# the exact rational enclosures alone. The kernels of `plane._segment_logs`
+# and `PhiBasis.project_logs` must give the same raw endpoints.
+
+
+def libmpi_prec(bits):
+    """The precision of an interval at working precision `bits`, with its
+    16 guard bits."""
+    return max(bits, 64) + 16
+
+
+def libmpi_int(n, prec):
+    """The raw interval of the integer n at `prec`, rounded outward."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def libmpi_fraction(lo, hi, bits):
+    """The raw interval enclosing [lo, hi] at `bits`: per end, the quotient
+    of its numerator and denominator, each rounded outward first."""
+    prec = libmpi_prec(bits)
+
+    def end(x):
+        return mpi_div(libmpi_int(x.numerator, prec), libmpi_int(x.denominator, prec), prec)
+
+    return end(lo)[0], end(hi)[1]
+
+
+def libmpi_log_embed(emb, x, bits):
+    """The raw intervals of log sigma_i(x) at `bits`."""
+    prec = libmpi_prec(bits)
+    return [mpi_log(libmpi_fraction(e.lo, e.hi, bits), prec) for e in emb.embed_positive(x, bits)]
 
 
 def libmpi_weights(t, bits):
     """The raw intervals (1 - t, t) at `bits` that `plane.grid` gives a
     grid point t, here for any rational t."""
-    prec = iv_context(bits).prec
-    ti = iv_fraction(t, t, bits)._mpi_
-    return mpi_sub(iv_int(1, prec), ti, prec), ti
+    prec = libmpi_prec(bits)
+    ti = libmpi_fraction(t, t, bits)
+    return mpi_sub(libmpi_int(1, prec), ti, prec), ti
 
 
 def libmpi_segment_logs(e_from, e_to, ti, bits):
     """Interval logs of (1-t) v + t w, with t the raw interval `ti`."""
-    iv = iv_context(bits)
-    prec = iv.prec
-    si = mpi_sub(iv_int(1, prec), ti, prec)
+    prec = libmpi_prec(bits)
+    si = mpi_sub(libmpi_int(1, prec), ti, prec)
     out = []
     for a, b in zip(e_from, e_to):
         mix = mpi_add(
-            mpi_mul(si, a.iv(bits)._mpi_, prec), mpi_mul(ti, b.iv(bits)._mpi_, prec), prec
+            mpi_mul(si, libmpi_fraction(a.lo, a.hi, bits), prec),
+            mpi_mul(ti, libmpi_fraction(b.lo, b.hi, bits), prec),
+            prec,
         )
-        out.append(iv.make_mpf(mpi_log(mix, prec)))
+        out.append(mpi_log(mix, prec))
     return out
 
 
 def libmpi_project_logs(basis, logs):
-    """The (Log g1, Log g2) coordinates of the trace-zero part of `logs`, at
-    the precision of the `PhiBasis` `basis`, from its basis logs alone."""
-    prec = basis.prec
-    p0, p1, _ = basis.l1
-    q0, q1, _ = basis.l2
+    """The (Log g1, Log g2) coordinates of the trace-zero part of the raw
+    intervals `logs`, at the precision of the `PhiBasis` `basis`, from the
+    logs of its pair alone."""
+    prec = libmpi_prec(basis.bits)
+    p0, p1, _ = libmpi_log_embed(basis.emb, basis.g1, basis.bits)
+    q0, q1, _ = libmpi_log_embed(basis.emb, basis.g2, basis.bits)
     det = mpi_sub(mpi_mul(p0, q1, prec), mpi_mul(p1, q0, prec), prec)
-    v0, v1, v2 = (v._mpi_ for v in logs)
-    t = mpi_div(mpi_add(mpi_add(v0, v1, prec), v2, prec), iv_int(3, prec), prec)
+    v0, v1, v2 = logs
+    t = mpi_div(mpi_add(mpi_add(v0, v1, prec), v2, prec), libmpi_int(3, prec), prec)
     h0 = mpi_sub(v0, t, prec)
     h1 = mpi_sub(v1, t, prec)
     a = mpi_div(mpi_sub(mpi_mul(h0, q1, prec), mpi_mul(h1, q0, prec), prec), det, prec)
     b = mpi_div(mpi_sub(mpi_mul(p0, h1, prec), mpi_mul(p1, h0, prec), prec), det, prec)
-    return basis.iv.make_mpf(a), basis.iv.make_mpf(b)
+    return a, b
+
+
+# The interval formulas as mpmath interval-context arithmetic, one context
+# per working precision, where a binary operation runs at its left
+# operand's context: the certified logs, their trace-zero part and its
+# exponential, the endpoint and limit derivative ratios, and the translate
+# table's rows, points and cell boxes. The signed-endpoint intervals of
+# `embedding`, `plane` and `cones` must have the same endpoints.
+
+_FLOAT = MPContext()
+
+
+@functools.cache
+def ctx(bits):
+    """The interval context at working precision `bits`."""
+    iv = MPIntervalContext()
+    iv.prec = libmpi_prec(bits)
+    return iv
+
+
+def ctx_mid_err(v):
+    """Midpoint and radius of an interval from its ends in 53-bit mpfs."""
+    mid = (_FLOAT.mpf(v.a) + _FLOAT.mpf(v.b)) / 2
+    rad = (_FLOAT.mpf(v.b) - _FLOAT.mpf(v.a)) / 2
+    return float(mid), abs(float(rad))
+
+
+def ctx_fraction(lo, hi, bits):
+    iv = ctx(bits)
+    a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
+    b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
+    return iv.mpf([a.a, b.b])
+
+
+def ctx_log_fraction(lo, hi, bits):
+    return ctx(bits).log(ctx_fraction(lo, hi, bits))
+
+
+def ctx_log_embed(emb, x, bits):
+    return [ctx_log_fraction(e.lo, e.hi, bits) for e in emb.embed_positive(x, bits)]
+
+
+def ctx_trace_zero(logs):
+    t = (logs[0] + logs[1] + logs[2]) / 3
+    return [v - t for v in logs]
+
+
+def ctx_project_H(emb, x, bits):
+    return [ctx(bits).exp(v) for v in ctx_trace_zero(ctx_log_embed(emb, x, bits))]
+
+
+def ctx_endpoint_ratio(e_g, logs1, logs2, bits):
+    """-(A log g1(1) - B log g1(2)) / (A log g2(1) - B log g2(2)), or None
+    when the denominator straddles zero."""
+    a_rat = RatInterval.point(2) * e_g[1] - e_g[0] - e_g[2]
+    b_rat = RatInterval.point(2) * e_g[0] - e_g[1] - e_g[2]
+    a = ctx_fraction(a_rat.lo, a_rat.hi, bits)
+    b = ctx_fraction(b_rat.lo, b_rat.hi, bits)
+    num = a * logs1[0] - b * logs1[1]
+    den = a * logs2[0] - b * logs2[1]
+    if den.a <= 0 <= den.b:
+        return None
+    return -num / den
+
+
+def ctx_limit_ratio(i, t, logs1, logs2):
+    """The ratio -num / den of `plane.limit_derivative` at one rung, or None
+    when the denominator straddles zero."""
+    if (i, t) == (1, 0):
+        num = 2 * logs1[0] + logs1[1]
+        den = 2 * logs2[0] + logs2[1]
+    elif (i, t) == (2, 1):
+        num = logs1[0] + 2 * logs1[1]
+        den = logs2[0] + 2 * logs2[1]
+    else:
+        num = -logs1[0] + logs1[1]
+        den = -logs2[0] + logs2[1]
+    if den.a <= 0 <= den.b:
+        return None
+    return -num / den
+
+
+def ctx_translate_rows(emb, u1, u2, bits):
+    """The rows of the translate table's forms at `bits`, or None when
+    their determinant straddles zero there."""
+    p = ctx_log_embed(emb, u1, bits)
+    q = ctx_log_embed(emb, u2, bits)
+    a = [q[(j + 1) % 3] - q[(j + 2) % 3] for j in range(3)]
+    b = [p[(j + 2) % 3] - p[(j + 1) % 3] for j in range(3)]
+    det = p[0] * a[0] + p[1] * a[1] + p[2] * a[2]
+    if det.a <= 0 <= det.b:
+        return None
+    return tuple([c / det for c in row] for row in (a, b))
+
+
+def ctx_point(rows, emb, x, bits):
+    logs = ctx_log_embed(emb, x, bits)
+    return tuple(r[0] * logs[0] + r[1] * logs[1] + r[2] * logs[2] for r in rows)
+
+
+def ctx_cell_box(rows, emb, gens, bits):
+    encs = [
+        emb.embed_positive(FieldElement(emb.spec, tuple(map(Fraction, g))), bits) for g in gens
+    ]
+    logs = [
+        ctx_log_fraction(min(e[j].lo for e in encs), max(e[j].hi for e in encs), bits)
+        for j in range(3)
+    ]
+    return tuple(r[0] * logs[0] + r[1] * logs[1] + r[2] * logs[2] for r in rows)
 
 
 # The normalization search as two loops, the wedge levels and then the

@@ -1,17 +1,35 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from shintani_forge.cli import bundled_config_path
-from shintani_forge.embedding import RealEmbeddings, SignConfig, iv_fraction
+import shintani_forge
+from shintani_forge.embedding import (
+    RealEmbeddings,
+    SignConfig,
+    add_iv,
+    iv_fraction,
+    iv_int,
+    mul_iv,
+    raw_iv,
+    work_prec,
+)
 from shintani_forge.errors import NotTotallyReal, PrecisionExhausted
 from shintani_forge.field import FieldSpec, count_real_roots, det3
 from shintani_forge.scenario import Runtime, load_config, run_scenario
 
-from oracles import KERNEL_FIELDS, fraction_embed, fraction_refine_roots, random_element
+from oracles import (
+    KERNEL_FIELDS,
+    fraction_embed,
+    fraction_refine_roots,
+    libmpi_fraction,
+    random_element,
+)
 
 coord = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 coords = st.tuples(coord, coord, coord)
@@ -168,23 +186,31 @@ class TestSignDet:
         assert det3(m) == 0
 
 
+def ends(v):
+    """The endpoints of an interval of signed endpoints, as Fractions."""
+    return tuple(Fraction(m) * Fraction(2) ** e for m, e in v)
+
+
 class TestLogs:
     def test_log_of_one_encloses_zero(self, emb):
         logs = emb.log_embed(emb.spec.one, 96)
         for v in logs:
-            assert v.a <= 0 <= v.b
+            lo, hi = ends(v)
+            assert lo <= 0 <= hi
 
     def test_log_power_law(self, emb, els):
+        prec = work_prec(128)
         l1 = emb.log_embed(els["g1"], 128)
         l3 = emb.log_embed(els["g1"] ** 3, 128)
         for a, b in zip(l1, l3):
-            scaled = 3 * a
-            assert scaled.a <= b.b and b.a <= scaled.b
+            scaled = ends(mul_iv(iv_int(3, prec), a, prec))
+            assert scaled[0] <= ends(b)[1] and ends(b)[0] <= scaled[1]
 
     def test_unit_log_trace_encloses_zero(self, emb, els):
+        prec = work_prec(128)
         logs = emb.log_embed(els["g1"], 128)
-        total = logs[0] + logs[1] + logs[2]
-        assert total.a <= 0 <= total.b
+        lo, hi = ends(add_iv(add_iv(logs[0], logs[1], prec), logs[2], prec))
+        assert lo <= 0 <= hi
 
     @pytest.mark.parametrize("order", [(96, 256), (256, 96)])
     def test_interval_converted_once_per_precision(self, emb, els, order):
@@ -193,20 +219,22 @@ class TestLogs:
         e = emb.embed(els["g1"], 64)[0]
         got = {bits: e.iv(bits) for bits in order}
         for bits, v in got.items():
-            want = iv_fraction(e.lo, e.hi, bits)
-            assert (v.a, v.b) == (want.a, want.b)
+            assert v == iv_fraction(e.lo, e.hi, bits)
+            assert raw_iv(v) == libmpi_fraction(e.lo, e.hi, bits)
             assert e.iv(bits) is v
-        assert (got[96].a, got[96].b) != (got[256].a, got[256].b)
+        assert ends(got[96]) != ends(got[256])
 
     def test_project_H_of_one(self, emb):
         zh = emb.project_H(emb.spec.one, 96)
         for v in zh:
-            assert v.a <= 1 <= v.b
+            lo, hi = ends(v)
+            assert lo <= 1 <= hi
 
     def test_project_H_kills_trace(self, emb, els):
+        prec = work_prec(128)
         zh = emb.project_H(els["pi"], 128)
-        prod = zh[0] * zh[1] * zh[2]
-        assert prod.a <= 1 <= prod.b
+        lo, hi = ends(mul_iv(mul_iv(zh[0], zh[1], prec), zh[2], prec))
+        assert lo <= 1 <= hi
 
 
 class TestSignConfig:
@@ -242,13 +270,43 @@ class TestSignConfig:
 
 
 def test_no_shared_mpmath_state(monkeypatch, tmp_path):
-    """Interval logs and their float read-outs use their own mpmath contexts:
-    reports neither need mpmath.iv nor follow the caller's mpmath.mp."""
-    sids = ("direction", "construction")
-    rt = Runtime(load_config(bundled_config_path()))
+    """Intervals compute at their own precision, never in an mpmath
+    context: no bundled scenario needs mpmath.iv or follows the caller's
+    mpmath.mp."""
+    cfg = load_config(bundled_config_path())
+    sids = [s["id"] for s in cfg.scenarios]
+    rt = Runtime(cfg)
     expected = [run_scenario(rt, sid, tmp_path / "a") for sid in sids]
     monkeypatch.setattr(mpmath, "iv", None)
     with mpmath.mp.workprec(20):
         rt = Runtime(load_config(bundled_config_path()))
         got = [run_scenario(rt, sid, tmp_path / "b") for sid in sids]
     assert got == expected
+
+
+def test_interval_format_has_one_owner():
+    """Only `embedding` imports mpmath, so the interval format has one
+    owner, and no module-level function is memoized by functools, whose
+    cache would outlive every Runtime."""
+    package = Path(shintani_forge.__file__).parent
+    importers, cached = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
+                importers.append(path.stem)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.stem}.{node.name}")
+    assert sorted(set(importers)) == ["embedding"]
+    assert cached == []

@@ -6,7 +6,7 @@ import pytest
 
 from shintani_forge import units
 from shintani_forge.cones import _int_vec
-from shintani_forge.embedding import iv_mid_err, trace_zero
+from shintani_forge.embedding import iv_mid_err, trace_zero, work_prec
 from shintani_forge.errors import (
     Exhausted,
     InclusionViolated,
@@ -90,7 +90,7 @@ class TestLatticeBall:
         assert keys_small <= {(k1, k2) for k1, k2, _ in big.inside}
         near, far = set(), set()
         for k1, k2, el in big.inside:
-            logs = trace_zero(emb.log_embed(el, 128))
+            logs = trace_zero(emb.log_embed(el, 128), work_prec(128))
             dist = max(abs(iv_mid_err(v)[0] - c) for v, c in zip(logs, center))
             if dist < 25 - 1e-6:
                 near.add((k1, k2))
@@ -111,7 +111,7 @@ class TestLatticeBall:
         res = units.lattice_points_in_ball(lat, center, radius, emb)
         keys = {(k1, k2) for k1, k2, _ in res.inside}
         l1, l2 = (
-            [iv_mid_err(v)[0] for v in trace_zero(emb.log_embed(u, 128))]
+            [iv_mid_err(v)[0] for v in trace_zero(emb.log_embed(u, 128), work_prec(128))]
             for u in (els["eps1"], els["eps2"])
         )
         near = set()

@@ -144,6 +144,25 @@ class TestConfig:
         monkeypatch.setenv("SHINTANI_MAX_BITS", "512")
         cfg = load_config(bundled_config_path())
         assert cfg.sign_config.max_bits == 512
+        monkeypatch.setenv("SHINTANI_MAX_BITS", " 128")
+        assert load_config(bundled_config_path()).sign_config.max_bits == 128
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "SHINTANI_MAX_BITS 'abc' is not an integer"),
+            ("10", "SHINTANI_MAX_BITS '10' is below start_bits (64)"),
+            ("-5", "SHINTANI_MAX_BITS '-5' is below start_bits (64)"),
+        ],
+    )
+    def test_bad_max_bits_env_is_named(self, monkeypatch, tmp_path, capsys, value, message):
+        """A bad SHINTANI_MAX_BITS is a config error naming the variable and
+        its value, not the config's cap."""
+        monkeypatch.setenv("SHINTANI_MAX_BITS", value)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(bundled_config_path()), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, value",

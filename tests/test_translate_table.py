@@ -11,7 +11,7 @@ import time
 
 import pytest
 from mpmath import MPContext
-from mpmath.libmp import from_rational, mpf_add, mpf_sub, mpi_sub
+from mpmath.libmp import from_man_exp, from_rational, mpf_add, mpf_sub, mpi_sub
 from mpmath.libmp.libmpi import mpf_min_max
 
 from shintani_forge import cones
@@ -19,11 +19,12 @@ from shintani_forge.cones import (
     Cone,
     Geometry,
     _int_matrix,
+    _k_ranges,
     _TranslateTable,
     decompose_rays,
     intersect_cells,
 )
-from shintani_forge.embedding import RealEmbeddings, SignConfig
+from shintani_forge.embedding import RealEmbeddings, SignConfig, raw_iv, signed, sub_iv
 from shintani_forge.errors import PrecisionExhausted, ShintaniError
 from shintani_forge.field import FieldSpec
 from shintani_forge.scenario import Runtime, run_scenario
@@ -161,14 +162,12 @@ def edge_distance(geo, d, x, u1, u2) -> float:
     nearest to an edge lies."""
     table = _TranslateTable(geo, d, u1, u2)
     prec, ctx = table.prec, MPContext()
+    boxes = [[raw_iv(v) for v in b] for b in table.cell_boxes]
     box = [
-        (
-            mpf_min_max([b[i][0] for b in table.cell_boxes])[0],
-            mpf_min_max([b[i][1] for b in table.cell_boxes])[1],
-        )
+        (mpf_min_max([b[i][0] for b in boxes])[0], mpf_min_max([b[i][1] for b in boxes])[1])
         for i in range(2)
     ]
-    fixed = [mpi_sub(b, p, prec) for b, p in zip(box, table.point(x))]
+    fixed = [mpi_sub(b, raw_iv(p), prec) for b, p in zip(box, table.point(x))]
     real = [[ctx.make_mpf(v) for v in mpi_sub(f, m, prec)] for f, m in zip(fixed, box)]
     hits = geo.translation_cover(d, x, u1, u2).support
     return float(min(min(k[i] - real[i][0], real[i][1] - k[i]) for k in hits for i in (0, 1)))
@@ -229,7 +228,8 @@ class Phi256:
         point = ((v0 * q1 - v1 * q0) / det, (p0 * v1 - p1 * v0) / det)
         tol = self.ctx.mpf(2) ** -100
         for v, (lo, hi), k in zip(point, box, shift):
-            assert self.ctx.make_mpf(lo) + k - tol <= v <= self.ctx.make_mpf(hi) + k + tol
+            lo, hi = (self.ctx.make_mpf(v) for v in raw_iv((lo, hi)))
+            assert lo + k - tol <= v <= hi + k + tol
 
 
 def test_box_soundness(geo, els, pihats, second_field):
@@ -297,7 +297,10 @@ def meeting_triples(geo, translates, targets):
 
 
 def shrunk(box, by):
-    return tuple((mpf_add(lo, by, 80), mpf_sub(hi, by, 80)) for lo, hi in box)
+    return tuple(
+        (signed(mpf_add(from_man_exp(*lo), by, 80)), signed(mpf_sub(from_man_exp(*hi), by, 80)))
+        for lo, hi in box
+    )
 
 
 def missed(table, targets, triples, shrink=False):
@@ -313,10 +316,22 @@ def missed(table, targets, triples, shrink=False):
     return [(i, j, k) for i, j, k in triples if (i, j) not in pairs.get(k, ())]
 
 
+def test_k_ranges_read_a_zero_endpoint_at_any_exponent():
+    """An exact cancellation leaves a zero endpoint (0, e) whose exponent
+    lies below every other: it reads as 0, and the ranges are those of the
+    boxes [0, 1/2] x [-3/4, 0] and [5/2, 3] x [-1, 4]."""
+    tiny = ((1, -300), (1, -300))
+    zero = sub_iv(tiny, tiny, 80)[0]
+    assert zero == (0, -300)
+    moving = [((zero, (1, -1)), ((-3, -2), zero))]
+    fixed = [(((5, -1), (3, 0)), ((-1, 0), (1, 2)))]
+    assert _k_ranges(moving, fixed) == [[((2, 3), (-1, 4))]]
+
+
 def support_targets(table, x):
     """The boxes of the cells of x^-1 D: box(cell) - phi(x)."""
     point = table.point(x)
-    return [[mpi_sub(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
+    return [[sub_iv(b, p, table.prec) for b, p in zip(box, point)] for box in table.cell_boxes]
 
 
 def check_supports(geo, translates, searches):
