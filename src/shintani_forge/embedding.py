@@ -14,10 +14,13 @@ and is not normalized, and an interval is a pair of them, at the precision
 `work_prec(bits)`. Each addition, product, quotient and log rounds the exact
 result once, floor or ceiling, so every endpoint is the one `mpmath.libmp`
 gives; zero operands, products and quotients with zero in an operand, and
-the additions mpmath rounds by perturbing go to `mpmath.libmp` itself, and a
-log is `mpf_log` of the endpoint's canonical mpf. `iv_mid_err` and `iv_sign`
-read an interval out. Every interval computes at its own precision, so no
-global mpmath state is set or read.
+the additions mpmath rounds by perturbing go to `mpmath.libmp` itself. A log
+runs `mpf_log`'s own integer steps on the endpoint, mpmath's fixed-point
+Taylor log and ln 2 then one rounding, and hands powers of two, huge
+magnitudes, mpmath's perturbed logs near 1 and precisions past its Taylor
+range to `mpf_log`. `iv_mid_err` and `iv_sign` read an interval out. Every
+interval computes at its own precision, so no global mpmath state is set or
+read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -45,6 +48,7 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
 )
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 from .errors import NotTotallyPositive, PrecisionExhausted
 from .field import FieldElement, FieldSpec, _scaled, count_real_roots, det3
@@ -105,12 +109,6 @@ class RatInterval:
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __add__(self, other):
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
@@ -128,9 +126,6 @@ class RatInterval:
             self.hi * other.hi,
         )
         return RatInterval(min(products), max(products))
-
-    def contains(self, v: Fraction) -> bool:
-        return self.lo <= v <= self.hi
 
     def sign(self):
         """+1, -1, or None when the interval straddles zero."""
@@ -544,9 +539,30 @@ def dot_iv(xs, ys, prec: int):
 
 
 def log_ep(p, prec: int, ceil: int):
-    """log of a positive endpoint rounded to `prec` bits, the value
-    `mpf_log` gives on its canonical mpf, whose mantissa is odd."""
+    """log of a positive endpoint rounded to `prec` bits, the value `mpf_log`
+    gives, by `mpf_log`'s own integer steps: with the endpoint's bit length
+    bc and magnitude mag = e + bc, at wp = prec + 20 bits plus, when
+    |mag| <= 1, the bits `mpf_log` counts as cancelled, the fixed-point
+    `log_taylor_cached` of m shifted to wp bits, plus mag ln 2, rounded once.
+    The shifted m, mag and the cancellation are those of m's odd part, so m
+    need not be odd. A power of two, |mag| > 10000, a cancellation over
+    prec + 20 bits (where mpmath perturbs) and wp past `LOG_TAYLOR_PREC`
+    go to `mpf_log` itself, on the canonical mpf."""
     m, e = p
+    bc = m.bit_length()
+    mag = e + bc
+    wp = prec + 20
+    if -1 <= mag <= 1:
+        wp += bc - ((1 << bc) - m if mag == 0 else m - (1 << bc - 1)).bit_length()
+    # wp <= 2 prec + 40 keeps the cancellation within prec + 20 bits
+    if m & (m - 1) and wp <= LOG_TAYLOR_PREC and wp <= 2 * prec + 40 and -10000 <= mag <= 10000:
+        r = log_taylor_cached(m << wp - bc if wp >= bc else m >> bc - wp, wp)
+        if mag:
+            r += mag * ln2_fixed(wp)
+        n = r.bit_length() - prec
+        if n > 0:
+            return (-(-r >> n) if ceil else r >> n), n - wp
+        return r, -wp
     z = (m & -m).bit_length() - 1
     m >>= z
     sign, man, exp, _ = mpf_log((0, m, e + z, m.bit_length()), prec, _RND[ceil])

@@ -10,7 +10,8 @@ intervals (1 - t, t) of one `grid` point, takes their interval logs and
 projects them on the basis. All of it runs on `embedding`'s signed integer
 endpoints, two fused steps per point: `_segment_logs` makes the three mixes
 and their logs, `PhiBasis.project_logs` the projection. Each endpoint is
-the one `mpmath.libmp` gives; the logs are `mpf_log`.
+the one `mpmath.libmp` gives; the logs are `mpf_log`'s values, by its own
+integer steps (`log_ep`).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,6 +195,9 @@ class ScenarioConfig:
     sign_config: SignConfig
     seed: int
     scenarios: list
+    # the embeddings the config was validated with, until a Runtime takes
+    # them; a `dataclasses.replace` copy starts without
+    embeddings: RealEmbeddings | None = field(default=None, init=False, repr=False, compare=False)
 
     def scenario(self, sid: str) -> dict:
         for s in self.scenarios:
@@ -248,7 +251,7 @@ def load_config(path) -> ScenarioConfig:
         seed=_config_field(raw, "seed", _INT, 0),
         scenarios=_config_field(raw, "scenarios", _LIST, []),
     )
-    _validate(config)
+    config.embeddings = _validate(config)
     return config
 
 
@@ -265,7 +268,9 @@ def _config_field(raw: dict, name: str, typ: str, default):
     return value
 
 
-def _validate(config: ScenarioConfig):
+def _validate(config: ScenarioConfig) -> RealEmbeddings:
+    """Check the declared units, totally positive elements and scenario ids;
+    returns the embeddings built for the positivity checks."""
     emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
     for name in config.units:
         if name not in config.elements:
@@ -286,6 +291,7 @@ def _validate(config: ScenarioConfig):
         if sc["id"] in seen:
             raise ValueError(f"duplicate scenario id {sc['id']!r}")
         seen.add(sc["id"])
+    return emb
 
 
 class Runtime:
@@ -293,7 +299,13 @@ class Runtime:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
+        # the first Runtime of a load takes the validated embeddings, so no
+        # two runtimes share their memos; a changed sign_config (`--bits`)
+        # needs new ones
+        emb, config.embeddings = config.embeddings, None
+        if emb is None or emb.cfg != config.sign_config:
+            emb = RealEmbeddings(config.spec, config.embedding_order, cfg=config.sign_config)
+        self.emb = emb
         self.geo = Geometry(self.emb)
 
     def domain(self, p: dict) -> tuple[ShintaniSet, FieldElement, FieldElement]:

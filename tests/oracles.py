@@ -5,11 +5,11 @@ tests hold the table's results to them. Also the Fraction rank and ray
 decomposition that the integer cell kernels replace, the Fraction bisection
 that the integer root refinement replaces, and the Fraction field products,
 multiplication matrices, inverses and embedding Horner that the integer
-field and embedding kernels replace, the `mpmath.libmp` interval
-compositions that the plane's directed-rounding kernels replace, the
-mpmath interval-context formulas that the signed-endpoint intervals replace,
-and the two-loop normalization search that `units.triangle_search` folds
-into one."""
+field and embedding kernels replace, the `mpf_log` call that
+`embedding.log_ep` replaces, the `mpmath.libmp` interval compositions that
+the plane's directed-rounding kernels replace, the mpmath interval-context
+formulas that the signed-endpoint intervals replace, and the two-loop
+normalization search that `units.triangle_search` folds into one."""
 
 import functools
 from fractions import Fraction
@@ -18,6 +18,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
+    mpf_log,
     mpi_add,
     mpi_div,
     mpi_log,
@@ -233,6 +234,18 @@ def fraction_embed(emb, x, bits):
         acc = RatInterval.point(a2) * t + RatInterval.point(a1)
         out.append(acc * t + RatInterval.point(a0))
     return out
+
+
+def mpf_log_ep(p, prec, ceil):
+    """log of a positive endpoint (m, e) rounded to `prec` bits, down for
+    `ceil` 0 and up for 1: `mpf_log` of its canonical mpf, whose mantissa
+    is odd, as a signed endpoint."""
+    m, e = p
+    z = (m & -m).bit_length() - 1
+    m >>= z
+    rnd = (round_floor, round_ceiling)[ceil]
+    sign, man, exp, _ = mpf_log((0, m, e + z, m.bit_length()), prec, rnd)
+    return (-man if sign else man), exp
 
 
 # The sampled segment's interval logs and their projection on a basis, each

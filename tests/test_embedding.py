@@ -55,7 +55,7 @@ class TestRootIsolation:
         fine = emb.refine_roots(80)
         for c, f in zip(coarse, fine):
             assert c.lo <= f.lo and f.hi <= c.hi
-            assert f.width() <= Fraction(1, 2**80)
+            assert f.hi - f.lo <= Fraction(1, 2**80)
 
     @pytest.mark.parametrize("coeffs", [(1, -1, -4, 2), (1, -2, -1, 1)])
     def test_integer_bisection_matches_fraction_bisection(self, coeffs):
@@ -96,8 +96,7 @@ class TestEmbed:
     def test_embed_one(self, emb):
         enc = emb.embed(emb.spec.one, 64)
         for e in enc:
-            assert e.contains(Fraction(1))
-            assert e.width() == 0
+            assert e.lo == e.hi == 1
 
     def test_embed_y_gives_roots(self, emb):
         enc = emb.embed(emb.spec.y, 64)

@@ -4,8 +4,8 @@ held here to the mpmath interval-context formulas of `oracles` (`ctx_*`),
 the formulas they replace: every interval must have the same endpoints, and
 every float read-out the same value. The directed-rounding kernels under
 them are held to `mpmath.libmp` itself, operation by operation on seeded
-random operands, and the per-point steps to the libmp compositions of
-`oracles` on every face the figures draw."""
+random operands, the log to `oracles.mpf_log_ep`, and the per-point steps
+to the libmp compositions of `oracles` on every face the figures draw."""
 
 import dataclasses
 import random
@@ -37,8 +37,9 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
 )
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
-from shintani_forge import figures, plane
+from shintani_forge import embedding, figures, plane
 from shintani_forge.cones import Geometry, _TranslateTable
 from shintani_forge.embedding import (
     RatInterval,
@@ -54,6 +55,7 @@ from shintani_forge.embedding import (
     iv_log_fraction,
     iv_mid_err,
     iv_sign,
+    log_ep,
     mul_ep,
     mul_iv,
     raw_iv,
@@ -86,6 +88,7 @@ from oracles import (
     libmpi_project_logs,
     libmpi_segment_logs,
     libmpi_weights,
+    mpf_log_ep,
 )
 
 SECOND_FIELD = Path(__file__).parent / "second_field.json"
@@ -724,6 +727,92 @@ def test_interval_kernels_match_libmpi(prec):
                             kernel(ss, ts, prec)
                         continue
                     assert raw_iv(kernel(ss, ts, prec)) == want, (kernel.__name__, s, t, prec)
+
+
+# -- the interval log --------------------------------------------------------
+
+# 30 and 53 bits are the precision of no other log, so `log_taylor_cached`
+# computes new entries; at 2470 bits a cancellation of over 10 bits takes
+# the working precision past LOG_TAYLOR_PREC, at 4112 bits every log's does
+LOG_PRECS = (30, 53, 80, 112, 144, 272, 1040, 2470, 4112)
+# the cases `log_ep` hands to `mpf_log`
+LOG_FALLBACKS = ("power of two", "|mag| > 10000", "cancellation over wp", "wp past LOG_TAYLOR_PREC")
+
+
+def near_one(rng, bc, mag, c):
+    """A bc-bit mantissa of magnitude mag, one of -1, 0 and 1, whose
+    cancellation as `mpf_log` counts it is c, for 2 <= c < bc: 2^bc - t at
+    mag 0, else 2^(bc - 1) + t, with t of bc - c bits."""
+    t = rng.getrandbits(bc - c) | 1 << (bc - c - 1)
+    return (1 << bc) - t if mag == 0 else (1 << bc - 1) + t
+
+
+def pick(rng, lo, hi):
+    """lo, hi or a random integer between them."""
+    return rng.choice((lo, hi, rng.randint(lo, hi)))
+
+
+def log_case(rng, name, prec):
+    """A positive endpoint (m, e) of the named case, its mantissa shifted
+    left by 0 to prec bits."""
+    wp = prec + 20
+    bc = rng.choice((2, 3, prec // 2, prec - 1, prec, prec + 1, 2 * prec))
+    m = rng.getrandbits(bc) | 1 << (bc - 1) | 1
+    if name == "odd mantissa":
+        mag = rng.choice((-1, 1)) * rng.choice((2, 3, rng.randint(4, 60), 10000))
+    elif name.startswith("mag"):
+        mag = int(name.split()[1].rstrip(","))
+        if name.endswith("large cancellation"):
+            bc = wp + 2
+            m = near_one(rng, bc, mag, pick(rng, prec // 2, min(wp, LOG_TAYLOR_PREC - wp)))
+    elif name == "power of two":
+        m, mag = 1, rng.randint(-3, 3)
+    elif name == "|mag| > 10000":
+        mag = rng.choice((-1, 1)) * rng.choice((10001, rng.randint(10002, 10**6), 1 << wp + 1))
+    elif name == "cancellation over wp":
+        bc, mag = 2 * wp + rng.randint(2, 40), rng.choice((-1, 0, 1))
+        m = near_one(rng, bc, mag, pick(rng, wp + 1, bc - 1))
+    else:  # "wp past LOG_TAYLOR_PREC", by the cancellation below 2500 bits
+        mag = rng.choice((-1, 0, 1))
+        if wp <= LOG_TAYLOR_PREC:
+            bc = 2 * wp
+            m = near_one(rng, bc, mag, pick(rng, LOG_TAYLOR_PREC - wp + 1, wp))
+    m <<= rng.choice((0, 0, 1, 3, prec))
+    return m, mag - m.bit_length()
+
+
+@pytest.mark.parametrize("prec", LOG_PRECS)
+def test_log_ep_rounds_as_mpf_log(prec, monkeypatch):
+    """log_ep gives the value of `mpf_log` on the canonical mpf, down and
+    up, for odd and even mantissas shorter and longer than prec, at
+    magnitudes -1, 0 and 1 with small and large cancellation, and in each
+    case it hands to `mpf_log`; every other case runs its own steps."""
+    calls = []
+    real = embedding.mpf_log
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(embedding, "mpf_log", counting)
+    rng = random.Random(7 * prec)
+    wp = prec + 20
+    names = ["odd mantissa", "mag -1", "mag 0", "mag 1", *LOG_FALLBACKS[:3]]
+    if prec // 2 <= LOG_TAYLOR_PREC - wp:
+        names += ["mag -1, large cancellation", "mag 0, large cancellation"]
+        names += ["mag 1, large cancellation"]
+    if 2 * wp > LOG_TAYLOR_PREC:
+        names.append(LOG_FALLBACKS[3])
+    n = 40 if prec < 1000 else 6
+    for name in names:
+        calls.clear()
+        for _ in range(n):
+            p = log_case(rng, name, prec)
+            for ceil in (0, 1):
+                got = raw(log_ep(p, prec, ceil))
+                assert got == raw(mpf_log_ep(p, prec, ceil)), (name, p, prec, ceil)
+        fallback = name in LOG_FALLBACKS or wp > LOG_TAYLOR_PREC
+        assert len(calls) == (2 * n if fallback else 0), name
 
 
 # -- the nearest double of an endpoint ---------------------------------------

@@ -128,6 +128,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(bad)
 
+    def test_element_not_totally_positive_is_config_error(self, tmp_path, capsys):
+        raw = json.loads(bundled_config_path().read_text())
+        cfgp = _bundled_with(
+            tmp_path,
+            elements=raw["elements"] | {"neg": "1-g1"},
+            totally_positive=[*raw["totally_positive"], "neg"],
+        )
+        with pytest.raises(ValueError, match="'neg' is not totally positive"):
+            load_config(cfgp)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: 'neg' is not totally positive\n"
+
     @pytest.mark.parametrize("name", ["window", "Seed"])
     def test_unknown_top_level_field_is_config_error(self, tmp_path, capsys, name):
         # configs once set the translate window, now the constant
@@ -648,6 +661,22 @@ class TestRuntimeReuse:
         second = Runtime(config)
         assert run_scenario(second, "cover-pi1", tmp_path)["outcome"] == "PASS"
         assert built == [first.geo, second.geo]
+
+    def test_first_runtime_takes_the_validated_embeddings(self):
+        """load_config builds one RealEmbeddings, which the first Runtime of
+        the config takes; a later Runtime, a `dataclasses.replace` copy and a
+        changed sign_config (`--bits`) get their own."""
+        config = load_config(bundled_config_path())
+        validated = config.embeddings
+        assert dataclasses.replace(config, scenarios=[]).embeddings is None
+        first = Runtime(config)
+        assert first.emb is validated and config.embeddings is None
+        assert Runtime(config).emb is not validated
+        config = load_config(bundled_config_path())
+        validated = config.embeddings
+        config.sign_config = dataclasses.replace(config.sign_config, start_bits=128)
+        emb = Runtime(config).emb
+        assert emb is not validated and emb.cfg.start_bits == 128
 
     def test_identities_scenario_classifies_once(self, config, tmp_path, monkeypatch):
         calls = []

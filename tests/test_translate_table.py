@@ -215,8 +215,8 @@ class Phi256:
 
     def tz(self, x):
         ctx = self.ctx
-        logs = [ctx.log(ctx.mpf(v.mid().numerator) / v.mid().denominator)
-                for v in self.emb.embed(x, 512)]
+        mids = [(v.lo + v.hi) / 2 for v in self.emb.embed(x, 512)]
+        logs = [ctx.log(ctx.mpf(v.numerator) / v.denominator) for v in mids]
         mean = sum(logs) / 3
         return [v - mean for v in logs]
 
