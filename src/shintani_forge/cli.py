@@ -17,11 +17,11 @@ from .scenario import Runtime, exit_code, load_config, run_scenario, write_repor
 
 _KIND_FOR_COMMAND = {
     "verify": None,
-    "construct": "construction",
-    "classify": "case",
-    "identities": "identities",
-    "fdcheck": "fdcheck",
-    "render": "figures",
+    "construct": ("construction",),
+    "classify": ("case",),
+    "identities": ("identities",),
+    "fdcheck": ("fdcheck",),
+    "render": ("figures",),
     "cover": ("cover", "inclusion"),
 }
 
@@ -62,15 +62,13 @@ def main(argv=None) -> int:
             print(f"invalid --bits: {exc}", file=sys.stderr)
             return 2
     rt = Runtime(config)
-    kind = _KIND_FOR_COMMAND[args.command]
+    kinds = _KIND_FOR_COMMAND[args.command]
     selected = []
     for sc in config.scenarios:
         if args.scenario is not None and sc["id"] != args.scenario:
             continue
-        if kind is not None:
-            kinds = kind if isinstance(kind, tuple) else (kind,)
-            if sc["kind"] not in kinds:
-                continue
+        if kinds is not None and sc["kind"] not in kinds:
+            continue
         selected.append(sc["id"])
     if args.scenario is not None and not selected:
         print(f"no scenario {args.scenario!r} for command {args.command}", file=sys.stderr)

@@ -58,9 +58,7 @@ def sample_face_curve(pair, basis: PhiBasis, sampling) -> CurveSample:
 
 
 def ray_point(ray, basis: PhiBasis) -> PlanePoint:
-    emb = basis.emb
-    x = FieldElement(emb.spec, tuple(Fraction(v) for v in ray))
-    return basis.point(emb.log_embed(x, basis.bits))
+    return basis.phi(FieldElement(basis.emb.spec, tuple(Fraction(v) for v in ray)))
 
 
 def materialize_scene(

@@ -25,6 +25,7 @@ from .embedding import (
     add_ep,
     add_iv,
     div_iv,
+    dot_iv,
     float_ep,
     iv_fraction,
     iv_int,
@@ -36,7 +37,7 @@ from .embedding import (
     sub_iv,
     work_prec,
 )
-from .errors import DegenerateBasis, FixgiViolated, Inconclusive
+from .errors import DegenerateBasis, FixgiViolated, Inconclusive, PrecisionExhausted
 from .field import FieldElement
 
 # working precision of phi, the direction checks and the limit derivatives
@@ -108,8 +109,9 @@ class PhiBasis:
     def project_logs(self, logs):
         """Coordinates in the (Log g1, Log g2) basis of the trace-zero part
         of a log 3-vector of signed intervals, as two signed intervals at the
-        basis precision; logs at another precision enter with their
-        endpoints as they are."""
+        basis precision: every operation rounds to it, and the logs enter
+        with their endpoints as they are, at whatever precision they
+        carry."""
         prec, det = self.prec, self.det
         (p0, p1), (q0, q1) = self.p, self.q
         v0, v1, v2 = logs
@@ -128,6 +130,11 @@ class PhiBasis:
         bx, be = iv_mid_err(b)
         return PlanePoint(ax, bx, max(ae, be))
 
+    def phi(self, x: FieldElement) -> PlanePoint:
+        """phi_(g1,g2)(x), from the logs of x at the basis precision, with
+        the error radius of the interval evaluation."""
+        return self.point(self.emb.log_embed(x, self.bits))
+
 
 def phi(
     x: FieldElement,
@@ -135,9 +142,8 @@ def phi(
     g2: FieldElement,
     emb: RealEmbeddings,
 ) -> PlanePoint:
-    """phi_(g1,g2)(x) with the error radius of the interval evaluation."""
-    basis = PhiBasis(emb, g1, g2, PLANE_BITS)
-    return basis.point(emb.log_embed(x, PLANE_BITS))
+    """phi_(g1,g2)(x) at PLANE_BITS, with its error radius."""
+    return PhiBasis(emb, g1, g2, PLANE_BITS).phi(x)
 
 
 def grid(n_points: int, bits: int):
@@ -327,7 +333,9 @@ def fixgi_holds(g1: FieldElement, g2: FieldElement, emb: RealEmbeddings) -> bool
     return all(v is not None and v > 0 for v in margins.values())
 
 
-_LIMIT_EXPECTED = {(1, 0): 1, (1, 1): -1, (2, 0): -1, (2, 1): 1}
+# per (i, t): the limit's expected sign and the coefficients c, exact at any
+# precision, of its ratio -(c1 log g1(1) + c2 log g1(2)) / (c1 log g2(1) + c2 log g2(2))
+_LIMITS = {(1, 0): (1, (2, 1)), (1, 1): (-1, (-1, 1)), (2, 0): (-1, (-1, 1)), (2, 1): (1, (1, 2))}
 
 
 def limit_derivative(
@@ -339,24 +347,16 @@ def limit_derivative(
 ) -> LimitValue:
     """The limiting endpoint derivative as the power grows, with its sign
     certified; requires the fixgi inequality chains."""
-    if (i, t) not in _LIMIT_EXPECTED:
+    if (i, t) not in _LIMITS:
         raise ValueError("limit is defined for i in {1,2}, t in {0,1}")
     if not fixgi_holds(g1, g2, emb):
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
-    expected = _LIMIT_EXPECTED[(i, t)]
+    expected, coeffs = _LIMITS[(i, t)]
     for work in emb.cfg.ladder(PLANE_BITS):
         prec = work_prec(work)
-        logs1 = emb.log_embed(g1, work)
-        logs2 = emb.log_embed(g2, work)
-        if (i, t) == (1, 0):
-            num = add_iv(mul_iv(iv_int(2, prec), logs1[0], prec), logs1[1], prec)
-            den = add_iv(mul_iv(iv_int(2, prec), logs2[0], prec), logs2[1], prec)
-        elif (i, t) == (2, 1):
-            num = add_iv(logs1[0], mul_iv(iv_int(2, prec), logs1[1], prec), prec)
-            den = add_iv(logs2[0], mul_iv(iv_int(2, prec), logs2[1], prec), prec)
-        else:
-            num = add_iv(neg_iv(logs1[0]), logs1[1], prec)
-            den = add_iv(neg_iv(logs2[0]), logs2[1], prec)
+        c = [iv_int(k, prec) for k in coeffs]
+        num = dot_iv(c, emb.log_embed(g1, work), prec)
+        den = dot_iv(c, emb.log_embed(g2, work), prec)
         if iv_sign(den) is not None:
             ratio = div_iv(neg_iv(num), den, prec)
             s = iv_sign(ratio)
@@ -364,6 +364,29 @@ def limit_derivative(
                 v, e = iv_mid_err(ratio)
                 return LimitValue(value=v, err=e, sign=s, expected_sign=expected)
     raise Inconclusive("limit derivative sign undecided at max precision")
+
+
+def _bound_margins(basis: PhiBasis, l: int, n_points: int):
+    """The interval margin of each curve bound at each interior point of the
+    `grid` of `n_points`, as (t, bound, margin), curve 1 and then curve 2,
+    everything at the basis precision: the segments end at the
+    `_power_enclosure` of g_i^l."""
+    emb, bits, prec = basis.emb, basis.bits, basis.prec
+    lv = iv_int(l, prec)
+    ts, weights = grid(n_points, bits)
+    for i, g in ((1, basis.g1), (2, basis.g2)):
+        e_to = _power_enclosure(emb, g, l, bits)
+        ends = segment_ends([RatInterval.point(1)] * 3, e_to, bits)
+        for t, w in zip(ts[1:-1], weights[1:-1]):
+            a, b = basis.project_logs(_segment_logs(ends, w, prec))
+            if i == 1:
+                yield t, "y1 >= 0", b
+                yield t, "x1 >= 0", a
+                yield t, "x1 <= l", sub_iv(lv, a, prec)
+            else:
+                yield t, "x2 <= 0", neg_iv(a)
+                yield t, "y2 >= 0", b
+                yield t, "y2 <= l", sub_iv(lv, b, prec)
 
 
 def check_direction_bounds(
@@ -377,53 +400,27 @@ def check_direction_bounds(
     y_1 >= 0, x_2 <= 0, 0 <= x_1 <= l, 0 <= y_2 <= l.
 
     Interior samples must satisfy the bounds with positive interval margin
-    (the exact endpoints sit on the bounds). The segments end at the l-th
-    powers of the enclosures of g1 and g2 (`_power_enclosure`), so their
-    embeddings stay certified at the basis precision for every l. A certified violation yields
-    passed=False; an enclosure straddling a bound escalates and then raises
-    Inconclusive.
+    (the exact endpoints sit on the bounds). The check climbs the ladder
+    from PLANE_BITS whole: at each rung the basis, the segments' ends at the
+    l-th powers of the enclosures of g1 and g2 (`_power_enclosure`) and the
+    grid are built at that rung's precision, and a margin straddling zero
+    anywhere escalates the whole check. A certified violation yields
+    passed=False; a straddle at the cap raises Inconclusive naming its t.
     """
     if l < 1 or n_points < 3:
         raise ValueError("direction check needs l >= 1 and n_points >= 3 (one interior sample)")
-    basis = PhiBasis(emb, g1, g2, PLANE_BITS)
-    bounds = {n: [] for n in ("y1 >= 0", "x1 >= 0", "x1 <= l", "x2 <= 0", "y2 >= 0", "y2 <= l")}
-    passed = True
-    grids = {}  # rung -> the grid's (1 - t, t), shared by the two curves
-    for i in (1, 2):
-        e_to = _power_enclosure(emb, g1 if i == 1 else g2, l, PLANE_BITS)
-        e_one = [RatInterval.point(1)] * 3
-        ends = {}  # rung -> the segment's ends
-        for j in range(1, n_points - 1):
-            t = Fraction(j, n_points - 1)
-            for work in emb.cfg.ladder(PLANE_BITS):
-                if work not in grids:
-                    grids[work] = grid(n_points, work)[1]
-                if work not in ends:
-                    ends[work] = segment_ends(e_one, e_to, work)
-                prec = work_prec(work)
-                a, b = basis.project_logs(_segment_logs(ends[work], grids[work][j], prec))
-                # l - a and l - b at the rung's precision, not the basis's
-                lv = iv_int(l, prec)
-                if i == 1:
-                    checks = {"y1 >= 0": b, "x1 >= 0": a, "x1 <= l": sub_iv(lv, a, prec)}
-                else:
-                    checks = {"x2 <= 0": neg_iv(a), "y2 >= 0": b, "y2 <= l": sub_iv(lv, b, prec)}
-                signs = {n: iv_sign(v) for n, v in checks.items()}
-                if all(s is not None for s in signs.values()):
-                    for n, v in checks.items():
-                        if signs[n] < 0:
-                            passed = False
-                        bounds[n].append(float_ep(v[0]))
-                    break
-            else:
-                raise Inconclusive(
-                    f"direction bound straddles at t={t} with {emb.cfg.max_bits} bits"
-                )
-    margins = {n: min(v) for n, v in bounds.items() if v}
-    return DirectionReport(
-        passed=passed,
-        l=l,
-        n_points=n_points,
-        margins=margins,
-        min_margin=min(margins.values()),
-    )
+    t = None
+    for bits in emb.cfg.ladder(PLANE_BITS):
+        passed, lows = True, {}  # bound -> the lower ends of its margins
+        for t, name, v in _bound_margins(PhiBasis(emb, g1, g2, bits), l, n_points):
+            s = iv_sign(v)
+            if s is None:
+                break
+            passed = passed and s > 0
+            lows.setdefault(name, []).append(float_ep(v[0]))
+        else:
+            margins = {n: min(v) for n, v in lows.items()}
+            return DirectionReport(passed, l, n_points, margins, min(margins.values()))
+    if t is None:  # a cap below PLANE_BITS leaves the basis logs uncertified
+        raise PrecisionExhausted(f"embeddings not separated from zero at {emb.cfg.max_bits} bits")
+    raise Inconclusive(f"direction bound straddles at t={t} with {emb.cfg.max_bits} bits")

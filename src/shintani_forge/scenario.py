@@ -208,6 +208,8 @@ class ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}")
     unknown = sorted(set(raw) - _CONFIG_FIELDS)

@@ -243,8 +243,9 @@ def test_curve_sample_segments(emb, els, bits):
 
 
 def test_cross_precision_projection(emb, els, face_pairs):
-    """Logs from a higher rung of the direction ladder keep their endpoints
-    and are projected at the basis precision."""
+    """`PhiBasis.project_logs` takes logs finer than its basis with their
+    endpoints as they are and projects them at the basis precision, as the
+    interval-context formulas do."""
     g1, g2 = els["eps1"], els["eps2"]
     basis, ref = PhiBasis(emb, g1, g2, 128), RefBasis(emb, g1, g2, 128)
     e_one = [RatInterval.point(1)] * 3
@@ -262,9 +263,9 @@ def test_cross_precision_projection(emb, els, face_pairs):
 
 @pytest.mark.parametrize("log_bits", (256, 512))
 def test_finer_logs_on_a_128_bit_basis(emb, els, face_pairs, log_bits):
-    """`check_direction_bounds` climbs from 128 bits while its basis stays at
-    128: the kernels give the segment logs of a finer rung, and their
-    projection at the basis precision, as the libmp compositions do."""
+    """The kernels give the segment logs at a precision finer than a
+    128-bit basis, and `PhiBasis.project_logs` their projection at the basis
+    precision, as the libmp compositions do."""
     g1, g2 = els["eps1"], els["eps2"]
     basis = PhiBasis(emb, g1, g2, 128)
     e_one = [RatInterval.point(1)] * 3

@@ -1,11 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shintani_forge import plane
-from shintani_forge.embedding import raw_iv, signed_iv
-from shintani_forge.errors import FixgiViolated
+from shintani_forge.embedding import RealEmbeddings, SignConfig, raw_iv, signed_iv
+from shintani_forge.errors import FixgiViolated, Inconclusive
 
 from oracles import libmpi_weights
 
@@ -188,3 +189,50 @@ class TestDirectionBounds:
     def test_swapped_pair_fails(self, emb, els):
         rep = plane.check_direction_bounds(1, els["eps2"], els["eps1"], emb, n_points=32)
         assert not rep.passed
+
+    def test_a_straddle_escalates_the_whole_check(self, emb, els, monkeypatch):
+        """A margin that straddles zero on the PLANE_BITS basis sends the
+        whole check to the next rung, where the basis, the enclosures and
+        the grid are rebuilt at 256 bits: the verdict and margins are those
+        of a check that starts there."""
+        e1, e2 = els["eps1"], els["eps2"]
+        with monkeypatch.context() as mp:
+            mp.setattr(plane, "PLANE_BITS", 256)
+            want = plane.check_direction_bounds(1, e1, e2, emb, n_points=16)
+        project = plane.PhiBasis.project_logs
+        seen = set()
+
+        def straddling(self, logs):
+            seen.add(self.bits)
+            if self.bits == plane.PLANE_BITS:
+                return ((-1, 0), (1, 0)), ((-1, 0), (1, 0))
+            return project(self, logs)
+
+        monkeypatch.setattr(plane.PhiBasis, "project_logs", straddling)
+        rep = plane.check_direction_bounds(1, e1, e2, emb, n_points=16)
+        assert rep.passed
+        assert seen == {plane.PLANE_BITS, 256}
+        assert rep.margins == want.margins
+        assert rep.min_margin == want.min_margin
+
+    def test_a_straddle_at_the_cap_names_its_first_t(self, config, els, monkeypatch):
+        """From the third interior point of curve 1 on, every margin
+        straddles on every basis: the check climbs to the cap and names
+        the first straddling t, 3/15, and the cap."""
+        capped = RealEmbeddings(
+            config.spec, config.embedding_order, cfg=SignConfig(start_bits=64, max_bits=512)
+        )
+        project = plane.PhiBasis.project_logs
+        calls = Counter()
+
+        def straddling(self, logs):
+            calls[self.bits] += 1
+            if calls[self.bits] >= 3:
+                return ((-1, 0), (1, 0)), ((-1, 0), (1, 0))
+            return project(self, logs)
+
+        monkeypatch.setattr(plane.PhiBasis, "project_logs", straddling)
+        want = r"^direction bound straddles at t=1/5 with 512 bits$"
+        with pytest.raises(Inconclusive, match=want):
+            plane.check_direction_bounds(1, els["eps1"], els["eps2"], capped, n_points=16)
+        assert calls == {128: 3, 256: 3, 512: 3}

@@ -128,6 +128,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(bad)
 
+    @pytest.mark.parametrize("top", [[], "appendix", 3, None])
+    def test_top_level_that_is_no_object_is_config_error(self, tmp_path, capsys, top):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(top))
+        got = type(top).__name__
+        with pytest.raises(ValueError, match=f"^config must be a JSON object, got {got}$"):
+            load_config(cfgp)
+        assert main(["verify", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: config must be a JSON object, got {got}\n"
+
     def test_element_not_totally_positive_is_config_error(self, tmp_path, capsys):
         raw = json.loads(bundled_config_path().read_text())
         cfgp = _bundled_with(
