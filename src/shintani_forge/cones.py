@@ -49,10 +49,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _sign(v) -> int:
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
 def primitive_vector(v) -> Vec:
     """Scale a nonzero rational vector by a positive rational to a primitive
     integer vector (direction preserving)."""
@@ -141,7 +137,8 @@ class Cone:
         gens = self.gens
         if len(gens) == 3:
             m = [[gens[j][i] for j in range(3)] for i in range(3)]
-            s = _sign(det3(m))
+            d = det3(m)
+            s = (d > 0) - (d < 0)
             adj = adjugate3(m)
             pos = tuple(primitive_vector([s * v for v in row]) for row in adj)
             eq = ()
@@ -161,7 +158,7 @@ class Cone:
                 if d != 0:
                     break
             adj = adjugate3(m)
-            s = _sign(d)
+            s = (d > 0) - (d < 0)
             pos = (primitive_vector([s * v for v in adj[0]]),)
             eq = tuple(primitive_vector(adj[row]) for row in (1, 2))
         self._pos_forms = pos
@@ -214,12 +211,22 @@ def cones_fast_disjoint(a: Cone, b: Cone) -> bool:
     each point of the other cell. This settles cells that only touch: a
     shared face puts zeros among the values, which a strict test rejects."""
     for x, y in ((a, b), (b, a)):
-        for f in x.pos_forms:
-            if all(_dot(f, g) <= 0 for g in y.gens):
+        gens = y.gens
+        for f0, f1, f2 in x.pos_forms:
+            for g0, g1, g2 in gens:
+                if f0 * g0 + f1 * g1 + f2 * g2 > 0:
+                    break
+            else:
                 return True
-        for e in x.eq_forms:
-            s = [_dot(e, g) for g in y.gens]
-            if any(s) and (min(s) >= 0 or max(s) <= 0):
+        for e0, e1, e2 in x.eq_forms:
+            pos = neg = False
+            for g0, g1, g2 in gens:
+                v = e0 * g0 + e1 * g1 + e2 * g2
+                if v > 0:
+                    pos = True
+                elif v < 0:
+                    neg = True
+            if pos != neg:
                 return True
     return False
 
@@ -254,39 +261,57 @@ class ShintaniSet:
 
 def split_cell(cone: Cone, form, trace_form):
     """Split an open cell by the hyperplane {form = 0} into (neg, zero, pos)
-    lists of open cells."""
+    lists of open cells.
+
+    A mixed split of a d-cell cuts each edge from a generator g_i with
+    form > 0 to one g_j with form < 0 at the primitive ray of
+    form(g_i) g_j - form(g_j) g_i, strictly inside the edge. The neg and pos
+    parts have rank d and the zero part rank d - 1, and their rays are
+    distinct and primitive, so a part with as many rays as its rank is the
+    one cell on them; only the 4-ray side of a triangle cut through two
+    edges goes to `decompose_rays`. Every cut ray is a positive combination
+    of two generators, so the parts have rays of positive trace exactly when
+    the generators do; DegenerateGeometry otherwise."""
     gens = cone.gens
-    svals = [_dot(form, g) for g in gens]
-    signs = [_sign(v) for v in svals]
-    if all(s >= 0 for s in signs):
-        if any(s > 0 for s in signs):
+    f0, f1, f2 = form
+    svals = [f0 * g0 + f1 * g1 + f2 * g2 for g0, g1, g2 in gens]
+    if min(svals) >= 0:
+        if max(svals) > 0:
             return [], [], [cone]
         return [], [cone], []
-    if all(s <= 0 for s in signs):
+    if max(svals) <= 0:
         return [cone], [], []
-    # mixed: edges crossing the hyperplane contribute new boundary rays
+    t0, t1, t2 = trace_form
+    for g0, g1, g2 in gens:
+        if t0 * g0 + t1 * g1 + t2 * g2 <= 0:
+            raise DegenerateGeometry("every ray must have positive trace")
+    neg, zero, pos = [], [], []
+    for g, v in zip(gens, svals):
+        (pos if v > 0 else neg if v < 0 else zero).append(g)
     cut = []
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if signs[i] > 0 > signs[j]:
-                u = tuple(
-                    svals[i] * gens[j][k] - svals[j] * gens[i][k] for k in range(3)
-                )
-                cut.append(primitive_vector(u))
-    pos_rays = [g for g, s in zip(gens, signs) if s >= 0] + cut
-    neg_rays = [g for g, s in zip(gens, signs) if s <= 0] + cut
-    zero_rays = [g for g, s in zip(gens, signs) if s == 0] + cut
-    return (
-        decompose_rays(neg_rays, trace_form),
-        decompose_rays(zero_rays, trace_form),
-        decompose_rays(pos_rays, trace_form),
-    )
+    for (i0, i1, i2), vi in zip(gens, svals):
+        if vi > 0:
+            for (j0, j1, j2), vj in zip(gens, svals):
+                if vj < 0:
+                    cut.append(
+                        primitive_vector((vi * j0 - vj * i0, vi * j1 - vj * i1, vi * j2 - vj * i2))
+                    )
+    d = len(gens)
+
+    def part(rays, rank):
+        if len(rays) == rank:
+            return [Cone(tuple(sorted(rays)))]
+        return decompose_rays(rays, trace_form)
+
+    return part(neg + zero + cut, d), part(zero + cut, d - 1), part(pos + zero + cut, d)
 
 
 def decompose_rays(rays, trace_form) -> list[Cone]:
     """Disjoint open simplicial cells whose union is the relative interior of
     the cone generated by `rays`; DegenerateGeometry unless every ray has
-    positive trace."""
+    positive trace. A cone of rank 3 is fanned from the first vertex of the
+    hull of its points in the section trace = 1. `split_cell` sends here only
+    a part with more rays than its rank."""
     canon = sorted({primitive_vector(r) for r in rays})
     if not canon:
         return []
@@ -312,12 +337,7 @@ def decompose_rays(rays, trace_form) -> list[Cone]:
 
     a = next(i for i in range(3) if trace_form[i] != 0)
     b, c = (i for i in range(3) if i != a)
-    hull = _convex_hull(
-        [
-            ((Fraction(r[b], t), Fraction(r[c], t)), (t, r[b], r[c]), r)
-            for r, t in zip(canon, tvals)
-        ]
-    )
+    hull = _convex_hull([((t, r[b], r[c]), r) for r, t in zip(canon, tvals)])
     k = len(hull)
     h0 = hull[0]
     cells = [Cone(tuple(sorted((h0, hull[i], hull[i + 1])))) for i in range(1, k - 1)]
@@ -326,25 +346,31 @@ def decompose_rays(rays, trace_form) -> list[Cone]:
 
 
 def _convex_hull(tagged):
-    """Monotone chain over (point, row, ray) triples, where a ray r of trace
-    t > 0 has the exact point (r_b / t, r_c / t) of the section trace = 1 and
-    the integer row (t, r_b, r_c); returns the rays of the hull vertices in
-    cyclic order (collinear and interior points dropped). Points sort by
-    their rational coordinates; three of them turn left exactly when the
-    determinant of their rows is positive, since it is their planar cross
-    product times the three traces."""
-    tagged = sorted(tagged, key=lambda t: t[0])
+    """Monotone chain over (row, ray) pairs, where a ray r of trace t > 0 has
+    the integer row (t, r_b, r_c) and the exact point (r_b / t, r_c / t) of
+    the section trace = 1; returns the rays of the hull vertices in cyclic
+    order (collinear and interior points dropped). Points sort by their
+    coordinates times the product T of all the traces, the integers
+    (r_b T / t, r_c T / t), which keeps their order since T > 0; three of
+    them turn left exactly when the determinant of their rows is positive,
+    since it is their planar cross product times the three traces."""
+    total = math.prod(row[0] for row, _ in tagged)
+    keyed = []
+    for row, ray in tagged:
+        m = total // row[0]
+        keyed.append(((row[1] * m, row[2] * m), row, ray))
+    keyed.sort(key=lambda t: t[0])
 
     def turn(o, p, q):
         return _dot(o[1], _cross(p[1], q[1]))
 
     lower: list = []
-    for t in tagged:
+    for t in keyed:
         while len(lower) >= 2 and turn(lower[-2], lower[-1], t) <= 0:
             lower.pop()
         lower.append(t)
     upper: list = []
-    for t in reversed(tagged):
+    for t in reversed(keyed):
         while len(upper) >= 2 and turn(upper[-2], upper[-1], t) <= 0:
             upper.pop()
         upper.append(t)

@@ -8,8 +8,10 @@ multiplication matrices, inverses and embedding Horner that the integer
 field and embedding kernels replace, the `mpf_log` call that
 `embedding.log_ep` replaces, the `mpmath.libmp` interval compositions that
 the plane's directed-rounding kernels replace, the mpmath interval-context
-formulas that the signed-endpoint intervals replace, and the two-loop
-normalization search that `units.triangle_search` folds into one."""
+formulas that the signed-endpoint intervals replace, the two-loop
+normalization search that `units.triangle_search` folds into one, and the
+cell split and disjointness test that `cones.split_cell` and
+`cones.cones_fast_disjoint` run on unpacked integer rows."""
 
 import functools
 from fractions import Fraction
@@ -30,7 +32,7 @@ from mpmath.libmp import (
 
 from shintani_forge.cones import Cone, Geometry, _int_vec, primitive_vector
 from shintani_forge.embedding import RatInterval
-from shintani_forge.errors import EmptySet, Exhausted, SignConditionFailed
+from shintani_forge.errors import DegenerateGeometry, EmptySet, Exhausted, SignConditionFailed
 from shintani_forge.field import FieldElement, solve3
 from shintani_forge.plane import limit_derivative, phi
 from shintani_forge.units import _exponent_box, check_sign_suite
@@ -137,6 +139,51 @@ def fraction_decompose_rays(rays, trace_form) -> list[Cone]:
     cells = [Cone(tuple(sorted((h0, hull[i], hull[i + 1])))) for i in range(1, k - 1)]
     cells += [Cone(tuple(sorted((h0, hull[i])))) for i in range(2, k - 1)]
     return cells
+
+
+def fraction_split_cell(cone, form, trace_form):
+    """(neg, zero, pos) cells of `cone` split by {form = 0}: the cut rays of
+    the crossing edges, and each part passed whole through
+    `fraction_decompose_rays`, with the trace check of every ray."""
+    gens = cone.gens
+    svals = [sum(f * x for f, x in zip(form, g)) for g in gens]
+    if all(v >= 0 for v in svals):
+        return ([], [], [cone]) if any(svals) else ([], [cone], [])
+    if all(v <= 0 for v in svals):
+        return [cone], [], []
+    cut = [
+        primitive_vector(tuple(vi * gj[k] - vj * gi[k] for k in range(3)))
+        for gi, vi in zip(gens, svals)
+        for gj, vj in zip(gens, svals)
+        if vi > 0 > vj
+    ]
+    parts = (
+        [g for g, v in zip(gens, svals) if v <= 0] + cut,
+        [g for g, v in zip(gens, svals) if v == 0] + cut,
+        [g for g, v in zip(gens, svals) if v >= 0] + cut,
+    )
+    for rays in parts:
+        if any(sum(f * x for f, x in zip(trace_form, r)) <= 0 for r in rays):
+            raise DegenerateGeometry("every ray must have positive trace")
+    return tuple(fraction_decompose_rays(rays, trace_form) for rays in parts)
+
+
+def dot_fast_disjoint(a, b) -> bool:
+    """The disjointness rule of `cones.cones_fast_disjoint` read through a
+    dot product and `all`/`min`/`max` over each form's values."""
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    for x, y in ((a, b), (b, a)):
+        for f in x.pos_forms:
+            if all(dot(f, g) <= 0 for g in y.gens):
+                return True
+        for e in x.eq_forms:
+            s = [dot(e, g) for g in y.gens]
+            if any(s) and (min(s) >= 0 or max(s) <= 0):
+                return True
+    return False
 
 
 def fraction_refine_roots(emb, bits):

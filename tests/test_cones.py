@@ -11,12 +11,14 @@ from shintani_forge.cones import (
     ShintaniSet,
     _TranslateTable,
     _carve,
+    _cross,
     _rank,
     cones_fast_disjoint,
     decompose_rays,
     diff_cell,
     intersect_cells,
     primitive_vector,
+    split_cell,
 )
 from shintani_forge.errors import (
     DegenerateGeometry,
@@ -27,7 +29,12 @@ from shintani_forge.errors import (
 )
 from shintani_forge.scenario import _checked_params
 
-from oracles import fraction_decompose_rays, fraction_rank
+from oracles import (
+    dot_fast_disjoint,
+    fraction_decompose_rays,
+    fraction_rank,
+    fraction_split_cell,
+)
 
 small_pow = st.integers(min_value=-2, max_value=2)
 
@@ -182,17 +189,7 @@ class TestFastDisjoint:
         rng = random.Random(7)
         settled = touching = 0
         for _ in range(6):
-            pool = set()
-            while len(pool) < 6:
-                v = tuple(rng.randint(-3, 3) for _ in range(3))
-                if sum(f * x for f, x in zip(tf, v)) > 0:
-                    pool.add(primitive_vector(v))
-            cells = [
-                Cone(tuple(gens))
-                for k in (1, 2, 3)
-                for gens in itertools.combinations(sorted(pool), k)
-                if _rank(gens) == k
-            ]
+            cells = _pool_cells(rng, tf, 6)
             for a, b in itertools.combinations(cells, 2):
                 if cones_fast_disjoint(a, b):
                     settled += 1
@@ -202,6 +199,21 @@ class TestFastDisjoint:
         # the rule reaches pairs with a shared generator, which no strict
         # sign test settles
         assert touching > 2000 and settled > 3000
+
+    def test_matches_the_dot_form(self, geo):
+        # the unpacked-row test gives the dot-product rule's verdict on every
+        # pair, in both orders, touching pairs included
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(8):
+            cells = _pool_cells(rng, geo.trace_form, 6)
+            for _ in range(400):
+                a, b = rng.choice(cells), rng.choice(cells)
+                for x, y in ((a, b), (b, a)):
+                    got = cones_fast_disjoint(x, y)
+                    assert got == dot_fast_disjoint(x, y), (x, y)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_bundled_domains_settled_without_a_carve(self, rt, config):
         pairs = []
@@ -220,6 +232,22 @@ class TestFastDisjoint:
         assert intersect_cells(full, ray, geo.trace_form) == [ray]
 
 
+def _pool_cells(rng, tf, size):
+    """Every 1-, 2- and 3-cell on a pool of `size` primitive rays of positive
+    trace, so that many of them share a ray or a face."""
+    pool = set()
+    while len(pool) < size:
+        v = tuple(rng.randint(-3, 3) for _ in range(3))
+        if sum(f * x for f, x in zip(tf, v)) > 0:
+            pool.add(primitive_vector(v))
+    return [
+        Cone(tuple(gens))
+        for k in (1, 2, 3)
+        for gens in itertools.combinations(sorted(pool), k)
+        if _rank(gens) == k
+    ]
+
+
 def _random_rays(rng, tf, count):
     out = []
     while len(out) < count:
@@ -234,7 +262,8 @@ def _comb(a, u, b, v):
 
 
 class TestIntegerKernels:
-    """`_rank` and `decompose_rays` against their Fraction oracles."""
+    """`_rank`, `decompose_rays` and `split_cell` against their Fraction
+    oracles."""
 
     def _check(self, rays, tf):
         assert _rank(rays) == fraction_rank(rays)
@@ -281,6 +310,47 @@ class TestIntegerKernels:
             ]
             self._check([r, s, w] + mids, tf)
             self._check([r, s] + mids, tf)
+
+    def test_split_cell_matches_fraction_split(self, geo):
+        # random forms, and forms zero on one or on two generators; every sign
+        # pattern of a split comes up, the 4-ray side of a triangle cut
+        # through two edges among them
+        tf = geo.trace_form
+        rng = random.Random(12)
+        patterns = set()
+        for _ in range(6):
+            cells = _pool_cells(rng, tf, 5)
+            for cell in cells:
+                gens = cell.gens
+                w = tuple(rng.randint(-3, 3) for _ in range(3))
+                forms = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
+                forms += [_cross(g, w) for g in gens]
+                forms += [_cross(g, h) for g, h in itertools.combinations(gens, 2)]
+                for form in forms:
+                    want = fraction_split_cell(cell, form, tf)
+                    assert split_cell(cell, form, tf) == want, (cell, form)
+                    values = [sum(f * x for f, x in zip(form, g)) for g in gens]
+                    patterns.add(tuple(sorted((v > 0) - (v < 0) for v in values)))
+        mixed = {(-1, 1), (-1, -1, 1), (-1, 1, 1), (-1, 0, 1)}
+        settled = {(0,), (1,), (-1,), (0, 0), (0, 1), (-1, 0), (0, 0, 1), (-1, -1, 0)}
+        assert mixed | settled <= patterns
+
+    @pytest.mark.parametrize(
+        "gens, form",
+        [
+            (((-1, 2, 0), (1, 0, 0), (0, 0, 1)), (1, 0, 0)),
+            (((-2, 1, 0), (1, 0, 0)), (1, 0, 0)),
+            (((-2, 1, 0), (1, 0, 0)), (-1, 0, 0)),
+        ],
+    )
+    def test_split_of_a_generator_without_positive_trace_rejected(self, gens, form):
+        # a cut ray is a positive combination of two generators, so a mixed
+        # split rejects exactly the cells with a generator of trace <= 0
+        cell, tf = Cone(gens), (1, 1, 0)
+        with pytest.raises(DegenerateGeometry, match="positive trace"):
+            split_cell(cell, form, tf)
+        with pytest.raises(DegenerateGeometry, match="positive trace"):
+            fraction_split_cell(cell, form, tf)
 
     @pytest.mark.parametrize(
         "rays",
