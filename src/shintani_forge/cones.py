@@ -648,7 +648,7 @@ class Geometry:
     def scale(self, s: ShintaniSet, u: FieldElement) -> ShintaniSet:
         if not self.emb.is_totally_positive(u):
             raise NotTotallyPositive("scaling element must be totally positive")
-        m = u.mul_matrix()
+        m = _int_matrix(u.mul_matrix())
         return ShintaniSet.from_cones([c.translate(m) for c in s.cones])
 
     def intersect(self, s1: ShintaniSet, s2: ShintaniSet) -> ShintaniSet:
@@ -659,8 +659,13 @@ class Geometry:
         return ShintaniSet.from_cones(out)
 
     def difference(self, s1: ShintaniSet, s2: ShintaniSet) -> ShintaniSet:
+        """s1 \\ s2 as disjoint open cells, removing the cells of s2 largest
+        first: 3-cells, then 2-cells, then rays, each dimension in canonical
+        order. A full cell takes its volume away before a face or ray can
+        split a piece of s1, since every split piece is tested again by each
+        later cell."""
         pieces = list(s1.cones)
-        for b in s2.cones:
+        for b in sorted(s2.cones, key=lambda c: -c.dim):
             pieces = [q for p in pieces for q in diff_cell(p, b, self.trace_form)]
             if not pieces:
                 break
@@ -671,7 +676,8 @@ class Geometry:
         return ShintaniSet.from_cones(list(s1.cones) + list(extra.cones))
 
     def subset(self, s1: ShintaniSet, s2: ShintaniSet):
-        """(True, None) or (False, witness FieldElement in s1 \\ s2)."""
+        """(True, None) or (False, witness FieldElement in s1 \\ s2): the
+        witness of the first cell of `difference(s1, s2)`."""
         rest = self.difference(s1, s2)
         if rest.is_empty:
             return True, None
@@ -782,7 +788,7 @@ class Geometry:
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = _TranslateTable(self, d, u1, u2)
-        xinv_m = x.inverse().mul_matrix()
+        xinv_m = _int_matrix(x.inverse().mul_matrix())
         target = [c.translate(xinv_m) for c in d.cones]
         point = table.point(x)
         # cell j of x^-1 D lies in box(cell j) - phi(x)

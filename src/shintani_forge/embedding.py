@@ -7,20 +7,23 @@ the embedding Horner run on integers: a refined root is a pair of numerators
 over 2^e, an element's coordinates are numerators over their common
 denominator D, and each enclosure endpoint is one numerator over D 2^(2e),
 chosen as the rational interval product would choose it and turned into a
-`Fraction` once. Logarithms are the only transcendental step. Past the
-rational enclosures every interval has one form, owned by this module: an
-endpoint is a pair (m, e) of ints for m 2^e, whose mantissa carries the sign
-and is not normalized, and an interval is a pair of them, at the precision
-`work_prec(bits)`. Each addition, product, quotient and log rounds the exact
-result once, floor or ceiling, so every endpoint is the one `mpmath.libmp`
-gives; zero operands, products and quotients with zero in an operand, and
-the additions mpmath rounds by perturbing go to `mpmath.libmp` itself. A log
-runs `mpf_log`'s own integer steps on the endpoint, mpmath's fixed-point
-Taylor log and ln 2 then one rounding, and hands powers of two, huge
-magnitudes, mpmath's perturbed logs near 1 and precisions past its Taylor
-range to `mpf_log`. `iv_mid_err` and `iv_sign` read an interval out. Every
-interval computes at its own precision, so no global mpmath state is set or
-read.
+`Fraction` once. A determinant sign puts each column's enclosures over one
+common positive denominator and takes the interval determinant of the
+integer numerators, a positive multiple of the rational one, so it has the
+rational one's sign at every rung. Logarithms are the only transcendental
+step. Past the rational enclosures every interval has one form, owned by
+this module: an endpoint is a pair (m, e) of ints for m 2^e, whose mantissa
+carries the sign and is not normalized, and an interval is a pair of them,
+at the precision `work_prec(bits)`. Each addition, product, quotient and log
+rounds the exact result once, floor or ceiling, so every endpoint is the one
+`mpmath.libmp` gives; zero operands, products and quotients with zero in an
+operand, and the additions mpmath rounds by perturbing go to `mpmath.libmp`
+itself. A log runs `mpf_log`'s own integer steps on the endpoint, mpmath's
+fixed-point Taylor log and ln 2 then one rounding, and hands powers of two,
+huge magnitudes, mpmath's perturbed logs near 1 and precisions past its
+Taylor range to `mpf_log`. `iv_mid_err` and `iv_sign` read an interval out.
+Every interval computes at its own precision, so no global mpmath state is
+set or read.
 
 The three embeddings are labeled sigma_1, sigma_2, sigma_3 by ascending root
 by default. A scenario may re-label them with an `order` permutation; the
@@ -51,7 +54,7 @@ from mpmath.libmp import (
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 from .errors import NotTotallyPositive, PrecisionExhausted
-from .field import FieldElement, FieldSpec, _scaled, count_real_roots, det3
+from .field import FieldElement, FieldSpec, _int_vec, _scaled, count_real_roots, det3
 
 Rat = Fraction
 
@@ -136,13 +139,31 @@ class RatInterval:
         return None
 
 
-def interval_det3(m: list[list[RatInterval]]) -> RatInterval:
-    return det3(m)
+def interval_det3(m):
+    """The interval determinant of a 3x3 matrix of integer intervals
+    (lo, hi), by `field.det3`'s expansion with exact interval products
+    (least and greatest endpoint product) and sums. Multiplying a column by
+    a positive integer multiplies every product and sum of the expansion,
+    so the result, by that integer."""
+
+    def mul(x, y):
+        p, q = x[0] * y[0], x[0] * y[1]
+        r, s = x[1] * y[0], x[1] * y[1]
+        return min(p, q, r, s), max(p, q, r, s)
+
+    def minor(x, y, z, w):
+        # the interval x y - z w
+        p, q = mul(x, y), mul(z, w)
+        return p[0] - q[1], p[1] - q[0]
+
+    (a, b, c), (d, e, f), (g, h, i) = m
+    t0, t1, t2 = mul(a, minor(e, i, f, h)), mul(b, minor(d, i, f, g)), mul(c, minor(d, h, e, g))
+    return t0[0] - t1[1] + t2[0], t0[1] - t1[0] + t2[1]
 
 
-# the embedded first standard basis vector e1, which a None column stands for
-# in RealEmbeddings._det_sign
-_E1 = [RatInterval.point(1), RatInterval.point(0), RatInterval.point(0)]
+# the embedded first standard basis vector e1 as an integer column, which a
+# None column stands for in RealEmbeddings._det_sign
+_E1 = ((1, 1), (0, 0), (0, 0))
 
 
 class RealEmbeddings:
@@ -272,22 +293,38 @@ class RealEmbeddings:
 
     def sign_det(self, x1: FieldElement, x2: FieldElement, x3: FieldElement) -> int:
         """Sign of det of the embedded column matrix; exactly 0 iff the three
-        elements are linearly dependent over Q."""
-        coord_m = [[x.coords[i] for x in (x1, x2, x3)] for i in range(3)]
-        if det3(coord_m) == 0:
+        elements are linearly dependent over Q, which the determinant of
+        their integer coordinate numerators decides."""
+        cols = [_int_vec(x.coords) for x in (x1, x2, x3)]
+        if det3([[c[i] for c in cols] for i in range(3)]) == 0:
             return 0
         return self._det_sign((x1, x2, x3), "determinant sign undecided")
 
     def _det_sign(self, columns, undecided: str) -> int:
         """Certified sign of det of the embedded column matrix, a None column
         being e1; raises PrecisionExhausted(undecided) when the determinant
-        stays straddling zero up to the precision cap."""
+        stays straddling zero up to the precision cap.
+
+        Each column's three enclosures are put on integer numerators over
+        one common positive denominator (`_int_column`). Scaling a column by
+        a positive number scales every exact interval product and sum of the
+        expansion, so the interval determinant, by the same number:
+        `interval_det3` of the numerators has the sign of the rational
+        interval determinant at every rung, and the same rung decides."""
         for bits in self.cfg.ladder():
-            cols = [_E1 if x is None else self.embed(x, bits) for x in columns]
-            s = interval_det3([[c[r] for c in cols] for r in range(3)]).sign()
-            if s is not None:
-                return s
+            cols = [_E1 if x is None else self._int_column(x, bits) for x in columns]
+            lo, hi = interval_det3([[c[r] for c in cols] for r in range(3)])
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
         raise PrecisionExhausted(undecided)
+
+    def _int_column(self, x: FieldElement, bits: int):
+        """The enclosures of `embed(x, bits)` as integer (lo, hi) numerators
+        over the lcm of their denominators."""
+        n = _int_vec([v for e in self.embed(x, bits) for v in (e.lo, e.hi)])
+        return (n[0], n[1]), (n[2], n[3]), (n[4], n[5])
 
     def delta_bracket(self, u1: FieldElement, u2: FieldElement) -> int:
         """delta([u1 | u2]) = sign det of the embedded (1, u1, u1*u2)."""

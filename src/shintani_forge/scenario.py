@@ -31,10 +31,14 @@ from .plane import check_direction_bounds, curve_sample, shifted
 
 SCHEMA_VERSION = 1
 
-# the top-level fields of a schema-1 config; any other is a config error
+# the fields of a schema-1 config, at the top level and inside its `field`,
+# `precision` and scenario objects; any other is a config error
 _CONFIG_FIELDS = set(
     "schema field embedding_order elements units totally_positive precision seed scenarios".split()
 )
+_FIELD_FIELDS = {"poly_coeffs"}
+_PRECISION_FIELDS = {"start_bits", "max_bits", "escalation_factor"}
+_SCENARIO_FIELDS = {"id", "kind", "params"}
 
 # bound on |k| times the coordinate bit height of the base of an element
 # power base^k: beyond it the power is a parse error, not a hang (the
@@ -212,10 +216,10 @@ def load_config(path) -> ScenarioConfig:
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {raw.get('schema')!r}")
-    unknown = sorted(set(raw) - _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown config field {unknown[0]!r}")
-    coeffs = _config_field(raw, "field", _OBJECT, None).get("poly_coeffs")
+    _known_fields(raw, _CONFIG_FIELDS, "")
+    field = _config_field(raw, "field", _OBJECT, None)
+    _known_fields(field, _FIELD_FIELDS, "field.")
+    coeffs = field.get("poly_coeffs")
     if not _is_list_of(coeffs, lambda c: isinstance(c, str) or _TYPES[_INT](c)):
         raise ValueError(f"config field 'poly_coeffs' must list strings or ints, got {coeffs!r}")
     spec = FieldSpec([Fraction(c) for c in coeffs])
@@ -228,6 +232,7 @@ def load_config(path) -> ScenarioConfig:
     for name, expr in _config_field(raw, "elements", _ELEMENTS, {}).items():
         elements[name] = parse_element(expr, elements, spec)
     prec = _config_field(raw, "precision", _OBJECT, {})
+    _known_fields(prec, _PRECISION_FIELDS, "precision.")
     start_bits = _config_field(prec, "start_bits", _INT, 64)
     max_bits = _config_field(prec, "max_bits", _INT, 4096)
     env = os.environ.get("SHINTANI_MAX_BITS")
@@ -261,6 +266,14 @@ def _is_list_of(value, check) -> bool:
     return isinstance(value, list) and all(map(check, value))
 
 
+def _known_fields(raw: dict, known: set, prefix: str):
+    """A config error naming the first field of `raw` outside `known`, as
+    `prefix` + its name."""
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ValueError(f"unknown config field {prefix + unknown[0]!r}")
+
+
 def _config_field(raw: dict, name: str, typ: str, default):
     """A config field, which must have the shape `typ`: an int field given
     a bool, float or string is a config error, as is a list for an object."""
@@ -292,6 +305,7 @@ def _validate(config: ScenarioConfig) -> RealEmbeddings:
             raise ValueError(f"scenario id {sc['id']!r} must match {_ID_RE.pattern}")
         if sc["id"] in seen:
             raise ValueError(f"duplicate scenario id {sc['id']!r}")
+        _known_fields(sc, _SCENARIO_FIELDS, f"scenarios[{sc['id']}].")
         seen.add(sc["id"])
     return emb
 

@@ -9,9 +9,12 @@ field and embedding kernels replace, the `mpf_log` call that
 `embedding.log_ep` replaces, the `mpmath.libmp` interval compositions that
 the plane's directed-rounding kernels replace, the mpmath interval-context
 formulas that the signed-endpoint intervals replace, the two-loop
-normalization search that `units.triangle_search` folds into one, and the
+normalization search that `units.triangle_search` folds into one, the
 cell split and disjointness test that `cones.split_cell` and
-`cones.cones_fast_disjoint` run on unpacked integer rows."""
+`cones.cones_fast_disjoint` run on unpacked integer rows, the Fraction
+interval determinant that `RealEmbeddings._det_sign` runs on integer
+numerators, and the canonical-order loop that `Geometry.difference`
+replaces by removing the largest cells first."""
 
 import functools
 from fractions import Fraction
@@ -30,10 +33,23 @@ from mpmath.libmp import (
     round_floor,
 )
 
-from shintani_forge.cones import Cone, Geometry, _int_vec, primitive_vector
+from shintani_forge.cones import (
+    Cone,
+    Geometry,
+    ShintaniSet,
+    _int_vec,
+    diff_cell,
+    primitive_vector,
+)
 from shintani_forge.embedding import RatInterval
-from shintani_forge.errors import DegenerateGeometry, EmptySet, Exhausted, SignConditionFailed
-from shintani_forge.field import FieldElement, solve3
+from shintani_forge.errors import (
+    DegenerateGeometry,
+    EmptySet,
+    Exhausted,
+    PrecisionExhausted,
+    SignConditionFailed,
+)
+from shintani_forge.field import FieldElement, det3, solve3
 from shintani_forge.plane import limit_derivative, phi
 from shintani_forge.units import _exponent_box, check_sign_suite
 
@@ -186,6 +202,22 @@ def dot_fast_disjoint(a, b) -> bool:
     return False
 
 
+def canonical_difference(geo, s1, s2):
+    """s1 \\ s2, removing the cells of s2 in their canonical order, rays
+    first."""
+    pieces = list(s1.cones)
+    for b in s2.cones:
+        pieces = [q for p in pieces for q in diff_cell(p, b, geo.trace_form)]
+        if not pieces:
+            break
+    return ShintaniSet.from_cones(pieces)
+
+
+def canonical_equal(geo, s1, s2) -> bool:
+    """Whether two sets are equal, by `canonical_difference` both ways."""
+    return canonical_difference(geo, s1, s2).is_empty and canonical_difference(geo, s2, s1).is_empty
+
+
 def fraction_refine_roots(emb, bits):
     """The ascending isolating intervals of `emb`, each bisected from its
     initial isolation in Fraction arithmetic to the first width <= 2^-bits;
@@ -281,6 +313,27 @@ def fraction_embed(emb, x, bits):
         acc = RatInterval.point(a2) * t + RatInterval.point(a1)
         out.append(acc * t + RatInterval.point(a0))
     return out
+
+
+# the embedded e1, which a None column of `fraction_det_sign` stands for
+FRACTION_E1 = [RatInterval.point(1), RatInterval.point(0), RatInterval.point(0)]
+
+
+def fraction_det_sign(emb, columns, undecided):
+    """(sign, bits) of det of the embedded column matrix, a None column
+    being e1, with `field.det3` on the `RatInterval` enclosures up the
+    precision ladder, and bits the rung that decides it; raises
+    PrecisionExhausted(undecided) when the cap leaves it straddling zero.
+    Columns with rationally dependent coordinates have sign 0 and bits None,
+    from the determinant of the Fraction coordinates."""
+    if None not in columns and det3([[x.coords[i] for x in columns] for i in range(3)]) == 0:
+        return 0, None
+    for bits in emb.cfg.ladder():
+        cols = [FRACTION_E1 if x is None else emb.embed(x, bits) for x in columns]
+        s = det3([[c[r] for c in cols] for r in range(3)]).sign()
+        if s is not None:
+            return s, bits
+    raise PrecisionExhausted(undecided)
 
 
 def mpf_log_ep(p, prec, ceil):

@@ -25,6 +25,7 @@ from shintani_forge.scenario import Runtime, load_config, run_scenario
 
 from oracles import (
     KERNEL_FIELDS,
+    fraction_det_sign,
     fraction_embed,
     fraction_refine_roots,
     libmpi_fraction,
@@ -33,6 +34,8 @@ from oracles import (
 
 coord = st.fractions(min_value=-15, max_value=15, max_denominator=8)
 coords = st.tuples(coord, coord, coord)
+
+SECOND_FIELD = Path(__file__).parent / "second_field.json"
 
 
 class TestRootIsolation:
@@ -183,6 +186,99 @@ class TestSignDet:
         # exact rank oracle agrees by construction
         m = [[v.coords[i] for v in (x, y, z)] for i in range(3)]
         assert det3(m) == 0
+
+
+def _spied(emb, call):
+    """(call(), the finest precision it asked `emb.embed` for, or None)."""
+    seen = []
+    real = emb.embed
+    emb.embed = lambda x, bits: seen.append(bits) or real(x, bits)
+    try:
+        return call(), max(seen, default=None)
+    finally:
+        del emb.embed
+
+
+class TestDetSignOracle:
+    """Integer interval determinants against `fraction_det_sign`, on both
+    fields: the same sign, decided at the same rung, and the same
+    PrecisionExhausted message at a low cap."""
+
+    @pytest.fixture(scope="class", params=["bundled", "second"])
+    def field(self, request):
+        """(config, fresh embeddings, geometry) of one field."""
+        path = bundled_config_path() if request.param == "bundled" else SECOND_FIELD
+        config = load_config(path)
+        emb = RealEmbeddings(config.spec, config.embedding_order, cfg=SignConfig())
+        return config, emb, Runtime(config).geo
+
+    @staticmethod
+    def _agree(emb, columns, undecided="undecided"):
+        want = fraction_det_sign(emb, columns, undecided)
+        if None in columns:
+            got = _spied(emb, lambda: emb._det_sign(columns, undecided))
+        else:
+            got = _spied(emb, lambda: emb.sign_det(*columns))
+        assert got == want
+        return want
+
+    def test_random_and_dependent_triples(self, field):
+        config, emb, _ = field
+        spec = config.spec
+        rng = random.Random(27)
+        rungs = set()
+        for _ in range(12):
+            x, y, w = (random_element(spec, rng) for _ in range(3))
+            p = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+            q = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+            # a determinant 2^-300 det(x, y, w), which the first rungs leave open
+            near = x + y + w.scalar_mul(Fraction(1, 2**300))
+            for cols in [
+                (x, y, w),
+                (x, x, y),
+                (y, x, x),
+                (x, y, x.scalar_mul(p) + y.scalar_mul(q)),
+                (x, y, near),
+                (None, x, y),
+                (x, None, near),
+            ]:
+                rungs.add(self._agree(emb, cols)[1])
+        assert rungs >= {None, 64, 512}
+
+    def test_e1_columns_of_domain_cells(self, field):
+        config, emb, geo = field
+        els = config.elements
+        b = geo.explicit_B(els["eps1"], els["eps2"])
+        for cell in b:
+            gens = [geo.element_of_vec(g) for g in cell.gens]
+            if cell.dim == 3:
+                base = self._agree(emb, tuple(gens))[0]
+                signs = []
+                for i in range(3):
+                    cols = tuple(None if c == i else g for c, g in enumerate(gens))
+                    signs.append(base * self._agree(emb, cols)[0])
+                assert emb.e1_coordinate_signs(gens) == signs
+            elif cell.dim == 2:
+                self._agree(emb, (None, *gens))
+
+    def test_low_cap_message(self, field):
+        config, _, _ = field
+        spec = config.spec
+        emb = RealEmbeddings(spec, config.embedding_order, cfg=SignConfig(max_bits=128))
+        x, y, w = spec.y, spec.one + spec.y * spec.y, spec.element(2, -1, 3)
+        near = x + y + w.scalar_mul(Fraction(1, 2**300))
+        for cols, undecided in [
+            ((x, y, near), "determinant sign undecided"),
+            ((None, y, y.scalar_mul(3)), "e1 is aligned with a face of the cone"),
+        ]:
+            with pytest.raises(PrecisionExhausted) as want:
+                fraction_det_sign(emb, cols, undecided)
+            with pytest.raises(PrecisionExhausted) as got:
+                if None in cols:
+                    emb._det_sign(cols, undecided)
+                else:
+                    emb.sign_det(*cols)
+            assert str(got.value) == str(want.value) == undecided
 
 
 def ends(v):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -161,6 +162,30 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: unknown config field '{name}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [("precision", "max_bit", 80), ("field", "poly", [1]), ("scenario", "param", {})],
+    )
+    def test_unknown_nested_field_is_config_error(self, tmp_path, capsys, section, name, value):
+        # a misspelt nested field must not run as if it were absent: a
+        # "max_bit" of 80 would leave the cap at 4096 bits
+        raw = json.loads(bundled_config_path().read_text())
+        if section == "scenario":
+            sc = raw["scenarios"][3]
+            sc[name] = value
+            path = f"scenarios[{sc['id']}].{name}"
+        else:
+            raw[section][name] = value
+            path = f"{section}.{name}"
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^unknown config field {re.escape(repr(path))}$"):
+            load_config(cfgp)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config field '{path}'\n"
         assert not out.exists()
 
     def test_max_bits_env_override(self, monkeypatch):

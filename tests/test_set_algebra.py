@@ -3,10 +3,17 @@ and intersections of translated domain fragments must satisfy the boolean
 identities exactly."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from shintani_forge.cones import ShintaniSet
+from shintani_forge.cli import bundled_config_path
+from shintani_forge.cones import Geometry, ShintaniSet
+from shintani_forge.scenario import Runtime, _checked_params, load_config
+
+from oracles import canonical_difference, canonical_equal
+
+SECOND_FIELD = Path(__file__).parent / "second_field.json"
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +92,61 @@ def test_distributivity(geo, pieces):
         rhs = geo.union(geo.intersect(a, b), geo.intersect(a, c))
         eq, _ = geo.set_equal(lhs, rhs)
         assert eq
+
+
+def _identity_sides(rt, config):
+    """Every (lhs, rhs) pair the config's identities scenarios compare with
+    `set_equal`, caught on a geometry of their own."""
+    geo = Geometry(rt.emb)
+    sides = []
+    real = geo.set_equal
+    geo.set_equal = lambda s1, s2: sides.append((s1, s2)) or real(s1, s2)
+    for sc in config.scenarios:
+        if sc["kind"] == "identities":
+            p = _checked_params(rt, "identities", sc["params"])
+            geo.verify_identity(p["eps1"], p["eps2"], rt.scenario_pi(p))
+    return sides
+
+
+@pytest.fixture(scope="module", params=["bundled", "second"])
+def difference_pairs(request):
+    """(geometry, seeded pairs of sets) on one field: both orders of every
+    pair of identity sides, random pairs of sides, and pieces of B
+    translates (unit translates and B moved by pi^-1, pi1^-1 and pi2^-1)
+    against each other and against the sides."""
+    path = bundled_config_path() if request.param == "bundled" else SECOND_FIELD
+    config = load_config(path)
+    rt = Runtime(config)
+    els = config.elements
+    b = rt.geo.explicit_B(els["eps1"], els["eps2"])
+    rng = random.Random(27)
+    pieces = [b] + [rt.geo.scale(b, els[x].inverse()) for x in ("pi", "pi1", "pi2")]
+    for k1, k2 in ((1, 0), (0, 1), (-1, 1), (1, 1)):
+        cells = list(rt.geo.scale(b, els["eps1"] ** k1 * els["eps2"] ** k2).cones)
+        rng.shuffle(cells)
+        pieces.append(ShintaniSet.from_cones(cells[: rng.randint(2, 6)]))
+    sides = _identity_sides(rt, config)
+    flat = [s for pair in sides for s in pair]
+    pairs = [p for s1, s2 in sides for p in ((s1, s2), (s2, s1))]
+    pairs += [(rng.choice(flat), rng.choice(flat)) for _ in range(6)]
+    pairs += list(_pairs(pieces, rng, 8))
+    pairs += [(rng.choice(pieces), rng.choice(flat)) for _ in range(4)]
+    pairs += [(rng.choice(flat), rng.choice(pieces)) for _ in range(4)]
+    return rt.geo, pairs
+
+
+def test_difference_matches_the_canonical_order(difference_pairs):
+    """Removing the largest cells first gives the set the canonical order
+    gives, judged by the oracle's own differences, and the witness of a
+    failing subset lies in s1 and not in s2."""
+    geo, pairs = difference_pairs
+    verdicts = set()
+    for s1, s2 in pairs:
+        want = canonical_difference(geo, s1, s2)
+        assert canonical_equal(geo, geo.difference(s1, s2), want)
+        ok, w = geo.subset(s1, s2)
+        assert ok == want.is_empty
+        if not ok:
+            assert geo.member(w, s1) and not geo.member(w, s2)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
