@@ -833,13 +833,15 @@ class Geometry:
 
         Points are positive rational combinations of the spanning triple
         (1, u1, u1*u2), so every point lies in the open cone S the triple
-        spans. A translate cell that misses S holds no point, so each point
-        is tested only against the cells that meet S, found once by exact
-        intersection; its hit set is still exact. The translate table's phi
-        boxes choose the cells to intersect: of each translate only the cells
-        whose box + k meets box(S), since no other cell can meet S; a k with
-        no such cell is not built. As in every translate search, a range of
-        those k that WINDOW cuts raises WindowExceeded. The table is not kept.
+        spans, one cell: the domain's delta check has already certified the
+        triple independent. A translate cell that misses S holds no point,
+        so each point is tested only against the cells that meet S, found
+        once by exact intersection; its hit set is still exact. The
+        translate table's phi boxes choose the cells to intersect: of each
+        translate only the cells whose box + k meets box(S), since no other
+        cell can meet S; a k with no such cell is not built. As in every
+        translate search, a range of those k that WINDOW cuts raises
+        WindowExceeded. The table is not kept.
 
         A PASS is evidence about S only. Each bundled domain has S as one of
         its cells, so a PASS there shows that no other translate meets that
@@ -850,18 +852,14 @@ class Geometry:
             raise ValueError("fundamental domain check needs samples >= 1")
         triple = (self.spec.one, u1, u1 * u2)
         w = _int_matrix([v.coords for v in triple])
-        s_cells = decompose_rays(w, self.trace_form)
+        s = Cone.from_rays(w)
         table = _TranslateTable(self, d, u1, u2)
         s_box = table.cell_box(w)
         pairs = table.pairs([s_box])
         candidates = {}
         for k in sorted(pairs):
             cells = table.cells(k)
-            kept = [
-                cells[i]
-                for i, _ in pairs[k]
-                if any(intersect_cells(s, cells[i], self.trace_form) for s in s_cells)
-            ]
+            kept = [cells[i] for i, _ in pairs[k] if intersect_cells(s, cells[i], self.trace_form)]
             if kept:
                 candidates[k] = kept
         rng = random.Random(seed)

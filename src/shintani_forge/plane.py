@@ -346,12 +346,15 @@ def limit_derivative(
     emb: RealEmbeddings,
 ) -> LimitValue:
     """The limiting endpoint derivative as the power grows, with its sign
-    certified; requires the fixgi inequality chains."""
+    certified; requires the fixgi inequality chains. The logs climb the
+    ladder from PLANE_BITS, so a cap below it raises PrecisionExhausted
+    before any log is taken."""
     if (i, t) not in _LIMITS:
         raise ValueError("limit is defined for i in {1,2}, t in {0,1}")
     if not fixgi_holds(g1, g2, emb):
         raise FixgiViolated("units do not satisfy the embedding inequality chains")
     expected, coeffs = _LIMITS[(i, t)]
+    work = None
     for work in emb.cfg.ladder(PLANE_BITS):
         prec = work_prec(work)
         c = [iv_int(k, prec) for k in coeffs]
@@ -363,7 +366,9 @@ def limit_derivative(
             if s is not None:
                 v, e = iv_mid_err(ratio)
                 return LimitValue(value=v, err=e, sign=s, expected_sign=expected)
-    raise Inconclusive("limit derivative sign undecided at max precision")
+    if work is None:
+        raise PrecisionExhausted(f"embeddings not separated from zero at {emb.cfg.max_bits} bits")
+    raise Inconclusive(f"limit derivative sign undecided at {emb.cfg.max_bits} bits")
 
 
 def _bound_margins(basis: PhiBasis, l: int, n_points: int):

@@ -240,65 +240,55 @@ def triangle_search(
     bracket-cone union and (eps1, eps2, omega*pi) passing the sign suite.
 
     omega ranges over the group generated by `unit_basis` (the full unit
-    group; defaults to (eps1, eps2)). One loop walks a list of plane boxes:
-    the corner wedge T(theta, Q, (l,l)) n T(gamma, (l,l)) with Q doubling
-    from 1 to 64, then a sweep of the square [-1, l+1]^2 around the
-    domain's phi square, for when the wedge never captures a valid point
-    (the wedge argument is asymptotic in the power). Per box, the
-    candidates whose phi image it holds and that no earlier box tried are
-    verified nearest to (l, l) first, by exact cone membership plus the
-    certified sign suite, which are the binding contracts.
+    group; defaults to (eps1, eps2)). The walk has two plane boxes: the
+    corner wedge T(theta, 1, (l,l)) n T(gamma, (l,l)), then the square
+    [-1, l+1]^2 around the domain's phi square, for when the wedge holds no
+    valid point (the wedge argument is asymptotic in the power); the square
+    skips the wedge's points. Per box, the candidates whose phi image it
+    holds are verified nearest to (l, l) first, by exact cone membership
+    plus the certified sign suite, which are the binding contracts. The
+    identity is one candidate among the others, so every representative of
+    pi's unit orbit gets the same omega * pi.
     """
     union = Geometry(emb).prop4_union(eps1, eps2)
     u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
-
-    def verified(u: FieldElement):
-        alpha = u * pi.inverse()
-        if not union.contains_vec(_int_vec(alpha.coords)):
-            return None
-        omega = u.inverse()
-        if not check_sign_suite(eps1, eps2, omega * pi, emb).passed:
-            return None
-        return alpha, omega
-
-    hit = verified(eps1.spec.one)
-    if hit is not None:
-        return hit
-
+    pi_inv = pi.inverse()
     d1 = limit_derivative(1, 1, eps1, eps2, emb)
     d2 = limit_derivative(2, 1, eps1, eps2, emb)
     tan_theta = d2.value / 2
     tan_gamma = -d1.value / 2
-    p, s1, s2 = (phi(w, eps1, eps2, emb) for w in (pi.inverse(), u1, u2))
+    p, s1, s2 = (phi(w, eps1, eps2, emb) for w in (pi_inv, u1, u2))
     p, s1, s2 = (p.x, p.y), (s1.x, s1.y), (s2.x, s2.y)
     if abs(s1[0] * s2[1] - s1[1] * s2[0]) < 1e-12:
         raise SignConditionFailed("unit basis does not span the phi plane")
     pad = 1e-9
 
-    def in_wedge(x: float, y: float) -> bool:
-        """The two slope tests of the corner wedge; the box filter applies
-        its box half."""
-        return not (y < l + tan_theta * (x - l) - pad or x < l - y * tan_gamma - pad)
+    def in_box(x: float, y: float, x_lo, x_hi, y_lo, y_hi) -> bool:
+        return x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad
 
-    q_max = 64
-    # the wedge levels q = 1, 2, ..., q_max, then the sweep box
-    boxes = [(l - 2.0**e, l, -0.0, l, True) for e in range(7)]
-    boxes.append((-1.0, l + 1.0, -1.0, l + 1.0, False))
-    tried = set()
-    for x_lo, x_hi, y_lo, y_hi, wedge in boxes:
+    wedge = (l - 1.0, l, -0.0, l)
+
+    def in_wedge(x: float, y: float) -> bool:
+        """The wedge's box and its two slope tests."""
+        if y < l + tan_theta * (x - l) - pad or x < l - y * tan_gamma - pad:
+            return False
+        return in_box(x, y, *wedge)
+
+    for box, want in ((wedge, True), ((-1.0, l + 1.0, -1.0, l + 1.0), False)):
         ordered = []
-        for m1, m2 in _exponent_box(p, s1, s2, x_lo, x_hi, y_lo, y_hi):
+        for m1, m2 in _exponent_box(p, s1, s2, *box):
             x = p[0] + m1 * s1[0] + m2 * s2[0]
             y = p[1] + m1 * s1[1] + m2 * s2[1]
-            inside = x_lo - pad <= x <= x_hi + pad and y_lo - pad <= y <= y_hi + pad
-            if inside and (m1, m2) not in tried and (not wedge or in_wedge(x, y)):
+            if in_box(x, y, *box) and in_wedge(x, y) == want:
                 ordered.append(((l - x) ** 2 + (l - y) ** 2, m1, m2))
         for _, m1, m2 in sorted(ordered):
-            tried.add((m1, m2))
-            hit = verified(u1**m1 * u2**m2)
-            if hit is not None:
-                return hit
-    raise Exhausted("triangle search", q_max)
+            u = u1**m1 * u2**m2
+            alpha = u * pi_inv
+            if union.contains_vec(_int_vec(alpha.coords)):
+                omega = u.inverse()
+                if check_sign_suite(eps1, eps2, omega * pi, emb).passed:
+                    return alpha, omega
+    raise Exhausted("triangle search", f"the square [-1, {l + 1}]^2")
 
 
 def build_construction(

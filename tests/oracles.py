@@ -539,7 +539,8 @@ def ctx_cell_box(rows, emb, gens, bits):
 
 def wedge_sweep_search(eps1, eps2, pi, l, emb, unit_basis=None):
     """(alpha, omega) of the first verified candidate: the wedge levels
-    with q doubling to 64, then the sweep of [-1, l+1]^2."""
+    with q doubling to 64, then the sweep of [-1, l+1]^2. The identity is
+    tried only where its phi point falls, as every other candidate."""
     union = Geometry(emb).prop4_union(eps1, eps2)
     u1, u2 = unit_basis if unit_basis is not None else (eps1, eps2)
 
@@ -551,10 +552,6 @@ def wedge_sweep_search(eps1, eps2, pi, l, emb, unit_basis=None):
         if not check_sign_suite(eps1, eps2, omega * pi, emb).passed:
             return None
         return alpha, omega
-
-    hit = verified(eps1.spec.one)
-    if hit is not None:
-        return hit
 
     d1 = limit_derivative(1, 1, eps1, eps2, emb)
     d2 = limit_derivative(2, 1, eps1, eps2, emb)
@@ -608,4 +605,4 @@ def wedge_sweep_search(eps1, eps2, pi, l, emb, unit_basis=None):
         hit = verified(u1**m1 * u2**m2)
         if hit is not None:
             return hit
-    raise Exhausted("triangle search", q_max)
+    raise Exhausted("triangle search", f"the square [-1, {l + 1}]^2")

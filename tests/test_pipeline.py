@@ -138,7 +138,8 @@ class TestLatticeBall:
 
 
 class TestTriangleSearch:
-    def test_identity_short_circuit(self, emb, els, pihats, geo, spec):
+    def test_normalized_pi_keeps_the_identity(self, emb, els, pihats, geo, spec):
+        # no shortcut: the identity wins as the first valid candidate of its box
         alpha, omega = units.triangle_search(
             els["eps1"], els["eps2"], pihats["case1"], 1, emb
         )
@@ -162,8 +163,10 @@ class TestTriangleSearch:
 
     def test_exhausted_when_coset_has_no_valid_point(self, emb, els):
         # the plain pi admits no valid normalization inside the index-20
-        # subgroup generated by the overridden pair; the budget prints as an int
-        with pytest.raises(Exhausted, match=r"^triangle search exhausted at 64$"):
+        # subgroup generated by the overridden pair; the message names the
+        # last box searched
+        want = r"^triangle search exhausted at the square \[-1, 2\]\^2$"
+        with pytest.raises(Exhausted, match=want):
             units.triangle_search(els["eps1"], els["eps2"], els["pi"], 1, emb)
 
 
@@ -179,8 +182,9 @@ def _search_outcome(search, *args):
 @pytest.mark.parametrize("field", ["bundled", "second"])
 def test_search_order_matches_the_wedge_and_sweep_loops(field, rt):
     """On seeded totally positive pi of each field, over (eps1, eps2) and
-    over the unit basis, the one box loop picks the omega of the wedge
-    levels and sweep run as two loops, or raises the same error."""
+    over the unit basis, the two-box walk picks the omega of the wedge
+    levels q = 1..64 and sweep run as two loops, or raises the same error:
+    no level past q = 1 decides."""
     if field == "second":
         rt = Runtime(load_config(SECOND_FIELD))
     els, emb = rt.config.elements, rt.emb
@@ -198,6 +202,22 @@ def test_search_order_matches_the_wedge_and_sweep_loops(field, rt):
             assert got == _search_outcome(wedge_sweep_search, *args)
             kinds.add(got[0] if isinstance(got[0], str) else "found")
     assert kinds == {"found", "Exhausted"}  # both outcomes are compared
+
+
+@pytest.mark.parametrize("field", ["bundled", "second"])
+def test_normalization_is_invariant_on_the_unit_orbit(field, rt):
+    """Every translate pi*g1^a*g2^b, a, b in [-2, 2], of the config's pi,
+    pi1 and pi2 normalizes over (g1, g2) to the normalization of pi itself."""
+    if field == "second":
+        rt = Runtime(load_config(SECOND_FIELD))
+    els = rt.config.elements
+    pair, basis = (els["eps1"], els["eps2"]), (els["g1"], els["g2"])
+    for name in ("pi", "pi1", "pi2"):
+        want = rt.normalized_pi(els[name], *pair, basis)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                moved = els[name] * els["g1"] ** a * els["g2"] ** b
+                assert rt.normalized_pi(moved, *pair, basis) == want, (name, a, b)
 
 
 class TestBuildConstruction:

@@ -103,3 +103,22 @@ def test_second_field_config_verifies(tmp_path):
     fig1 = [row.split(",") for row in (out / "fig1.csv").read_text().splitlines()[1:]]
     ends = {(float(x), float(y)) for _, t, x, y, _ in fig1 if t in ("0", "1")}
     assert ends == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+
+
+def test_second_field_under_a_64_bit_cap(tmp_path, monkeypatch):
+    """Below `plane.PLANE_BITS` no phi point or limit derivative can be
+    certified: every scenario that reaches them, the normalizations
+    included, is INCONCLUSIVE with the message of an empty ladder, and the
+    scenarios that need no plane still PASS."""
+    monkeypatch.setenv("SHINTANI_MAX_BITS", "64")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(CONFIG), "--out", str(out)]) == 3
+    reports = [json.loads(p.read_text()) for p in out.glob("*.report.json")]
+    outcomes = {r["scenario"]: r["outcome"] for r in reports}
+    plane = {"construction", "direction", "figures", "fdcheck-B1", "fdcheck-B2"}
+    plane |= {"identities-pi1", "identities-pi2"}
+    assert {sid for sid, o in outcomes.items() if o == "INCONCLUSIVE"} == plane
+    assert all(outcomes[sid] == "PASS" for sid in outcomes.keys() - plane)
+    assert len(outcomes) == 13
+    error = [{"name": "error", "value": "embeddings not separated from zero at 64 bits"}]
+    assert all(r["evidence"] == error for r in reports if r["scenario"] in plane)

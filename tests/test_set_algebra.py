@@ -18,7 +18,9 @@ SECOND_FIELD = Path(__file__).parent / "second_field.json"
 
 @pytest.fixture(scope="module")
 def pieces(geo, els):
-    """A pool of small Shintani sets: translated fragments of the domain."""
+    """A pool of small Shintani sets: translated fragments of the domain,
+    and sets that meet: B moved by pi^-1, pi1^-1 and pi2^-1, and the
+    intersection of B with B moved by pi1^-1."""
     b = geo.explicit_B(els["eps1"], els["eps2"])
     e1, e2 = els["eps1"], els["eps2"]
     rng = random.Random(99)
@@ -28,7 +30,8 @@ def pieces(geo, els):
         cells = list(geo.scale(b, u).cones)
         rng.shuffle(cells)
         pool.append(ShintaniSet.from_cones(cells[: rng.randint(2, 5)]))
-    pool.append(geo.scale(b, els["pi"].inverse()))
+    pool += [geo.scale(b, els[x].inverse()) for x in ("pi", "pi1", "pi2")]
+    pool.append(geo.intersect(b, pool[-2]))
     return pool
 
 
