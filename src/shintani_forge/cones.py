@@ -94,6 +94,19 @@ def _rank(rows) -> int:
     return 3 if any(_dot(n, r) for r in rows) else 2
 
 
+def _holds(pos, eq, c0, c1, c2) -> bool:
+    """Whether (c0, c1, c2) is > 0 on every form of `pos` and 0 on every
+    form of `eq`: membership of a cell, in the coordinates its forms are
+    written in."""
+    for p0, p1, p2 in pos:
+        if p0 * c0 + p1 * c1 + p2 * c2 <= 0:
+            return False
+    for e0, e1, e2 in eq:
+        if e0 * c0 + e1 * c1 + e2 * c2:
+            return False
+    return True
+
+
 class Cone:
     """A relatively open simplicial cone spanned by 1..3 independent
     primitive integer generators (strictly positive combinations only).
@@ -178,13 +191,7 @@ class Cone:
 
     def contains_vec(self, x) -> bool:
         """Exact membership of a rational/integer coordinate vector."""
-        for p in self.pos_forms:
-            if _dot(p, x) <= 0:
-                return False
-        for e in self.eq_forms:
-            if _dot(e, x) != 0:
-                return False
-        return True
+        return _holds(self.pos_forms, self.eq_forms, x[0], x[1], x[2])
 
     def witness_vec(self) -> Vec:
         """An integer point in the cell (the sum of the generators)."""
@@ -577,6 +584,22 @@ class CoverBox:
     domain: ShintaniSet  # the D whose translates cover x^-1 D
 
 
+def _randint_draws(rng: random.Random, n: int):
+    """The values of rng.randint(1, n), n >= 1, drawn in turn without end.
+
+    Each draw is CPython's `_randbelow_with_getrandbits(n)` plus 1: take
+    `getrandbits` of n's bit length and draw again while it is >= n, so the
+    stream is `randint`'s, from the same generator state."""
+    bits = itertools.repeat(n.bit_length())
+    return map((1).__add__, filter(n.__gt__, map(rng.getrandbits, bits)))
+
+
+def _pulled_back(forms, w) -> tuple:
+    """Integer `forms` as forms in (c0, c1, c2), on the ray c0 w[0] + c1 w[1]
+    + c2 w[2]: form f becomes (f.w[0], f.w[1], f.w[2])."""
+    return tuple(tuple(_dot(f, r) for r in w) for f in forms)
+
+
 @dataclass
 class FDReport:
     passed: bool
@@ -843,6 +866,14 @@ class Geometry:
         translate search, a range of those k that WINDOW cuts raises
         WindowExceeded. The table is not kept.
 
+        A point's six numerators and denominators in 1..999 are drawn as raw
+        bits, the stream of `random.Random(seed).randint(1, 999)`
+        (`_randint_draws`). Each
+        point is tested on its ray c0 w0 + c1 w1 + c2 w2 in the triple's
+        coordinates: a kept cell's forms are pulled back to (c0, c1, c2)
+        once, so a test is one three-term integer dot per form, and a
+        point's Fraction coordinates are built only for a report entry.
+
         A PASS is evidence about S only. Each bundled domain has S as one of
         its cells, so a PASS there shows that no other translate meets that
         cell; a domain with another cell deleted, or with a translate of
@@ -856,31 +887,31 @@ class Geometry:
         table = _TranslateTable(self, d, u1, u2)
         s_box = table.cell_box(w)
         pairs = table.pairs([s_box])
-        candidates = {}
+        candidates = []
         for k in sorted(pairs):
             cells = table.cells(k)
             kept = [cells[i] for i, _ in pairs[k] if intersect_cells(s, cells[i], self.trace_form)]
             if kept:
-                candidates[k] = kept
-        rng = random.Random(seed)
+                forms = [(_pulled_back(c.pos_forms, w), _pulled_back(c.eq_forms, w)) for c in kept]
+                candidates.append((k, forms))
+        draws = _randint_draws(random.Random(seed), 999)
         bad = []
-        for _ in range(samples):
-            coeffs = [(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(3)]
-            (a0, b0), (a1, b1), (a2, b2) = coeffs
+        # six draws a sample, a0, b0, a1, b1, a2, b2 in turn
+        for a0, b0, a1, b1, a2, b2 in itertools.islice(zip(*[draws] * 6), samples):
             # b0 b1 b2 times the point, scaled as the triple is to w: its ray
             c0, c1, c2 = a0 * b1 * b2, a1 * b0 * b2, a2 * b0 * b1
-            xv = tuple(c0 * w[0][i] + c1 * w[1][i] + c2 * w[2][i] for i in range(3))
-            hits = [
-                k
-                for k, cells in candidates.items()
-                if any(c.contains_vec(xv) for c in cells)
-            ]
+            hits = []
+            for k, forms in candidates:
+                for pos, eq in forms:
+                    if _holds(pos, eq, c0, c1, c2):
+                        hits.append(k)
+                        break
             if len(hits) == 1:
                 continue
             x = self.spec.zero
-            for (a, b), v in zip(coeffs, triple):
+            for a, b, v in ((a0, b0, triple[0]), (a1, b1, triple[1]), (a2, b2, triple[2])):
                 x = x + v.scalar_mul(Fraction(a, b))
-            bad.append((x.coords, sorted(hits)))
+            bad.append((x.coords, hits))
         return FDReport(passed=not bad, samples=samples, bad_samples=bad, seed=seed)
 
     # -- the explicit Shintani-set identities -----------------------------------

@@ -21,6 +21,7 @@ from .embedding import RealEmbeddings, SignConfig
 from .errors import (
     Inconclusive,
     ParseError,
+    PrecisionExhausted,
     ShintaniError,
     UnknownName,
     UnknownScenario,
@@ -295,7 +296,13 @@ def _validate(config: ScenarioConfig) -> RealEmbeddings:
     for name in config.totally_positive:
         if name not in config.elements:
             raise UnknownName(f"declared element {name!r} not defined")
-        if not emb.is_totally_positive(config.elements[name]):
+        try:
+            positive = emb.is_totally_positive(config.elements[name])
+        except PrecisionExhausted as exc:
+            # the cap is below the rung this element's sign needs: no
+            # scenario can run on an undecided declaration
+            raise PrecisionExhausted(f"declared totally positive {name!r} undecided: {exc}") from None
+        if not positive:
             raise ValueError(f"{name!r} is not totally positive")
     seen = set()
     for sc in config.scenarios:

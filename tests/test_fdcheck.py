@@ -3,6 +3,7 @@ cell of every translate with |k1|, |k2| <= cones.WINDOW, on the bundled
 domains, on a second field and on tampered copies of B, and its
 WindowExceeded when the window cuts the range it samples."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -144,16 +145,47 @@ def test_double_cover_seen_only_outside_the_cap_is_window_exceeded(geo, geo_at, 
 
 def test_only_cells_meeting_the_sampling_cone_are_tested(geo, els, B, monkeypatch):
     calls = []
-    original = Cone.contains_vec
+    original = cones._holds
 
-    def counting(cell, x):
-        calls.append(cell)
-        return original(cell, x)
+    def counting(pos, eq, c0, c1, c2):
+        calls.append((pos, eq))
+        return original(pos, eq, c0, c1, c2)
 
-    monkeypatch.setattr(Cone, "contains_vec", counting)
+    monkeypatch.setattr(cones, "_holds", counting)
     rep = geo.fundamental_domain_check(B, els["eps1"], els["eps2"], samples=100)
     assert rep.passed
-    assert len(calls) <= 100
+    # one cell test a sample: the one kept cell, the sampled cell at k = (0, 0)
+    assert len(calls) == 100 and len(set(calls)) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20577])
+def test_draws_are_the_randint_stream(seed):
+    raw = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            raw.append(super().getrandbits(k))
+            return raw[-1]
+
+    draws = list(itertools.islice(cones._randint_draws(Recording(seed), 999), 6000))
+    want = random.Random(seed)
+    assert draws == [want.randint(1, 999) for _ in range(6000)]
+    # the redraw branch was taken: some raw 10-bit values were >= 999
+    assert len(raw) > 6000 and any(r >= 999 for r in raw)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20577])
+def test_tampered_copies_of_B_match_the_oracle_at_pinned_seeds(geo, geo_at, els, B, seed):
+    # every sample is a bad sample, so its coordinates and hits are compared
+    e1, e2 = els["eps1"], els["eps2"]
+    cell = sampled_cell(geo, e1, e2)
+    deleted = ShintaniSet.from_cones([c for c in B.cones if c != cell])
+    moved = geo.scale(ShintaniSet.from_cones([cell]), e1)
+    added = ShintaniSet.from_cones(list(B.cones) + list(moved.cones))
+    for d, hits in ((deleted, []), (added, [(-1, 0), (0, 0)])):
+        rep = check_both(geo_at(3), d, e1, e2, seed=seed)
+        assert len(rep.bad_samples) == 200
+        assert all(h == hits for _, h in rep.bad_samples)
 
 
 def test_rational_triple_coordinates_match_the_oracle(geo, geo_at, els):

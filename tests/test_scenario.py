@@ -212,6 +212,19 @@ class TestConfig:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", [64, 72, 80, 96, 112, 120])
+    def test_cap_below_a_declared_sign_is_named(self, monkeypatch, tmp_path, capsys, cap):
+        """Under a cap below 128 bits the bundled pi1 is not certified
+        totally positive at load: a config error naming pi1 and the cap."""
+        monkeypatch.setenv("SHINTANI_MAX_BITS", str(cap))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(bundled_config_path()), "--out", str(out)]) == 2
+        message = f"embeddings not separated from zero at {cap} bits"
+        assert capsys.readouterr().err == (
+            f"config error: declared totally positive 'pi1' undecided: {message}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "name, value",
         [
