@@ -5,10 +5,19 @@ the phi images of its cells' boundary segments and ray markers) or
 pre-sampled curves. Output is byte-stable: fixed sampling counts, fixed decimal
 formatting, viewport derived from the data bounding box with fixed padding,
 and element order following the scene and canonical cell order.
+
+A scene samples its new face curves in one batch, dealt round-robin over
+as many processes as there are CPUs this process may run on, up to one a
+curve: this process samples the first share and a forked child each
+other share, which sends its points back as exact doubles. Every
+interval, and so every output byte, is the one serial sampling gives.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+from array import array
 from dataclasses import dataclass
 
 from .cones import ShintaniSet
@@ -57,6 +66,97 @@ def sample_face_curve(pair, basis: PhiBasis, sampling) -> CurveSample:
     return CurveSample(curve_id=pair, ts=ts, points=pts)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _fork_share(pairs, basis: PhiBasis, sampling):
+    """Fork a child that samples the face curves of `pairs` and writes
+    their points to a pipe as doubles x, y, err; returns its pid and the
+    pipe's read end as a file, or None when no child can be forked. The
+    child leaves by `os._exit`, so it never flushes the buffers it shares
+    with this process."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    r, w = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            out = array("d")
+            for pair in pairs:
+                for p in sample_face_curve(pair, basis, sampling).points:
+                    out.extend((p.x, p.y, p.err))
+            data = memoryview(out).cast("B")
+            while data:
+                data = data[os.write(w, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def sample_face_curves(pairs, basis: PhiBasis, sampling) -> list:
+    """`[sample_face_curve(p, basis, sampling) for p in pairs]`, on one
+    process a CPU this process may run on, up to one a curve. The pairs are
+    dealt round-robin: this process samples share 0 and a forked child each
+    other share. A share whose child cannot be forked, exits nonzero or
+    sends short data is sampled here, after every child is reaped, in batch
+    order with every other curve still missing, so a failing curve raises
+    what the serial loop raises. Should this process raise, it kills its
+    children first."""
+    n = max(1, min(_cpu_count(), len(pairs)))
+    got = [None] * len(pairs)
+    children = []  # (share, pid, pipe)
+    sent = {}  # share -> the bytes of its child, if it exited 0
+    try:
+        for k in range(1, n):
+            child = _fork_share(pairs[k::n], basis, sampling)
+            if child is None:
+                break
+            children.append((k, *child))
+        for i in range(0, len(pairs), n):
+            try:
+                got[i] = sample_face_curve(pairs[i], basis, sampling)
+            except Exception:
+                break  # sampled again below, after every curve before it
+        for k, _, pipe in children:
+            sent[k] = pipe.read()
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for k, pid, pipe in children:
+            pipe.close()
+            if os.waitpid(pid, 0)[1]:
+                sent.pop(k, None)
+    ts = sampling[0]
+    for k, data in sent.items():
+        share = range(k, len(pairs), n)
+        if len(data) != 24 * len(ts) * len(share):
+            continue
+        values = array("d")
+        values.frombytes(data)
+        points = [PlanePoint(*xye) for xye in zip(*[iter(values)] * 3)]
+        for j, i in enumerate(share):
+            got[i] = CurveSample(pairs[i], ts, tuple(points[j * len(ts) : (j + 1) * len(ts)]))
+    return [
+        cs if cs is not None else sample_face_curve(pair, basis, sampling)
+        for cs, pair in zip(got, pairs)
+    ]
+
+
 def ray_point(ray, basis: PhiBasis) -> PlanePoint:
     return basis.phi(FieldElement(basis.emb.spec, tuple(Fraction(v) for v in ray)))
 
@@ -74,25 +174,34 @@ def materialize_scene(
     `n_points`, and its ray markers; any other payload is its curves.
 
     `sampled` maps (basis coords, n_points, face) to a sampled face curve;
-    scenes that share it sample each distinct face curve once."""
+    scenes that share it sample each distinct face curve once. The faces
+    not in it are sampled in one batch (`sample_face_curves`), in the order
+    the layers first draw them."""
     basis = PhiBasis(emb, basis_pair[0], basis_pair[1], FIGURE_BITS)
     basis_key = (basis_pair[0].coords, basis_pair[1].coords)
     sampled = {} if sampled is None else sampled
-    sampling = None  # built on the first face this call samples
+    drawn = [
+        set_boundary_faces(layer.payload) if isinstance(layer.payload, ShintaniSet) else None
+        for layer in layers
+    ]
+    new = [
+        pair
+        for pair in dict.fromkeys(pair for d in drawn if d for pair in d[0])
+        if (basis_key, n_points, pair) not in sampled
+    ]
+    if new:
+        curves = sample_face_curves(new, basis, grid(n_points, basis.bits))
+        for pair, cs in zip(new, curves):
+            sampled[(basis_key, n_points, pair)] = cs
     out = []
-    for li, layer in enumerate(layers):
-        if not isinstance(layer.payload, ShintaniSet):
+    for li, (layer, d) in enumerate(zip(layers, drawn)):
+        if d is None:
             out.append((layer, list(layer.payload), []))
             continue
-        faces, rays = set_boundary_faces(layer.payload)
+        faces, rays = d
         curves = []
         for fi, pair in enumerate(faces):
-            key = (basis_key, n_points, pair)
-            if key not in sampled:
-                if sampling is None:
-                    sampling = grid(n_points, basis.bits)
-                sampled[key] = sample_face_curve(pair, basis, sampling)
-            hit = sampled[key]
+            hit = sampled[(basis_key, n_points, pair)]
             curves.append(CurveSample((f"layer{li}/face{fi}",), hit.ts, hit.points))
         out.append((layer, curves, [ray_point(ray, basis) for ray in rays]))
     return out

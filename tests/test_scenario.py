@@ -892,6 +892,36 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["outcome"] == "PASS"
 
+    def test_piped_verify_prints_each_path_once(self, tmp_path):
+        # figures fork children, here on two CPUs whatever the machine has,
+        # that share the CLI's stdout buffer; one that flushed it on exit
+        # would print the paths before it again
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from shintani_forge.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(shintani_forge.__file__).resolve().parents[1])
+        # stdout block-buffered, as a pipe is by default
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", str(bundled_config_path()),
+             "--out", str(tmp_path)],
+            env={**env, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        want = []
+        for sc in load_config(bundled_config_path()).scenarios:
+            report = tmp_path / f"{sc['id']}.report.json"
+            want.append(str(report))
+            want += [str(tmp_path / a) for a in json.loads(report.read_text())["artifacts"]]
+        assert proc.stdout.decode().splitlines() == want
+        assert any(w.endswith("fig4.csv") for w in want)
+
     def test_unknown_scenario_id_exits_two(self, tmp_path):
         rc = main(
             [
