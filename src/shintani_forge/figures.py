@@ -6,11 +6,11 @@ pre-sampled curves. Output is byte-stable: fixed sampling counts, fixed decimal
 formatting, viewport derived from the data bounding box with fixed padding,
 and element order following the scene and canonical cell order.
 
-A scene samples its new face curves in one batch, dealt round-robin over
-as many processes as there are CPUs this process may run on, up to one a
-curve: this process samples the first share and a forked child each
-other share, which sends its points back as exact doubles. Every
-interval, and so every output byte, is the one serial sampling gives.
+A scene samples its new face curves in one batch. When this process may
+run on two CPUs or more, it samples every other curve of the batch and a
+forked child the rest, which sends its points back as exact doubles.
+Every interval, and so every output byte, is the one serial sampling
+gives.
 """
 
 from __future__ import annotations
@@ -107,47 +107,41 @@ def _fork_share(pairs, basis: PhiBasis, sampling):
 
 
 def sample_face_curves(pairs, basis: PhiBasis, sampling) -> list:
-    """`[sample_face_curve(p, basis, sampling) for p in pairs]`, on one
-    process a CPU this process may run on, up to one a curve. The pairs are
-    dealt round-robin: this process samples share 0 and a forked child each
-    other share. A share whose child cannot be forked, exits nonzero or
-    sends short data is sampled here, after every child is reaped, in batch
-    order with every other curve still missing, so a failing curve raises
-    what the serial loop raises. Should this process raise, it kills its
-    children first."""
-    n = max(1, min(_cpu_count(), len(pairs)))
+    """`[sample_face_curve(p, basis, sampling) for p in pairs]`, on two
+    processes when this process may run on two CPUs or more and there are
+    two curves or more: this process samples the curves at even positions
+    and a forked child those at odd ones. Only two processes were measured,
+    so more CPUs are left unused. Should the child not be forked, exit
+    nonzero or send short data, its curves are sampled here after it is
+    reaped, in batch order with every other curve still missing, so a
+    failing curve raises what the serial loop raises. Should this process
+    raise, it kills the child first."""
+    child = None
+    if min(_cpu_count(), len(pairs)) > 1:
+        child = _fork_share(pairs[1::2], basis, sampling)
     got = [None] * len(pairs)
-    children = []  # (share, pid, pipe)
-    sent = {}  # share -> the bytes of its child, if it exited 0
+    sent = b""
     try:
-        for k in range(1, n):
-            child = _fork_share(pairs[k::n], basis, sampling)
-            if child is None:
-                break
-            children.append((k, *child))
-        for i in range(0, len(pairs), n):
+        for i in range(0, len(pairs), 2 if child else 1):
             try:
                 got[i] = sample_face_curve(pairs[i], basis, sampling)
             except Exception:
                 break  # sampled again below, after every curve before it
-        for k, _, pipe in children:
-            sent[k] = pipe.read()
+        if child:
+            sent = child[1].read()
     except BaseException:
-        for _, pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        if child:
+            os.kill(child[0], signal.SIGKILL)
         raise
     finally:
-        for k, pid, pipe in children:
-            pipe.close()
-            if os.waitpid(pid, 0)[1]:
-                sent.pop(k, None)
-    ts = sampling[0]
-    for k, data in sent.items():
-        share = range(k, len(pairs), n)
-        if len(data) != 24 * len(ts) * len(share):
-            continue
+        if child:
+            child[1].close()
+            if os.waitpid(child[0], 0)[1]:
+                sent = b""
+    ts, share = sampling[0], range(1, len(pairs), 2)
+    if child and len(sent) == 24 * len(ts) * len(share):
         values = array("d")
-        values.frombytes(data)
+        values.frombytes(sent)
         points = [PlanePoint(*xye) for xye in zip(*[iter(values)] * 3)]
         for j, i in enumerate(share):
             got[i] = CurveSample(pairs[i], ts, tuple(points[j * len(ts) : (j + 1) * len(ts)]))

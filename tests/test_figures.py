@@ -162,7 +162,8 @@ def run_figures_into(rt, out):
 
 
 class TestBatchSampling:
-    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (2, 1), (3, 2)])
+    # two processes at most, however many CPUs there are
+    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (2, 1), (3, 1), (8, 1)])
     def test_batch_is_the_serial_samples(self, batch, cpus, n_cpus, n_forks):
         pairs, basis, sampling = batch
         forked = cpus(n_cpus)

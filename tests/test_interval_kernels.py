@@ -285,18 +285,20 @@ def test_finer_logs_on_a_128_bit_basis(emb, els, face_pairs, log_bits):
 @pytest.fixture(scope="module")
 def figure_faces(config, tmp_path_factory):
     """Per field, a Runtime and the (basis pair, face) of every face curve
-    its `figures` scenario samples, recorded on a run of the scenario."""
+    its `figures` scenario samples, recorded on a run of the scenario as
+    the batches handed to the sampler, which may sample part of a batch in
+    a child process."""
     out = {}
-    sample = figures.sample_face_curve
+    sample = figures.sample_face_curves
     for name, cfg in (("bundled", config), ("second", load_config(SECOND_FIELD))):
         rt, seen = Runtime(cfg), []
 
-        def record(pair, basis, sampling, seen=seen):
-            seen.append(((basis.g1, basis.g2), pair))
-            return sample(pair, basis, sampling)
+        def record(pairs, basis, sampling, seen=seen):
+            seen.extend(((basis.g1, basis.g2), pair) for pair in pairs)
+            return sample(pairs, basis, sampling)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(figures, "sample_face_curve", record)
+            mp.setattr(figures, "sample_face_curves", record)
             report = run_scenario(rt, "figures", tmp_path_factory.mktemp(name))
         assert report["outcome"] == "PASS"
         out[name] = rt, seen
