@@ -16,6 +16,12 @@ re-triangulated into open simplicial cells by a fan of the cross-section
 polygon. The cross-section functional is the field trace: a rational linear
 form that is strictly positive on every nonzero vector of the closed totally
 positive cone, hence on every ray these operations can produce.
+
+Set equality takes one carve: the side with more cells is carved by the
+cells of the other, and the pieces inside each of those cells are shown to
+cover it by exact areas, lengths and vertices in the section trace = 1
+(`cell_covered`). Only when that certificate fails are the two differences
+taken, and they name the witness.
 """
 
 from __future__ import annotations
@@ -409,11 +415,89 @@ def intersect_cells(a: Cone, b: Cone, trace_form) -> list[Cone]:
     return _carve(a, b, trace_form)[0]
 
 
-def diff_cell(a: Cone, b: Cone, trace_form) -> list[Cone]:
-    """Exact difference a \\ b as disjoint open cells."""
+def diff_cell(a: Cone, b: Cone, trace_form, inside=None) -> list[Cone]:
+    """Exact difference a \\ b as disjoint open cells; the cells of a n b
+    are appended to the list `inside` when one is given."""
     if cones_fast_disjoint(a, b):
         return [a]
-    return _carve(a, b, trace_form)[1]
+    kept, rest = _carve(a, b, trace_form)
+    if inside is not None:
+        inside.extend(kept)
+    return rest
+
+
+def cell_covered(c: Cone, parts, trace_form) -> bool:
+    """Whether the disjoint open cells `parts`, each inside the open cell
+    `c`, cover it, decided exactly in the section trace = 1.
+
+    A ray is covered only by itself. A 3-cell is covered exactly when
+    (i) the areas of the 3-cell parts sum to its area, a cell on g1, g2, g3
+    of traces t1, t2, t3 having area |det(g)| / (t1 t2 t3);
+    (ii) twice the length of the 2-cell parts equals the length of the
+    3-cell parts' edges that lie in no face of c; and
+    (iii) each part vertex inside c is a ray part or lies in a 2-cell part.
+    A 2-cell needs (ii) as the length of its 2-cell parts equal to its own,
+    and (iii). Length is the L1 length in the section coordinates
+    (r_b / t, r_c / t), which adds up along a line.
+
+    Sufficiency, for a 3-cell: by (i) the open 3-cell parts fill c up to a
+    null set closed in c, so every point they leave lies on one of their
+    edges inside c, a wall. A wall point that is no part vertex lies on the
+    open edge of exactly two 3-cell parts, one on either side, so the edges
+    of (ii) cover the walls twice. The 2-cell parts lie in the walls and
+    are disjoint, so by equal lengths they leave only finitely many wall
+    points; each is an end of a 2-cell part or a vertex of a 3-cell part,
+    a part vertex, and (iii) covers it. A 2-cell is the same one dimension
+    down. When the parts do cover c, all three hold, so the predicate
+    decides coverage."""
+    if c.dim == 1:
+        return parts == [c]
+    a = next(i for i in range(3) if trace_form[i] != 0)
+    b, d = (i for i in range(3) if i != a)
+    t = {v: _dot(trace_form, v) for v in c.gens}
+    t.update((v, _dot(trace_form, v)) for p in parts for v in p.gens)
+
+    # lengths and areas as (numerator, denominator) pairs
+    def length(g, h):
+        tg, th = t[g], t[h]
+        return abs(g[b] * th - h[b] * tg) + abs(g[d] * th - h[d] * tg), tg * th
+
+    def area(g, h, k):
+        return abs(_dot(g, _cross(h, k))), t[g] * t[h] * t[k]
+
+    walls = [p for p in parts if p.dim == 2]
+    if c.dim == 3:
+        cells = [p.gens for p in parts if p.dim == 3]
+        if not _sums_equal([area(*g) for g in cells], [area(*c.gens)]):
+            return False
+        # the faces of c through each part vertex; an edge lies in a face of
+        # c exactly when its two ends share one
+        on = {v: {f for f in c.pos_forms if not _dot(f, v)} for v in t}
+        edges = [
+            length(g, h)
+            for gens in cells
+            for g, h in itertools.combinations(gens, 2)
+            if not on[g] & on[h]
+        ]
+        doubled = [(2 * n, q) for n, q in (length(*w.gens) for w in walls)]
+        if not _sums_equal(doubled, edges):
+            return False
+    elif not _sums_equal([length(*w.gens) for w in walls], [length(*c.gens)]):
+        return False
+    rays = {p.gens[0] for p in parts if p.dim == 1}
+    for v in t.keys() - rays:
+        if _holds(c.pos_forms, c.eq_forms, *v) and not any(
+            _holds(w.pos_forms, w.eq_forms, *v) for w in walls
+        ):
+            return False
+    return True
+
+
+def _sums_equal(xs, ys) -> bool:
+    """Whether two sums of fractions, given as (numerator, positive
+    denominator) pairs, are equal: both over the lcm of the denominators."""
+    m = math.lcm(*(q for _, q in xs), *(q for _, q in ys))
+    return sum(n * (m // q) for n, q in xs) == sum(n * (m // q) for n, q in ys)
 
 
 # -- translate tables --------------------------------------------------------
@@ -682,17 +766,27 @@ class Geometry:
         return ShintaniSet.from_cones(out)
 
     def difference(self, s1: ShintaniSet, s2: ShintaniSet) -> ShintaniSet:
-        """s1 \\ s2 as disjoint open cells, removing the cells of s2 largest
-        first: 3-cells, then 2-cells, then rays, each dimension in canonical
-        order. A full cell takes its volume away before a face or ray can
-        split a piece of s1, since every split piece is tested again by each
-        later cell."""
+        """s1 \\ s2 as disjoint open cells (`_remove`)."""
+        return ShintaniSet.from_cones(self._remove(s1, s2)[0])
+
+    def _remove(self, s1: ShintaniSet, s2: ShintaniSet):
+        """The pieces of s1 outside s2, and for each cell b of s2 reached the
+        pair (b, the pieces of s1 that land inside b).
+
+        The cells of s2 are removed largest first: 3-cells, then 2-cells,
+        then rays, each dimension in canonical order. A full cell takes its
+        volume away before a face or ray can split a piece of s1, since every
+        split piece is tested again by each later cell. The loop stops once
+        no piece is left."""
         pieces = list(s1.cones)
+        parts = []
         for b in sorted(s2.cones, key=lambda c: -c.dim):
-            pieces = [q for p in pieces for q in diff_cell(p, b, self.trace_form)]
+            inside: list[Cone] = []
+            parts.append((b, inside))
+            pieces = [q for p in pieces for q in diff_cell(p, b, self.trace_form, inside)]
             if not pieces:
                 break
-        return ShintaniSet.from_cones(pieces)
+        return pieces, parts
 
     def union(self, s1: ShintaniSet, s2: ShintaniSet) -> ShintaniSet:
         extra = self.difference(s2, s1)
@@ -700,13 +794,33 @@ class Geometry:
 
     def subset(self, s1: ShintaniSet, s2: ShintaniSet):
         """(True, None) or (False, witness FieldElement in s1 \\ s2): the
-        witness of the first cell of `difference(s1, s2)`."""
+        witness of the first cell of `difference(s1, s2)`. `set_equal` runs
+        it only when its coverage certificate fails."""
         rest = self.difference(s1, s2)
         if rest.is_empty:
             return True, None
         return False, self.sample_point(rest)
 
     def set_equal(self, s1: ShintaniSet, s2: ShintaniSet):
+        """(True, None) or (False, witness FieldElement in the symmetric
+        difference).
+
+        One carve decides equality: the side with more cells is carved by
+        the cells of the other, largest first (`_remove`), keeping for each
+        cell c of the other side the pieces that land inside c. The sets are
+        equal exactly when no piece is left over and every c is covered by
+        its pieces (`cell_covered`, which needs the pieces disjoint, as the
+        cells of every ShintaniSet are). Otherwise the verdict and witness
+        are those of `subset(s1, s2)` and then `subset(s2, s1)`, the first
+        witness found."""
+        big, small = (s1, s2) if len(s1) >= len(s2) else (s2, s1)
+        rest, parts = self._remove(big, small)
+        if (
+            not rest
+            and len(parts) == len(small)
+            and all(cell_covered(c, inside, self.trace_form) for c, inside in parts)
+        ):
+            return True, None
         ok, w = self.subset(s1, s2)
         if not ok:
             return False, w
@@ -948,8 +1062,10 @@ class Geometry:
 
         Returns (case, [(tag, ok, witness), ...]) with the tags "id1" and
         "id2", and in case 2 also "case2extra" and "case2extra_reference"
-        (its left side against the four-cell value). A witness lies in the
-        symmetric difference and is None exactly when ok.
+        (its left side against the four-cell value). Each equality is
+        `set_equal`: one carve and an exact coverage certificate, and the
+        two subset checks only when the certificate fails. A witness lies in
+        the symmetric difference and is None exactly when ok.
         """
         case, box = self.classify_case(eps1, eps2, pi)
         pinv = pi.inverse()

@@ -13,8 +13,10 @@ normalization search that `units.triangle_search` folds into one, the
 cell split and disjointness test that `cones.split_cell` and
 `cones.cones_fast_disjoint` run on unpacked integer rows, the Fraction
 interval determinant that `RealEmbeddings._det_sign` runs on integer
-numerators, and the canonical-order loop that `Geometry.difference`
-replaces by removing the largest cells first."""
+numerators, the canonical-order loop that `Geometry.difference`
+replaces by removing the largest cells first, and the two subset checks
+that `Geometry.set_equal` replaces by one carve and a coverage
+certificate."""
 
 import functools
 from fractions import Fraction
@@ -216,6 +218,15 @@ def canonical_difference(geo, s1, s2):
 def canonical_equal(geo, s1, s2) -> bool:
     """Whether two sets are equal, by `canonical_difference` both ways."""
     return canonical_difference(geo, s1, s2).is_empty and canonical_difference(geo, s2, s1).is_empty
+
+
+def two_subset_set_equal(geo, s1, s2):
+    """(ok, witness) of `subset(s1, s2)` and then `subset(s2, s1)`: the first
+    witness found, or (True, None)."""
+    ok, w = geo.subset(s1, s2)
+    if not ok:
+        return False, w
+    return geo.subset(s2, s1)
 
 
 def fraction_refine_roots(emb, bits):

@@ -13,6 +13,7 @@ from shintani_forge.cones import (
     _carve,
     _cross,
     _rank,
+    cell_covered,
     cones_fast_disjoint,
     decompose_rays,
     diff_cell,
@@ -364,6 +365,57 @@ class TestIntegerKernels:
         tf = (1, 1, 0)
         with pytest.raises(DegenerateGeometry, match="positive trace"):
             decompose_rays(rays, tf)
+
+
+def _cells(*rays_list):
+    return [Cone.from_rays(rays) for rays in rays_list]
+
+
+# rays (t, x, y) at the section points (x / t, y / t) of the trace form
+# (1, 0, 0): the triangle A B C, its interior point O, the point P on the
+# edge A B and the point Q on the open segment P C
+A, B_, C, O, P, Q = (1, 0, 0), (1, 6, 0), (1, 0, 6), (3, 4, 4), (1, 3, 0), (2, 3, 6)
+FAN = _cells((A, B_, O), (B_, C, O), (C, A, O), (A, O), (B_, O), (C, O), (O,))
+
+
+@pytest.mark.parametrize("tf", [(1, 0, 0), (2, 1, 1)])
+class TestCellCovered:
+    """The coverage certificate of `Geometry.set_equal` on hand-built parts
+    of the triangle A B C, under two trace forms (two sections)."""
+
+    def test_fan_from_an_interior_ray_is_covered(self, tf):
+        assert cell_covered(Cone.from_rays((A, B_, C)), FAN, tf)
+
+    @pytest.mark.parametrize("missing", [(O,), (A, O), (A, B_, O)], ids=["ray", "wall", "triangle"])
+    def test_fan_missing_a_part_is_not_covered(self, tf, missing):
+        parts = [p for p in FAN if p != Cone.from_rays(missing)]
+        assert len(parts) == len(FAN) - 1
+        assert not cell_covered(Cone.from_rays((A, B_, C)), parts, tf)
+
+    def test_nothing_covers_a_cell(self, tf):
+        assert not cell_covered(Cone.from_rays((A, B_, C)), [], tf)
+        assert not cell_covered(Cone.from_rays((A, B_)), [], tf)
+
+    def test_wall_split_on_one_side_counts_twice(self, tf):
+        """The wall P C has the triangle P B C on one side and the triangles
+        A P Q and A Q C, meeting at Q, on the other: a T-junction whose
+        wall is the two 2-cells P Q and Q C and the ray Q."""
+        parts = _cells((A, P, Q), (A, Q, C), (P, B_, C), (P, Q), (Q, C), (A, Q), (Q,))
+        cell = Cone.from_rays((A, B_, C))
+        assert cell_covered(cell, parts, tf)
+        for drop in _cells((Q, C), (Q,)):
+            assert not cell_covered(cell, [p for p in parts if p != drop], tf)
+
+    def test_two_cell_split_at_an_interior_ray(self, tf):
+        cell = Cone.from_rays((A, B_))
+        assert cell_covered(cell, _cells((A, P), (P, B_), (P,)), tf)
+        assert not cell_covered(cell, _cells((A, P), (P, B_)), tf)
+        assert not cell_covered(cell, _cells((A, P), (P,)), tf)
+
+    def test_ray_is_covered_only_by_itself(self, tf):
+        ray = Cone.from_rays((O,))
+        assert cell_covered(ray, [ray], tf)
+        assert not cell_covered(ray, [], tf)
 
 
 class TestPerturbedClosure:

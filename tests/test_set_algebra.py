@@ -11,7 +11,7 @@ from shintani_forge.cli import bundled_config_path
 from shintani_forge.cones import Geometry, ShintaniSet
 from shintani_forge.scenario import Runtime, _checked_params, load_config
 
-from oracles import canonical_difference, canonical_equal
+from oracles import canonical_difference, canonical_equal, two_subset_set_equal
 
 SECOND_FIELD = Path(__file__).parent / "second_field.json"
 
@@ -112,15 +112,21 @@ def _identity_sides(rt, config):
 
 
 @pytest.fixture(scope="module", params=["bundled", "second"])
-def difference_pairs(request):
+def field_sides(request):
+    """(runtime, elements, identity side pairs) on one field."""
+    path = bundled_config_path() if request.param == "bundled" else SECOND_FIELD
+    config = load_config(path)
+    rt = Runtime(config)
+    return rt, config.elements, _identity_sides(rt, config)
+
+
+@pytest.fixture(scope="module")
+def difference_pairs(field_sides):
     """(geometry, seeded pairs of sets) on one field: both orders of every
     pair of identity sides, random pairs of sides, and pieces of B
     translates (unit translates and B moved by pi^-1, pi1^-1 and pi2^-1)
     against each other and against the sides."""
-    path = bundled_config_path() if request.param == "bundled" else SECOND_FIELD
-    config = load_config(path)
-    rt = Runtime(config)
-    els = config.elements
+    rt, els, sides = field_sides
     b = rt.geo.explicit_B(els["eps1"], els["eps2"])
     rng = random.Random(27)
     pieces = [b] + [rt.geo.scale(b, els[x].inverse()) for x in ("pi", "pi1", "pi2")]
@@ -128,7 +134,6 @@ def difference_pairs(request):
         cells = list(rt.geo.scale(b, els["eps1"] ** k1 * els["eps2"] ** k2).cones)
         rng.shuffle(cells)
         pieces.append(ShintaniSet.from_cones(cells[: rng.randint(2, 6)]))
-    sides = _identity_sides(rt, config)
     flat = [s for pair in sides for s in pair]
     pairs = [p for s1, s2 in sides for p in ((s1, s2), (s2, s1))]
     pairs += [(rng.choice(flat), rng.choice(flat)) for _ in range(6)]
@@ -153,3 +158,52 @@ def test_difference_matches_the_canonical_order(difference_pairs):
             assert geo.member(w, s1) and not geo.member(w, s2)
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _tampered_pairs(geo, els, sides, rng):
+    """Seeded pairs around the identity sides: each pair in both orders; a
+    copy of either side with one cell of each dimension deleted, or with a
+    cell swapped for a unit translate, against the other side; each side
+    against the empty set, in both orders; and two empty sets."""
+    empty = ShintaniSet.from_cones([])
+    units = [els["eps1"], els["eps2"], els["eps1"].inverse(), els["eps2"].inverse()]
+    for s1, s2 in sides:
+        yield s1, s2
+        yield s2, s1
+        for a, b in ((s1, s2), (s2, s1)):
+            cells = list(a.cones)
+            for dim in (1, 2, 3):
+                i = rng.choice([n for n, c in enumerate(cells) if c.dim == dim])
+                yield ShintaniSet.from_cones(cells[:i] + cells[i + 1 :]), b
+            i = rng.randrange(len(cells))
+            moved = geo.scale(ShintaniSet((cells[i],)), rng.choice(units)).cones
+            swapped = ShintaniSet.from_cones(cells[:i] + list(moved) + cells[i + 1 :])
+            assert geo.find_overlap(swapped) is None
+            yield swapped, b
+            yield a, empty
+            yield empty, a
+    yield empty, empty
+
+
+def test_set_equal_matches_two_subsets(field_sides, monkeypatch):
+    """The one-carve `set_equal` gives the verdict and witness of the two
+    subset checks on every identity pair and on seeded tamperings of them,
+    and it decides every identity pair without a subset check."""
+    rt, els, sides = field_sides
+    geo = rt.geo
+
+    def coords(w):
+        return None if w is None else w.coords
+
+    verdicts = set()
+    for s1, s2 in _tampered_pairs(geo, els, sides, random.Random(31)):
+        ok, w = geo.set_equal(s1, s2)
+        want_ok, want_w = two_subset_set_equal(geo, s1, s2)
+        assert (ok, coords(w)) == (want_ok, coords(want_w))
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+    subsets = []
+    real = geo.subset
+    monkeypatch.setattr(geo, "subset", lambda s1, s2: subsets.append(s1) or real(s1, s2))
+    assert all(geo.set_equal(s1, s2) == (True, None) for s1, s2 in sides)
+    assert not subsets
